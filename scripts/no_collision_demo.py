@@ -4,7 +4,8 @@
 Two spheres squeezed together by a constant force never touch when both
 surfaces are no-slip: the pair drag diverges like 1 / gap, so the gap
 decays exponentially and reaches zero only at infinite time. A numerical
-run always stops at some positive floor, so the property shows up two
+run always stops at some positive floor (`simulate` reports
+floor_reached there, never a collision), so the property shows up two
 ways, and this script checks both:
 
   * the time to reach a floor d grows like ln(1 / d), so the extrapolated
@@ -50,13 +51,13 @@ def main(argv=None):
     times, logs, deepest = [], [], None
     for floor in floors:
         traj = simulate(sc, t_max=args.t_max, h_floor=floor)
-        if traj.termination is not TerminationKind.COLLISION:
+        if traj.termination is not TerminationKind.FLOOR_REACHED:
             print(f"{floor:>8.0e}  horizon t = {args.t_max} hit first")
             break
-        times.append(traj.t_coll)
+        times.append(traj.t_end)
         logs.append(np.log(args.h0 / floor))
         deepest = traj
-        print(f"{floor:>8.0e}  {traj.t_coll:>16.6f}  {logs[-1]:>16.6f}")
+        print(f"{floor:>8.0e}  {traj.t_end:>16.6f}  {logs[-1]:>16.6f}")
     if deepest is None:
         print("raise --t-max so at least one floor is reached")
         return 1

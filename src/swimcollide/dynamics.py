@@ -9,18 +9,18 @@ active pusher pair, or a constant f_ext for a passive externally pushed
 pair. The massless limit m = 0 reduces to the algebraic speed law
 h' = -F / kappa_pass.
 
-Massless scenarios integrate with an embedded Dormand-Prince 5(4) pair with
-two extra controls tuned to the near-contact asymptotics: the step is capped
-so the gap shrinks by at most a fixed factor per step once h < 0.1 (the drag
-varies on the log h scale there), and once the floor crossing is bracketed
-the crossing time is localized on the dense cubic interpolant. Trajectories
-are recorded at every accepted step.
+Massless scenarios need no time stepping: h' is a function of h alone, so
+the elapsed time is the integral of dt/du = -h / h' over u = ln h, taken by
+a 5-point Gauss-Lobatto rule on panels at most 0.05 wide in ln h, with
+edges at the kinks of the drag model. One point is recorded per panel edge,
+a floor run ends exactly on the floor, and the horizon point comes from one
+root solve on the last panel.
 
 Inertial scenarios (m > 0) are stiff: the speed relaxes toward the force
 balance on the fast scale m / kappa_pass, which near contact is orders of
 magnitude below the approach time. They integrate with an L-stable implicit
 Radau method, and the trajectory is densified from the dense interpolant so
-the same recording guarantees hold as for the explicit path.
+the same recording guarantees hold as for the massless path.
 """
 
 import dataclasses
@@ -28,10 +28,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from . import drag
-from .drag import BoundaryCondition
+from .drag import SERIES_GAP_FLOOR, BoundaryCondition
 from .errors import DomainError, InvalidRegimeError, StiffnessError
 from .series import SeriesTruncation
 
@@ -62,6 +64,7 @@ class TerminationKind(Enum):
     COLLISION = "collision"
     HORIZON_REACHED = "horizon_reached"
     SPEED_REVERSED = "speed_reversed"
+    FLOOR_REACHED = "floor_reached"
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ class SwimmerScenario:
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
-    """State and coefficients at one accepted step.
+    """State and coefficients at one recorded point.
 
     kappa_prop is reported as 0 for passive scenarios, where no propulsion
     factor enters the dynamics.
@@ -145,7 +148,8 @@ def default_h_floor(bc):
     """Contact floor below which the gap counts as closed.
 
     Slip permits an actual finite-time contact, so the slip floor sits far
-    below the no-slip stall scale.
+    below the no-slip stall scale. A no-slip run that reaches its floor ends
+    in FLOOR_REACHED, not COLLISION: there the gap only decays exponentially.
     """
     return 1e-9 if bc.slips else 1e-7
 
@@ -173,35 +177,14 @@ def rhs(scenario, y, truncation=None, prop_model=None):
     return np.array([y[1], (-kp * y[1] - force) / scenario.mass])
 
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = _B5 - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-_LN_GAP_CAP = 0.05  # max fractional gap change per step once h < 0.1
+_LN_GAP_CAP = 0.05  # widest panel in ln h, and the inertial point spacing below h = 0.1
 _LN_GAP_ONSET = 0.1
 
-
-def _hermite_gap(h0, hd0, h1, hd1, dt, s):
-    s2 = s * s
-    s3 = s2 * s
-    return (
-        (2 * s3 - 3 * s2 + 1) * h0
-        + (s3 - 2 * s2 + s) * dt * hd0
-        + (-2 * s3 + 3 * s2) * h1
-        + (s3 - s2) * dt * hd1
-    )
+# Five-point Gauss-Lobatto nodes on [0, 1]. Both panel ends are nodes, so
+# neighbouring panels share them. The rule, exact to degree 7, integrates the
+# polynomial through the nodal values, built on the monomials by this matrix.
+_LOBATTO_NODES = 0.5 + np.array([-0.5, -np.sqrt(21.0) / 14.0, 0.0, np.sqrt(21.0) / 14.0, 0.5])
+_LOBATTO_TO_MONOMIAL = np.linalg.inv(np.vander(_LOBATTO_NODES, increasing=True))
 
 
 def simulate(
@@ -216,11 +199,13 @@ def simulate(
 ):
     """Integrate the encounter until contact, reversal, or the time horizon.
 
-    Returns a Trajectory whose termination reports which happened. The
-    contact event satisfies |h - h_floor| < 1e-10 at the reported time.
-    Identical inputs produce bitwise identical trajectories. For inertial
-    scenarios max_steps bounds the right-hand-side evaluation count at 25
-    per nominal step.
+    Returns a Trajectory whose termination reports which happened; reaching
+    the floor is a COLLISION under slip and FLOOR_REACHED under no slip.
+    Identical inputs produce bitwise identical trajectories. For massless
+    scenarios max_steps bounds the number of panels in ln h, and a floor run
+    ends exactly on the floor. rtol and atol apply to inertial scenarios
+    only, where max_steps bounds the right-hand-side evaluation count at 25
+    per nominal step and the floor event satisfies |h - h_floor| < 1e-10.
     """
     truncation = truncation or SeriesTruncation()
     t_max = float(t_max)
@@ -237,136 +222,69 @@ def simulate(
         return _simulate_inertial(
             scenario, t_max, floor, rtol, atol, truncation, prop_model, max_steps
         )
+    return _simulate_massless(scenario, t_max, floor, truncation, prop_model, max_steps)
 
-    def full_rhs(y):
-        force, kp, kpr = _force_and_coefficients(scenario, y[0], truncation, prop_model)
-        return np.array([-force / kp]), force, kp, kpr
 
-    y = np.array([scenario.h0])
-    t = 0.0
-    k1, force, kp, kpr = full_rhs(y)
-    hdot = k1[0]
-    points = [TrajectoryPoint(0.0, y[0], hdot, kp, kpr)]
+def _trajectory(scenario, floor, points, termination):
+    # Without slip the gap only decays exponentially: its floor is no contact.
+    if termination is TerminationKind.COLLISION and not scenario.bc.slips:
+        termination = TerminationKind.FLOOR_REACHED
+    t_coll = points[-1].t if termination is TerminationKind.COLLISION else None
+    return Trajectory(scenario, floor, tuple(points), termination, t_coll)
 
-    def reversed_now(hd, f):
-        return hd > 0.0
 
-    if reversed_now(hdot, force):
-        return Trajectory(
-            scenario=scenario,
-            h_floor=floor,
-            points=tuple(points),
-            termination=TerminationKind.SPEED_REVERSED,
-            t_coll=None,
-        )
+def _panel_edges(h0, floor, kinks):
+    """Edges from h0 down to floor, one at each kink of the drag model in
+    between (others, such as a zero beta, are skipped), and no panel wider
+    than _LN_GAP_CAP in ln h."""
+    stops = [h0, *sorted((k for k in kinks if floor < k < h0), reverse=True), floor]
+    edges = [h0]
+    for hi, lo in zip(stops, stops[1:]):
+        width = np.log(hi / lo)
+        n = int(np.ceil(width / _LN_GAP_CAP))
+        edges.extend(hi * np.exp(-width * np.arange(1, n) / n))
+        edges.append(lo)
+    return edges
 
-    # initial step: conservative fraction of the gap-change and horizon scales
-    dt = t_max / 100.0
-    if hdot != 0.0:
-        dt = min(dt, 0.02 * y[0] / abs(hdot))
-    dt = min(dt, t_max)
 
-    n_steps = 0
-    while True:
-        n_steps += 1
-        if n_steps > max_steps:
-            raise StiffnessError(
-                f"step budget {max_steps} exhausted at t = {t}", t=t, state=y
-            )
+def _simulate_massless(scenario, t_max, floor, truncation, prop_model, max_steps):
+    """Massless branch of simulate: the elapsed time is the integral of
+    dt/du = -h / h' over u = ln h, taken panel by panel. One point is
+    recorded per panel edge, and the horizon point is where the integral
+    over the last panel reaches t_max."""
 
-        h_now = y[0]
-        hdot_now = k1[0]
-        dt = min(dt, t_max - t)
-        if hdot_now != 0.0 and h_now < _LN_GAP_ONSET:
-            dt = min(dt, _LN_GAP_CAP * h_now / abs(hdot_now))
-        if hdot_now < 0.0 and h_now > floor:
-            # bounded overshoot past the floor keeps the crossing inside one step
-            dt = min(dt, 1.4 * (h_now - floor) / abs(hdot_now))
-        if dt <= 1e-15 * max(1.0, t) or t + dt == t:
-            raise StiffnessError(f"step size underflow at t = {t}", t=t, state=y)
+    def point(t, h):
+        force, kp, kpr = _force_and_coefficients(scenario, h, truncation, prop_model)
+        return TrajectoryPoint(float(t), float(h), -force / kp, kp, kpr)
 
-        ks = [k1]
-        clipped = False
-        for i in range(1, 7):
-            yi = y + dt * sum(a * k for a, k in zip(_A[i], ks))
-            if yi[0] < 1e-15:
-                clipped = True  # stage dipped to the clamp; grow cautiously
-            ks.append(full_rhs(yi)[0])
-        y5 = y + dt * sum(b * k for b, k in zip(_B5, ks))
-        err_vec = dt * sum(e * k for e, k in zip(_E, ks))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+    def rate(p):
+        # kappa_prop stays in (0, 1), so only a user prop_model can stop the drive
+        if p.hdot >= 0.0:
+            raise InvalidRegimeError(f"approach speed is not positive at h = {p.h}")
+        return -p.h / p.hdot
 
-        if err > 1.0 or not np.all(np.isfinite(y5)):
-            if not np.all(np.isfinite(y5)):
-                dt *= 0.2
-            else:
-                dt *= max(0.2, 0.9 * err ** -0.2)
-            continue
-
-        # accepted; stage 7 is the FSAL derivative at the new state
-        t_new = t + dt
-        k_new, force_new, kp_new, kpr_new = full_rhs(y5)
-        hdot_new = k_new[0]
-
-        if y5[0] <= floor:
-            h0v, h1v = y[0], y5[0]
-            hd0 = k1[0]
-            hd1 = hdot_new
-            # 80 halvings put the crossing time at rounding precision, far
-            # inside the 1e-12 localization contract
-            a, b = 0.0, 1.0
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                if _hermite_gap(h0v, hd0, h1v, hd1, dt, mid) > floor:
-                    a = mid
-                else:
-                    b = mid
-            s_ev = b
-            t_ev = t + s_ev * dt
-            h_ev = _hermite_gap(h0v, hd0, h1v, hd1, dt, s_ev)
-            force_ev, kp_ev, kpr_ev = _force_and_coefficients(
-                scenario, h_ev, truncation, prop_model
-            )
-            # The massless rate is algebraic in the gap; evaluating the
-            # balance at h_ev keeps the endpoint consistent with every other
-            # recorded point.
-            hd_ev = -force_ev / kp_ev
-            points.append(TrajectoryPoint(t_ev, h_ev, hd_ev, kp_ev, kpr_ev))
-            return Trajectory(
-                scenario=scenario,
-                h_floor=floor,
-                points=tuple(points),
-                termination=TerminationKind.COLLISION,
-                t_coll=t_ev,
-            )
-
-        points.append(TrajectoryPoint(t_new, y5[0], hdot_new, kp_new, kpr_new))
-
-        if reversed_now(hdot_new, force_new):
-            return Trajectory(
-                scenario=scenario,
-                h_floor=floor,
-                points=tuple(points),
-                termination=TerminationKind.SPEED_REVERSED,
-                t_coll=None,
-            )
-        if t_new >= t_max * (1.0 - 1e-14):
-            return Trajectory(
-                scenario=scenario,
-                h_floor=floor,
-                points=tuple(points),
-                termination=TerminationKind.HORIZON_REACHED,
-                t_coll=None,
-            )
-
-        t = t_new
-        y = y5
-        k1 = k_new
-        grow = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-        dt = dt * min(5.0, max(0.2, grow))
-        if clipped:
-            dt *= 0.5
+    points = [point(0.0, scenario.h0)]
+    if points[0].hdot >= 0.0:
+        return _trajectory(scenario, floor, points, TerminationKind.SPEED_REVERSED)
+    edges = _panel_edges(scenario.h0, floor, (SERIES_GAP_FLOOR, scenario.bc.beta))
+    t, rates = 0.0, [rate(points[0])]
+    for panel, (h_a, h_b) in enumerate(zip(edges, edges[1:]), start=1):
+        if panel > max_steps:
+            msg = f"panel budget {max_steps} exhausted at t = {t}"
+            raise StiffnessError(msg, t=t, state=np.array([h_a]))
+        width = np.log(h_a / h_b)
+        inner = [point(t, h_a * np.exp(-s * width)) for s in _LOBATTO_NODES[1:-1]]
+        edge = point(t, h_b)
+        rates = [rates[-1], *map(rate, inner), rate(edge)]
+        antiderivative = P.polyint(_LOBATTO_TO_MONOMIAL @ rates)
+        elapsed = lambda s: t + width * P.polyval(s, antiderivative)
+        if elapsed(1.0) > t_max:
+            s = brentq(lambda s: elapsed(s) - t_max, 0.0, 1.0, xtol=1e-15)
+            points.append(point(t_max, h_a * np.exp(-s * width)))
+            return _trajectory(scenario, floor, points, TerminationKind.HORIZON_REACHED)
+        t = float(elapsed(1.0))
+        points.append(dataclasses.replace(edge, t=t))
+    return _trajectory(scenario, floor, points, TerminationKind.COLLISION)
 
 
 def _simulate_inertial(
@@ -375,11 +293,11 @@ def _simulate_inertial(
     """Stiff branch of simulate for m > 0, on an implicit Radau method.
 
     The speed equation has the fast eigenvalue -kappa_pass / m, which an
-    explicit pair must resolve for the whole run even though the solution
+    explicit method must resolve for the whole run even though the solution
     hugs the quasi-steady balance; the L-stable method steps on the slow
-    manifold instead. Contact and reversal are terminal events, and recorded
+    manifold instead. The floor and reversal are terminal events, and recorded
     points are densified from the interpolant so consecutive points satisfy
-    the same log-gap spacing bound as the explicit path.
+    the same log-gap spacing bound as the massless path.
     """
     eval_budget = 25 * max_steps
     evals = 0
@@ -428,13 +346,10 @@ def _simulate_inertial(
 
     if sol.status == 1 and len(sol.t_events[0]):
         termination = TerminationKind.COLLISION
-        t_coll = float(sol.t_events[0][0])
     elif sol.status == 1:
         termination = TerminationKind.SPEED_REVERSED
-        t_coll = None
     else:
         termination = TerminationKind.HORIZON_REACHED
-        t_coll = None
 
     def point_at(t, h, hd):
         _, kp, kpr = _force_and_coefficients(scenario, h, truncation, prop_model)
@@ -453,14 +368,7 @@ def _simulate_inertial(
             hj, hdj = sol.sol(tj)
             points.append(point_at(tj, hj, hdj))
         points.append(point_at(t1, sol.y[0, i], sol.y[1, i]))
-
-    return Trajectory(
-        scenario=scenario,
-        h_floor=floor,
-        points=tuple(points),
-        termination=termination,
-        t_coll=t_coll,
-    )
+    return _trajectory(scenario, floor, points, termination)
 
 
 @dataclass(frozen=True)
@@ -597,11 +505,14 @@ def threshold_speed_probe(
     Massless scenarios have no speed memory, so a single run decides. With
     inertia the collision predicate is monotone in s0 and the threshold is
     bisected to width s_tol; all_collide reports that s0 = 0 already reaches
-    contact, and bracketed = False that even s_max does not.
+    contact, and bracketed = False that even s_max does not. A no-slip floor
+    is not contact (FLOOR_REACHED), so no-slip runs never bracket.
     """
     s_max = float(s_max)
     if not np.isfinite(s_max) or s_max <= 0.0:
         raise DomainError(f"probe speed bound must be positive, got {s_max}")
+
+    probes = []
 
     def collides(s0):
         probe = dataclasses.replace(scenario, s0=s0)
@@ -612,40 +523,24 @@ def threshold_speed_probe(
             truncation=truncation,
             prop_model=prop_model,
         )
-        return traj.termination is TerminationKind.COLLISION, traj.termination
+        probes.append((s0, traj.termination.value))
+        return traj.termination is TerminationKind.COLLISION
 
-    probes = []
+    def report(all_collide, bracketed, critical_s0):
+        return ProbeReport(all_collide, bracketed, critical_s0, tuple(probes))
+
     if scenario.mass == 0.0:
-        hit, kind = collides(scenario.s0)
-        probes.append((scenario.s0, kind.value))
-        return ProbeReport(
-            all_collide=hit, bracketed=hit, critical_s0=None, probes=tuple(probes)
-        )
-
-    hit0, kind0 = collides(0.0)
-    probes.append((0.0, kind0.value))
-    if hit0:
-        return ProbeReport(
-            all_collide=True, bracketed=True, critical_s0=0.0, probes=tuple(probes)
-        )
-    hit1, kind1 = collides(s_max)
-    probes.append((s_max, kind1.value))
-    if not hit1:
-        return ProbeReport(
-            all_collide=False, bracketed=False, critical_s0=None, probes=tuple(probes)
-        )
+        hit = collides(scenario.s0)
+        return report(hit, hit, None)
+    if collides(0.0):
+        return report(True, True, 0.0)
+    if not collides(s_max):
+        return report(False, False, None)
     lo, hi = 0.0, s_max
     while hi - lo > s_tol:
         mid = 0.5 * (lo + hi)
-        hit, kind = collides(mid)
-        probes.append((mid, kind.value))
-        if hit:
+        if collides(mid):
             hi = mid
         else:
             lo = mid
-    return ProbeReport(
-        all_collide=False,
-        bracketed=True,
-        critical_s0=0.5 * (lo + hi),
-        probes=tuple(probes),
-    )
+    return report(False, True, 0.5 * (lo + hi))

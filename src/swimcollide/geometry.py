@@ -35,11 +35,6 @@ __all__ = [
     "gegenbauer_minus_half",
 ]
 
-# Test hook: `swimcollide validate --fault gegenbauer` perturbs this to check
-# that the independent velocity cross-checks actually catch a wrong kernel.
-_FAULT_SCALE = 1.0
-
-
 @dataclass(frozen=True)
 class BipolarFrame:
     """Frozen geometry of one gap value: cosh(alpha) = 1 + h, c = sinh(alpha)."""
@@ -175,11 +170,11 @@ def gegenbauer_minus_half(n, x):
         raise DomainError(f"order must be an integer >= 1, got {n}")
     n = int(n)
     p = legendre_values(n + 1, x)
-    return float((p[n - 1] - p[n + 1]) / (2 * n + 1)) * _FAULT_SCALE
+    return float((p[n - 1] - p[n + 1]) / (2 * n + 1))
 
 
 def _gegenbauer_array(n_count, x):
     """C_{n+1}^{(-1/2)}(x) for n = 1 .. n_count as one array (series kernel)."""
     p = legendre_values(n_count + 1, x)
     n = np.arange(1, n_count + 1)
-    return (p[0:n_count] - p[2 : n_count + 2]) / (2 * n + 1) * _FAULT_SCALE
+    return (p[0:n_count] - p[2 : n_count + 2]) / (2 * n + 1)

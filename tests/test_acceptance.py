@@ -433,13 +433,13 @@ def test_10_quadrature_matches_simulation():
             assert traj.termination is TerminationKind.COLLISION
             rels.append(abs(rep.time_to_floor - traj.t_coll) / traj.t_coll)
         worst = max(rels)
-    ok = worst <= 0.02
+    ok = worst <= 1e-8
     assert report(
         10,
         "quadrature vs simulation",
         ok,
         "relative gaps "
         + ", ".join(f"{r:.2e}" for r in rels)
-        + f" over 3 slip scenarios (tolerance 2e-2), {budget.elapsed:.1f}s",
+        + f" over 3 slip scenarios (tolerance 1e-8), {budget.elapsed:.1f}s",
     )
     budget.check()

@@ -272,10 +272,12 @@ class TestValidateCommand:
         assert "gegenbauer_closed_forms" in out
 
     def test_fault_injection_is_restored(self):
-        from swimcollide import geometry
+        from swimcollide import geometry, series
 
+        kernels = lambda: (geometry.gegenbauer_minus_half, series._gegenbauer_array)
+        originals = kernels()
         main(["validate", "--fault", "gegenbauer"])
-        assert geometry._FAULT_SCALE == 1.0
+        assert all(now is was for now, was in zip(kernels(), originals))
 
 
 class TestParserBasics:

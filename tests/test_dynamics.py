@@ -1,7 +1,8 @@
-"""Encounter dynamics: integrator, events, quadrature, bounds, probes."""
+"""Encounter dynamics: integrators, terminations, quadrature, bounds, probes."""
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from swimcollide.drag import BoundaryCondition, cache_clear
 from swimcollide.dynamics import (
@@ -137,6 +138,13 @@ class TestNoSlipStall:
         floor_vals = bound.evaluate(cols["t"])
         assert np.all(cols["h"] >= floor_vals * (1.0 - 1e-12))
 
+    def test_horizon_point_solves_the_time_integral(self):
+        # The last point sits where the contact-time integral from h0 reaches
+        # the horizon; the quadrature below shares only the drag model.
+        assert self.TRAJ.t_end == 50.0
+        rep = collision_time_quadrature(self.TRAJ.scenario, h_floor=self.TRAJ.min_h)
+        assert rep.time_to_floor == pytest.approx(50.0, rel=1e-9)
+
     def test_decay_rate_scales_with_forcing(self):
         # The stall rate is proportional to the squeezing force: the
         # late-time log-slope is force over the lubrication constant.
@@ -147,6 +155,59 @@ class TestNoSlipStall:
             simulate(forced(NO_SLIP, h0=0.3, f_ext=2.0), t_max=40.0)
         )
         assert 1.8 <= fast.c2 / slow.c2 <= 2.2
+
+
+class TestNoSlipFloor:
+    # Under no slip the gap only decays exponentially: a run that reaches
+    # its floor has not touched, so the floor is no collision.
+    def test_massless_floor_is_not_a_collision(self):
+        traj = simulate(forced(NO_SLIP, h0=1.0), t_max=200.0)
+        assert traj.termination is TerminationKind.FLOOR_REACHED
+        assert traj.t_coll is None
+        assert traj.t_end == pytest.approx(107.369, rel=1e-5)
+        assert traj.points[-1].h == traj.h_floor
+
+    def test_inertial_floor_is_not_a_collision(self):
+        sc = forced(NO_SLIP, h0=0.3, mass=0.5, s0=50.0)
+        traj = simulate(sc, t_max=5.0, h_floor=0.05)
+        assert traj.termination is TerminationKind.FLOOR_REACHED
+        assert traj.t_coll is None
+        assert traj.t_end < 5.0
+
+
+class TestMasslessReference:
+    """Contact times against an explicit time integration of h' = -F / kappa_pass
+    by scipy's DOP853, which shares nothing with simulate but the drag model."""
+
+    @pytest.mark.parametrize(
+        "sc",
+        [
+            active(BoundaryCondition.navier(0.1)),
+            active(BoundaryCondition.navier(0.05), h0=0.3),
+            forced(BoundaryCondition.navier(0.2), h0=1.0),
+        ],
+        ids=["active-beta0.1", "active-beta0.05", "passive-beta0.2"],
+    )
+    def test_contact_time_matches_dop853(self, sc):
+        traj = simulate(sc, t_max=5000.0)
+        assert traj.termination is TerminationKind.COLLISION
+
+        def contact(t, y):
+            return y[0] - traj.h_floor
+
+        contact.terminal = True
+        contact.direction = -1.0
+        ref = solve_ivp(
+            lambda t, y: rhs(sc, y),
+            (0.0, 5000.0),
+            [sc.h0],
+            method="DOP853",
+            rtol=1e-12,
+            atol=1e-3 * traj.h_floor,
+            events=contact,
+        )
+        assert ref.status == 1
+        assert traj.t_coll == pytest.approx(ref.t_events[0][0], rel=1e-7)
 
 
 class TestBoundFitValidation:
@@ -216,6 +277,17 @@ class TestSimulateGuards:
             prop_model=lambda h, lam, bc, tr: 1.5,
         )
         assert traj.termination is TerminationKind.SPEED_REVERSED
+        assert traj.t_end == 0.0 and len(traj.points) == 1
+
+    def test_drive_lost_on_the_way_in(self):
+        # kappa_prop stays below one, so only a user model can turn the drive
+        # off after the start; the approach then has no collision course.
+        with pytest.raises(InvalidRegimeError):
+            simulate(
+                active(NAVIER),
+                t_max=200.0,
+                prop_model=lambda h, lam, bc, tr: 0.5 if h > 0.2 else 1.5,
+            )
 
 
 class TestQuadrature:
@@ -224,7 +296,7 @@ class TestQuadrature:
         rep = collision_time_quadrature(sc)
         traj = simulate(sc, t_max=200.0)
         assert isinstance(rep, QuadratureReport)
-        assert rep.time_to_floor == pytest.approx(traj.t_coll, rel=1e-3)
+        assert rep.time_to_floor == pytest.approx(traj.t_coll, rel=1e-8)
         assert rep.abserr < 1e-6 * rep.time_to_floor
         assert not rep.diverged
 
