@@ -633,7 +633,7 @@ def _check_quadrature_match():
     traj = dynamics.simulate(sc, 100.0)
     report = dynamics.collision_time_quadrature(sc)
     rel = abs(report.time_to_floor - traj.t_coll) / traj.t_coll
-    ok = rel < 0.02 and not report.diverged
+    ok = rel < 1e-8 and not report.diverged
     return ok, (
         f"quadrature {report.time_to_floor:.6f} vs simulated {traj.t_coll:.6f} "
         f"(rel {rel:.2e}), tail exponent {report.tail_exponent:.3f}"
@@ -850,3 +850,7 @@ def main(argv=None):
 
 def console_main():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

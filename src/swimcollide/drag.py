@@ -124,30 +124,30 @@ def _require_positive_gap(h):
     return h
 
 
+def _series_edge(bc):
+    """The gap below which kappa_pass leaves the exact series: the slip
+    length under slip, SERIES_GAP_FLOOR otherwise."""
+    return bc.beta if bc.slips else SERIES_GAP_FLOOR
+
+
 def kappa_pass(h, bc, truncation=None):
     """Pair drag coefficient at half-gap h under the given wall model."""
     h = _require_positive_gap(h)
     n_max, tail_tol = _trunc_key(truncation)
-    if bc.slips:
-        if h >= bc.beta:
-            return _series_pass(h, n_max, tail_tol)
-        anchor = _series_pass(bc.beta, n_max, tail_tol)
-        return float(anchor * (1.0 + np.log(bc.beta / h)))
-    if h >= SERIES_GAP_FLOOR:
+    edge = _series_edge(bc)
+    if h >= edge:
         return _series_pass(h, n_max, tail_tol)
-    anchor = _series_pass(SERIES_GAP_FLOOR, n_max, tail_tol)
-    return float(anchor * SERIES_GAP_FLOOR / h)
+    anchor = _series_pass(edge, n_max, tail_tol)
+    if bc.slips:
+        return float(anchor * (1.0 + np.log(edge / h)))
+    return float(anchor * edge / h)
 
 
 def kappa_pass_provenance(h, bc):
     h = _require_positive_gap(h)
-    if bc.slips:
-        return Provenance.EXACT_SERIES if h >= bc.beta else Provenance.ASYMPTOTIC_MODEL
-    return (
-        Provenance.EXACT_SERIES
-        if h >= SERIES_GAP_FLOOR
-        else Provenance.ASYMPTOTIC_MODEL
-    )
+    if h >= _series_edge(bc):
+        return Provenance.EXACT_SERIES
+    return Provenance.ASYMPTOTIC_MODEL
 
 
 def _default_prop_model(h, lam, bc, truncation):

@@ -22,8 +22,12 @@ condition psi = 0 on the midplane zeta = 0.
 
 The closed coefficient solution is evaluated through exact rearrangements
 that avoid the catastrophic cancellation the textbook expressions suffer once
-exp(-2 m alpha) drops below machine precision; see the module tests for the
-term-by-term agreement with the direct expressions at moderate mode index.
+exp(-2 m alpha) drops below machine precision. The coefficients and the force
+terms share one scaled form of the mode denominator S_m (_pair_gap_sum);
+tests/test_series.py checks both term by term against the direct expressions
+on each side of the Taylor crossover, and the drag against the textbook
+Stimson-Jeffery series. Every adaptive sum doubles its mode count in one loop
+(_converge) and raises TruncationError at HARD_MODE_CAP.
 """
 
 import math
@@ -110,35 +114,40 @@ def _half_orders(n_count):
 
 
 def _pair_gap_sum(m, alpha):
-    """S_m = 2 [sinh(2 m alpha) - m sinh(2 alpha)], elementwise, positive.
+    """S_m = 2 [sinh(2 m alpha) - m sinh(2 alpha)] as (s, scale, E), S_m = s / scale.
 
-    For small 2 m alpha the two sinh terms cancel to O((2 alpha)^3); there the
-    value is assembled from the positive Taylor series
-    S_m = 2 sum_{j>=1} (2 alpha)^(2j+1) (m^(2j+1) - m) / (2j+1)!.
-    For large 2 m alpha the direct form is scaled by exp(-2 m alpha) by the
-    callers, so only the reduced factor 1 - E^2 - 2 m sinh(2 alpha) E is
-    needed; this helper returns the unscaled value and is used on the Taylor
-    side of the crossover only.
+    E = exp(-2 m alpha) is returned because every caller's numerator needs it
+    too. For small 2 m alpha the two sinh terms cancel to O((2 alpha)^3);
+    there s is assembled from the positive Taylor series
+    S_m = 2 sum_{j>=1} (2 alpha)^(2j+1) (m^(2j+1) - m) / (2j+1)!
+    and scale = 1. For large 2 m alpha, S_m = exp(2 m alpha) s with the
+    reduced factor s = 1 - E^2 - 2 m sinh(2 alpha) E, and scale = E, so a
+    caller multiplies its numerator by scale instead of dividing by a huge S_m.
     """
-    s = np.zeros_like(m)
-    x = 2.0 * alpha
-    term = x**3 / 6.0 * (m**3 - m)
-    j = 1
-    while True:
-        s += term
-        j += 1
-        # ratio of consecutive odd Taylor terms, bounded by (m x)^2 / ((2j)(2j+1))
-        term = x ** (2 * j + 1) / _odd_factorial(2 * j + 1) * (m ** (2 * j + 1) - m)
-        if np.all(term <= 1e-18 * np.maximum(s, 1e-300)):
-            s += term
-            break
-        if j > 40:  # unreachable for 2 m alpha < 1; guard anyway
-            break
-    return 2.0 * s
-
-
-def _odd_factorial(k):
-    return float(math.factorial(k))
+    x = 2.0 * m * alpha
+    E = np.exp(-np.minimum(x, 1500.0))
+    s = 1.0 - E**2 - 2.0 * m * np.sinh(2.0 * alpha) * E
+    taylor = x < _S_TAYLOR_CUT
+    scale = np.where(taylor, 1.0, E)
+    if np.any(taylor):
+        mt = m[taylor]
+        st = np.zeros_like(mt)
+        y = 2.0 * alpha
+        term = y**3 / 6.0 * (mt**3 - mt)
+        j = 1
+        while True:
+            st += term
+            j += 1
+            # ratio of consecutive odd Taylor terms, bounded by (m y)^2 / ((2j)(2j+1))
+            p = 2 * j + 1
+            term = y**p / float(math.factorial(p)) * (mt**p - mt)
+            if np.all(term <= 1e-18 * np.maximum(st, 1e-300)):
+                st += term
+                break
+            if j > 40:  # unreachable for 2 m alpha < 1; guard anyway
+                break
+        s[taylor] = 2.0 * st
+    return s, scale, E
 
 
 def _coefficient_arrays(frame, w_bc, n_count):
@@ -157,30 +166,11 @@ def _coefficient_arrays(frame, w_bc, n_count):
     c2 = frame.c**2
     n, m = _half_orders(n_count)
     k = n * (n + 1.0) / np.sqrt(2.0)
-    e2a = np.exp(2.0 * al)
-    em2a = np.exp(-2.0 * al)
-    x = 2.0 * m * al
-    E = np.exp(-np.minimum(x, 1500.0))
-
-    num_b = E + 1.0 + m * (e2a - 1.0)
-    num_d = E + 1.0 + m * (1.0 - em2a)
-
-    taylor = x < _S_TAYLOR_CUT
-    s = np.empty_like(m)
-    if np.any(taylor):
-        s[taylor] = _pair_gap_sum(m[taylor], al)
-    big = ~taylor
-    if np.any(big):
-        # S_m = exp(2 m alpha) * s_red, fold the growth into E instead
-        s_red = 1.0 - E[big] ** 2 - 2.0 * m[big] * np.sinh(2.0 * al) * E[big]
-        s[big] = s_red
-
-    b = np.empty_like(m)
-    d = np.empty_like(m)
-    b[taylor] = w_bc * c2 * k[taylor] * num_b[taylor] / ((m[taylor] - 1.0) * s[taylor])
-    d[taylor] = -w_bc * c2 * k[taylor] * num_d[taylor] / ((m[taylor] + 1.0) * s[taylor])
-    b[big] = w_bc * c2 * k[big] * num_b[big] * E[big] / ((m[big] - 1.0) * s[big])
-    d[big] = -w_bc * c2 * k[big] * num_d[big] * E[big] / ((m[big] + 1.0) * s[big])
+    s, scale, E = _pair_gap_sum(m, al)
+    num_b = E + 1.0 + m * (np.exp(2.0 * al) - 1.0)
+    num_d = E + 1.0 + m * (1.0 - np.exp(-2.0 * al))
+    b = w_bc * c2 * k * num_b * scale / ((m - 1.0) * s)
+    d = -w_bc * c2 * k * num_d * scale / ((m + 1.0) * s)
     return b, d
 
 
@@ -198,22 +188,9 @@ def _force_terms(frame, w_bc, n_count):
     c2 = frame.c**2
     n, m = _half_orders(n_count)
     k = n * (n + 1.0) / np.sqrt(2.0)
-    x = 2.0 * m * al
-    E = np.exp(-np.minimum(x, 1500.0))
+    s, scale, E = _pair_gap_sum(m, al)
     num = E + 1.0 + 2.0 * m**2 * np.sinh(al) ** 2 + m * np.sinh(2.0 * al)
-
-    taylor = x < _S_TAYLOR_CUT
-    t = np.empty_like(m)
-    if np.any(taylor):
-        s = _pair_gap_sum(m[taylor], al)
-        t[taylor] = 2.0 * w_bc * c2 * k[taylor] * num[taylor] / (s * (m[taylor] ** 2 - 1.0))
-    big = ~taylor
-    if np.any(big):
-        s_red = 1.0 - E[big] ** 2 - 2.0 * m[big] * np.sinh(2.0 * al) * E[big]
-        t[big] = (
-            2.0 * w_bc * c2 * k[big] * num[big] * E[big] / (s_red * (m[big] ** 2 - 1.0))
-        )
-    return t
+    return 2.0 * w_bc * c2 * k * num * scale / (s * (m**2 - 1.0))
 
 
 def _profiles_at(b, d, zeta):
@@ -244,6 +221,30 @@ def _tail_ratio(terms):
     return tail / total
 
 
+def _converge(n_start, tail_tol, evaluate, what):
+    """Double the mode count from n_start until the series tail meets tail_tol.
+
+    evaluate(n_count) returns (result, terms) for the first n_count modes;
+    the relative tail of |terms| decides convergence. Returns the converged
+    (result, tail) and raises TruncationError, naming the sum by `what`, once
+    HARD_MODE_CAP modes are not enough.
+    """
+    n_count = n_start
+    while True:
+        result, terms = evaluate(n_count)
+        tail = _tail_ratio(np.abs(terms))
+        if tail <= tail_tol:
+            return result, tail
+        if n_count >= HARD_MODE_CAP:
+            raise TruncationError(
+                f"{what} tail {tail:.3e} above tolerance {tail_tol:.3e} "
+                f"at the mode cap {HARD_MODE_CAP}",
+                residual=tail,
+                n_modes=n_count,
+            )
+        n_count = min(2 * n_count, HARD_MODE_CAP)
+
+
 def _require_gap(h):
     if not np.isfinite(h) or h <= 0.0:
         raise DomainError(f"half-gap must be finite and positive, got {h}")
@@ -268,28 +269,16 @@ def solve_coefficients(frame, w_bc, truncation=None):
     if not np.isfinite(w_bc):
         raise DomainError(f"boundary speed must be finite, got {w_bc}")
 
-    n_count = truncation.n_max
-    while True:
+    def evaluate(n_count):
         b, d = _coefficient_arrays(frame, w_bc, n_count)
-        terms = np.abs(_profiles_at(b, d, frame.alpha))
-        tail = _tail_ratio(terms)
-        if tail <= truncation.tail_tol or w_bc == 0.0:
-            return SeriesSolution(
-                frame=frame,
-                w_bc=w_bc,
-                b=b,
-                d=d,
-                tail_estimate=tail,
-                requested=truncation,
-            )
-        if n_count >= HARD_MODE_CAP:
-            raise TruncationError(
-                f"surface profile tail {tail:.3e} above tolerance "
-                f"{truncation.tail_tol:.3e} at the mode cap {HARD_MODE_CAP}",
-                residual=tail,
-                n_modes=n_count,
-            )
-        n_count = min(2 * n_count, HARD_MODE_CAP)
+        return (b, d), _profiles_at(b, d, frame.alpha)
+
+    (b, d), tail = _converge(
+        truncation.n_max, truncation.tail_tol, evaluate, "surface profile"
+    )
+    return SeriesSolution(
+        frame=frame, w_bc=w_bc, b=b, d=d, tail_estimate=tail, requested=truncation
+    )
 
 
 def nonpenetration_source(frame, n):
@@ -329,26 +318,22 @@ def _sinh_ratio(m, alpha):
     return np.exp(2.0 * alpha) * num / den
 
 
-def _check_mode_index(solution, n):
+def _check_mode_args(solution, n, zeta):
+    """Validated (n, zeta) of a single-mode profile request."""
     if int(n) != n or n < 1 or n > solution.n_modes:
         raise DomainError(
             f"mode index must be an integer in [1, {solution.n_modes}], got {n}"
         )
-    return int(n)
+    zeta = float(zeta)
+    if not np.isfinite(zeta) or zeta < 0.0:
+        raise DomainError(f"zeta must be finite and >= 0, got {zeta}")
+    return int(n), zeta
 
 
 def mode_profile(solution, n, zeta):
     """U_n(zeta) from the stored (b_n, d_n) pair."""
-    n = _check_mode_index(solution, n)
-    zeta = float(zeta)
-    if not np.isfinite(zeta) or zeta < 0.0:
-        raise DomainError(f"zeta must be finite and >= 0, got {zeta}")
-    m = n + 0.5
-    b = solution.b[n - 1]
-    d = solution.d[n - 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = b * np.sinh((m - 1.0) * zeta) + d * np.sinh((m + 1.0) * zeta)
-    return float(u) if np.isfinite(u) else 0.0
+    n, zeta = _check_mode_args(solution, n, zeta)
+    return float(_profiles_at(solution.b[:n], solution.d[:n], zeta)[-1])
 
 
 def mode_profile_via_source(solution, n, zeta):
@@ -358,10 +343,7 @@ def mode_profile_via_source(solution, n, zeta):
     boundary conditions; comparing the two routes is the standing consistency
     check on the coefficient solution.
     """
-    n = _check_mode_index(solution, n)
-    zeta = float(zeta)
-    if not np.isfinite(zeta) or zeta < 0.0:
-        raise DomainError(f"zeta must be finite and >= 0, got {zeta}")
+    n, zeta = _check_mode_args(solution, n, zeta)
     frame = solution.frame
     m = n + 0.5
     g = _source_array(frame, n)[-1]
@@ -415,18 +397,6 @@ def nonpenetration_report(solution):
     )
 
 
-def _extend(solution, n_count):
-    b, d = _coefficient_arrays(solution.frame, solution.w_bc, n_count)
-    return SeriesSolution(
-        frame=solution.frame,
-        w_bc=solution.w_bc,
-        b=b,
-        d=d,
-        tail_estimate=solution.tail_estimate,
-        requested=solution.requested,
-    )
-
-
 def stream_function(solution, point):
     """psi at a bipolar point on the fluid side (zeta <= alpha).
 
@@ -446,24 +416,19 @@ def stream_function(solution, point):
     if zeta == 0.0 and eta == 0.0:
         raise SingularityError("(0, 0) is the point at infinity")
 
-    tol = solution.requested.tail_tol
-    sol = solution
-    while True:
-        gg = _gegenbauer_array(sol.n_modes, np.cos(eta))
-        u = _profiles_at(sol.b, sol.d, zeta)
-        terms = u * gg
-        tail = _tail_ratio(np.abs(terms))
-        if tail <= tol or sol.w_bc == 0.0:
-            den = np.cosh(zeta) - np.cos(eta)
-            return float(den ** (-1.5) * np.sum(terms))
-        if sol.n_modes >= HARD_MODE_CAP:
-            raise TruncationError(
-                f"stream function tail {tail:.3e} above tolerance {tol:.3e} "
-                f"at the mode cap",
-                residual=tail,
-                n_modes=sol.n_modes,
-            )
-        sol = _extend(sol, min(2 * sol.n_modes, HARD_MODE_CAP))
+    def evaluate(n_count):
+        if n_count == solution.n_modes:
+            b, d = solution.b, solution.d
+        else:
+            b, d = _coefficient_arrays(frame, solution.w_bc, n_count)
+        terms = _profiles_at(b, d, zeta) * _gegenbauer_array(n_count, np.cos(eta))
+        return terms, terms
+
+    terms, _ = _converge(
+        solution.n_modes, solution.requested.tail_tol, evaluate, "stream function"
+    )
+    den = np.cosh(zeta) - np.cos(eta)
+    return float(den ** (-1.5) * np.sum(terms))
 
 
 def _axis_sum(frame, w_bc, zeta0, tail_tol, n_start):
@@ -474,21 +439,13 @@ def _axis_sum(frame, w_bc, zeta0, tail_tol, n_start):
     criterion; near-contact tip evaluations stay inside the mode cap that
     the surface sum would bust.
     """
-    n_count = max(int(n_start), 1)
-    while True:
-        b, d = _coefficient_arrays(frame, w_bc, n_count)
-        u = _profiles_at(b, d, zeta0)
-        tail = _tail_ratio(np.abs(u))
-        if tail <= tail_tol or w_bc == 0.0:
-            return float(np.sqrt(2.0) * np.sinh(zeta0 / 2.0) / frame.c**2 * np.sum(u))
-        if n_count >= HARD_MODE_CAP:
-            raise TruncationError(
-                f"axis velocity tail {tail:.3e} above tolerance {tail_tol:.3e} "
-                f"at the mode cap",
-                residual=tail,
-                n_modes=n_count,
-            )
-        n_count = min(2 * n_count, HARD_MODE_CAP)
+
+    def evaluate(n_count):
+        u = _profiles_at(*_coefficient_arrays(frame, w_bc, n_count), zeta0)
+        return u, u
+
+    u, _ = _converge(max(int(n_start), 1), tail_tol, evaluate, "axis velocity")
+    return float(np.sqrt(2.0) * np.sinh(zeta0 / 2.0) / frame.c**2 * np.sum(u))
 
 
 def axis_velocity(solution, z0):
@@ -531,20 +488,13 @@ def passive_drag(h, truncation=None):
     h = float(h)
     _require_gap(h)
     frame = frame_from_gap(h)
-    n_count = truncation.n_max
-    while True:
+
+    def evaluate(n_count):
         t = _force_terms(frame, 1.0, n_count)
-        tail = _tail_ratio(t)
-        if tail <= truncation.tail_tol:
-            return float(2.0 * np.sqrt(2.0) * np.pi / frame.c * np.sum(t))
-        if n_count >= HARD_MODE_CAP:
-            raise TruncationError(
-                f"force sum tail {tail:.3e} above tolerance "
-                f"{truncation.tail_tol:.3e} at the mode cap",
-                residual=tail,
-                n_modes=n_count,
-            )
-        n_count = min(2 * n_count, HARD_MODE_CAP)
+        return t, t
+
+    t, _ = _converge(truncation.n_max, truncation.tail_tol, evaluate, "force sum")
+    return float(2.0 * np.sqrt(2.0) * np.pi / frame.c * np.sum(t))
 
 
 def propulsion_drag(h, lam, truncation=None):

@@ -1,11 +1,16 @@
-"""Config parsing and the command line, exercised in process."""
+"""Config parsing and the command line, exercised in process, plus one run
+of the module entry point in a subprocess."""
 
 import csv
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import swimcollide
 from swimcollide.cli import main
 from swimcollide.config import SWEEP_AXES, parse_config, parse_config_text
 from swimcollide.drag import BoundaryCondition, coefficients
@@ -290,3 +295,17 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             main(["drag", "--warp", "9"])
         assert exc.value.code == 2
+
+    def test_module_entry_point_runs_the_cli(self):
+        src = str(Path(swimcollide.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "swimcollide.cli", "--version"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout.strip() == swimcollide.__version__

@@ -14,11 +14,15 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from swimcollide.errors import DomainError, RegionError, TruncationError
-from swimcollide.geometry import AxisymPoint, frame_from_gap, to_bipolar
+from swimcollide.geometry import AxisymPoint, BipolarPoint, frame_from_gap, to_bipolar
 from swimcollide.series import (
+    _S_TAYLOR_CUT,
     HARD_MODE_CAP,
     MIN_GAP,
+    SeriesSolution,
     SeriesTruncation,
+    _coefficient_arrays,
+    _force_terms,
     axis_velocity,
     mode_profile,
     mode_profile_via_source,
@@ -137,6 +141,109 @@ class TestCoefficientStructure:
         a = solved(0.37)
         b = solved(0.37)
         assert np.array_equal(a.b, b.b) and np.array_equal(a.d, b.d)
+
+    def test_zero_boundary_speed(self):
+        # Every term is exactly zero, so the first mode count already meets
+        # any tolerance and the flow vanishes everywhere.
+        tr = SeriesTruncation(n_max=24)
+        sol = solve_coefficients(frame_from_gap(0.3), 0.0, tr)
+        assert sol.n_modes == tr.n_max and sol.tail_estimate == 0.0
+        assert not np.any(sol.b) and not np.any(sol.d)
+        point = to_bipolar(sol.frame, AxisymPoint(0.5, 0.2))
+        assert stream_function(sol, point) == 0.0
+        assert axis_velocity(sol, 3.0) == 0.0
+
+
+class TestDirectForms:
+    """The cancellation-free coefficients against the textbook expressions,
+    which are accurate while S_m does not overflow."""
+
+    @staticmethod
+    def direct(fr, n_count):
+        al, c2 = fr.alpha, fr.c**2
+        n = np.arange(1, n_count + 1, dtype=float)
+        m = n + 0.5
+        k = n * (n + 1.0) / np.sqrt(2.0)
+        s_m = 2.0 * (np.sinh(2.0 * m * al) - m * np.sinh(2.0 * al))
+        e = np.exp(-2.0 * m * al)
+        b = c2 * k * (e + 1.0 + m * (np.exp(2.0 * al) - 1.0)) / ((m - 1.0) * s_m)
+        d = -c2 * k * (e + 1.0 + m * (1.0 - np.exp(-2.0 * al))) / ((m + 1.0) * s_m)
+        return b, d
+
+    # (gap, modes on the Taylor side of the crossover)
+    @pytest.mark.parametrize("h, n_taylor", [(1e-3, 7), (0.02, 1), (0.5, 0), (3.0, 0)])
+    def test_term_by_term(self, h, n_taylor):
+        fr = frame_from_gap(h)
+        n_count = min(60, int(350.0 / fr.alpha) - 1)  # keeps sinh(2 m alpha) finite
+        m = np.arange(1, n_count + 1) + 0.5
+        assert np.sum(2.0 * m * fr.alpha < _S_TAYLOR_CUT) == n_taylor
+        b_direct, d_direct = self.direct(fr, n_count)
+        b, d = _coefficient_arrays(fr, 1.0, n_count)
+        np.testing.assert_allclose(b, b_direct, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(d, d_direct, rtol=1e-12, atol=0.0)
+        force = _force_terms(fr, 1.0, n_count)
+        np.testing.assert_allclose(force, b + d, rtol=1e-12, atol=0.0)
+
+
+class TestStimsonJeffery:
+    """passive_drag / 6 pi against the textbook series for a sphere
+    approaching a free surface, which the mirror midplane is (Stimson and
+    Jeffery 1926; Brenner 1961):
+
+        lambda = (4/3) sinh(a) sum_n n (n + 1) / ((2n - 1)(2n + 3))
+                 * [(4 cosh^2((n + 1/2) a) + (2n + 1)^2 sinh^2(a))
+                    / (2 sinh((2n + 1) a) - (2n + 1) sinh(2 a)) - 1]
+
+    with cosh(a) = 1 + h, summed in float64 while (2n + 1) a < 700.
+    """
+
+    @staticmethod
+    def textbook(h):
+        a = math.asinh(math.sqrt(h * (2.0 + h)))
+        n = np.arange(1.0, math.ceil(350.0 / a))
+        n = n[(2.0 * n + 1.0) * a < 700.0]
+        num = 4.0 * np.cosh((n + 0.5) * a) ** 2 + (2.0 * n + 1.0) ** 2 * np.sinh(a) ** 2
+        den = 2.0 * np.sinh((2.0 * n + 1.0) * a) - (2.0 * n + 1.0) * np.sinh(2.0 * a)
+        weight = n * (n + 1.0) / ((2.0 * n - 1.0) * (2.0 * n + 3.0))
+        return 4.0 / 3.0 * math.sinh(a) * float(np.sum(weight * (num / den - 1.0)))
+
+    @pytest.mark.parametrize("h", [0.01, 0.05, 0.1, 0.5, 1.0, 3.0, 10.0])
+    def test_drag_matches_textbook_series(self, h):
+        assert passive_drag(h) / (6.0 * math.pi) == pytest.approx(
+            self.textbook(h), rel=1e-12
+        )
+
+
+def short_solution_near_contact():
+    """Five stored modes at h = 1e-8, where the surface needs far more than
+    the mode cap: the evaluators extend it and hit the cap."""
+    fr = frame_from_gap(1e-8)
+    b, d = _coefficient_arrays(fr, 1.0, 5)
+    return SeriesSolution(
+        frame=fr, w_bc=1.0, b=b, d=d, tail_estimate=0.0, requested=SeriesTruncation()
+    )
+
+
+# solve_coefficients reaches the cap in test_mode_cap_is_reported.
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: passive_drag(1e-8, SeriesTruncation(tail_tol=1e-12)),
+        lambda: propulsion_drag(1e-8, 1.0),
+        lambda: axis_velocity(short_solution_near_contact(), 2.0 + 2e-8),
+        lambda: stream_function(
+            short_solution_near_contact(),
+            BipolarPoint(zeta=frame_from_gap(1e-8).alpha, eta=0.5),
+        ),
+    ],
+    ids=["passive_drag", "propulsion_drag", "axis_velocity", "stream_function"],
+)
+def test_every_adaptive_sum_stops_at_the_mode_cap(evaluate):
+    with pytest.raises(TruncationError) as exc:
+        evaluate()
+    assert exc.value.n_modes == HARD_MODE_CAP
+    assert exc.value.residual > 0.0
+    assert f"mode cap {HARD_MODE_CAP}" in str(exc.value)
 
 
 class TestNonpenetrationIdentity:
