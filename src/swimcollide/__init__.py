@@ -54,6 +54,7 @@ from .geometry import (
     from_bipolar,
     gegenbauer_minus_half,
     legendre_values,
+    tip_height,
     to_bipolar,
 )
 from .series import (
@@ -70,6 +71,5 @@ from .series import (
     stream_function,
     swim_speed_contribution,
 )
-from .stokeslet import StokesletPair, ambient_field, oseen_tensor, tip_height
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,7 +13,8 @@ zeta = 0, the z axis is eta = 0 (beyond the foci) and eta = pi (between
 them). Only the upper half-space z >= 0 is represented; the lower half
 follows by mirror symmetry.
 
-Also provides the Legendre and Gegenbauer(-1/2) evaluations the
+Also provides the axis height of the propulsion point force behind the upper
+sphere, and the Legendre and Gegenbauer(-1/2) evaluations the
 stream-function series is built from.
 """
 
@@ -31,6 +32,7 @@ __all__ = [
     "to_bipolar",
     "from_bipolar",
     "axis_zeta",
+    "tip_height",
     "legendre_values",
     "gegenbauer_minus_half",
 ]
@@ -136,6 +138,21 @@ def axis_zeta(frame, z0):
     if not np.isfinite(z0) or z0 <= frame.c:
         raise DomainError(f"axis point needs z0 > c = {frame.c}, got {z0}")
     return float(np.log((z0 + frame.c) / (z0 - frame.c)))
+
+
+def tip_height(h, lam):
+    """Height of the upper propulsion point: rear pole plus offset lam.
+
+    The upper body occupies c z in [h, 2 + h] on the axis, so its rear pole is
+    at z = 2 + h and the point force sits outside both spheres for any lam > 0.
+    """
+    h = float(h)
+    lam = float(lam)
+    if h <= 0.0:
+        raise DomainError(f"half-gap must be positive, got {h}")
+    if lam <= 0.0:
+        raise DomainError(f"tip offset must be positive, got {lam}")
+    return 2.0 + h + lam
 
 
 def legendre_values(n_max, x):

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RegionError, SingularityError, TruncationError
-from .geometry import BipolarFrame, axis_zeta, frame_from_gap, _gegenbauer_array
-from .stokeslet import tip_height
+from .geometry import BipolarFrame, axis_zeta, frame_from_gap, tip_height, _gegenbauer_array
 
 __all__ = [
     "HARD_MODE_CAP",
@@ -417,10 +416,7 @@ def stream_function(solution, point):
         raise SingularityError("(0, 0) is the point at infinity")
 
     def evaluate(n_count):
-        if n_count == solution.n_modes:
-            b, d = solution.b, solution.d
-        else:
-            b, d = _coefficient_arrays(frame, solution.w_bc, n_count)
+        b, d = _coefficients(frame, solution.w_bc, n_count, (solution.b, solution.d))
         terms = _profiles_at(b, d, zeta) * _gegenbauer_array(n_count, np.cos(eta))
         return terms, terms
 
@@ -431,17 +427,25 @@ def stream_function(solution, point):
     return float(den ** (-1.5) * np.sum(terms))
 
 
-def _axis_sum(frame, w_bc, zeta0, tail_tol, n_start):
+def _coefficients(frame, w_bc, n_count, stored=None):
+    """(b, d) for n_count modes. stored, a (b, d) pair already solved for this
+    frame and w_bc, is returned as is when it holds exactly n_count modes."""
+    if stored is not None and len(stored[0]) == n_count:
+        return stored
+    return _coefficient_arrays(frame, w_bc, n_count)
+
+
+def _axis_sum(frame, w_bc, zeta0, tail_tol, n_start, stored=None):
     """Adaptive evaluation of sqrt(2) sinh(zeta0/2) / c^2 sum_n U_n(zeta0).
 
     The per-mode terms decay like exp(-m (2 alpha - zeta0)), so the loop is
     keyed to the actual evaluation point rather than the slower surface
     criterion; near-contact tip evaluations stay inside the mode cap that
-    the surface sum would bust.
+    the surface sum would bust. stored is passed on to _coefficients.
     """
 
     def evaluate(n_count):
-        u = _profiles_at(*_coefficient_arrays(frame, w_bc, n_count), zeta0)
+        u = _profiles_at(*_coefficients(frame, w_bc, n_count, stored), zeta0)
         return u, u
 
     u, _ = _converge(max(int(n_start), 1), tail_tol, evaluate, "axis velocity")
@@ -469,7 +473,12 @@ def axis_velocity(solution, z0):
         )
     zeta0 = axis_zeta(frame, z0)
     return _axis_sum(
-        frame, solution.w_bc, zeta0, solution.requested.tail_tol, solution.n_modes
+        frame,
+        solution.w_bc,
+        zeta0,
+        solution.requested.tail_tol,
+        solution.n_modes,
+        (solution.b, solution.d),
     )
 
 

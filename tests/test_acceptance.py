@@ -44,7 +44,7 @@ from swimcollide.dynamics import (
     rhs,
     simulate,
 )
-from swimcollide.geometry import AxisymPoint, frame_from_gap, to_bipolar
+from swimcollide.geometry import AxisymPoint, frame_from_gap, tip_height, to_bipolar
 from swimcollide.series import (
     axis_velocity,
     mode_profile,
@@ -56,7 +56,6 @@ from swimcollide.series import (
     stream_function,
     swim_speed_contribution,
 )
-from swimcollide.stokeslet import tip_height
 
 NO_SLIP = BoundaryCondition.no_slip()
 

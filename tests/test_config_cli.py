@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import swimcollide
+from swimcollide import checks, geometry, series
+from swimcollide.checks import CHECKS
 from swimcollide.cli import main
 from swimcollide.config import SWEEP_AXES, parse_config, parse_config_text
 from swimcollide.drag import BoundaryCondition, coefficients
@@ -263,26 +265,52 @@ class TestSweepCommand:
 
 
 class TestValidateCommand:
-    def test_all_checks_pass(self, capsys):
+    @pytest.mark.parametrize(
+        "check", [fn for _, fn in CHECKS], ids=[name for name, _ in CHECKS]
+    )
+    def test_check_passes(self, check):
+        ok, detail = check()
+        assert ok, detail
+
+    def test_runner_reports_each_check(self, tmp_path, capsys, monkeypatch):
+        def broken():
+            raise ValueError("no data")
+
+        fakes = [
+            ("good", lambda: (True, "residual 1e-16")),
+            ("bad", lambda: (False, "residual 0.5")),
+            ("broken", broken),
+        ]
+        monkeypatch.setattr(checks, "CHECKS", fakes)
+        assert main(["validate", "--out", str(tmp_path)]) == 1
+        want = (
+            "PASS good: residual 1e-16\n"
+            "FAIL bad: residual 0.5\n"
+            "FAIL broken: raised ValueError: no data\n"
+            "1/3 checks passed\n"
+        )
+        assert capsys.readouterr().out == want
+        assert read_bytes(tmp_path / "validate_report.txt") == want.encode()
+
+        monkeypatch.setattr(checks, "CHECKS", fakes[:1])
         assert main(["validate"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 25
+        assert capsys.readouterr().out == "PASS good: residual 1e-16\n1/1 checks passed\n"
 
     def test_fault_injection_is_caught(self, capsys):
-        assert main(["validate", "--fault", "gegenbauer"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        # The fault must be caught by the independent cross checks.
-        assert "gegenbauer_closed_forms" in out
-
-    def test_fault_injection_is_restored(self):
-        from swimcollide import geometry, series
-
         kernels = lambda: (geometry.gegenbauer_minus_half, series._gegenbauer_array)
         originals = kernels()
-        main(["validate", "--fault", "gegenbauer"])
+        assert main(["validate", "--fault", "gegenbauer"]) == 1
+        # The fault must be caught by the independent cross checks.
+        assert "FAIL gegenbauer_closed_forms: " in capsys.readouterr().out
         assert all(now is was for now, was in zip(kernels(), originals))
+
+    @pytest.mark.parametrize(
+        "argv", [["--tol", "1e-6"], ["--nmax", "5"], ["--config", "run.cfg"]]
+    )
+    def test_takes_no_series_options(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate"] + argv)
+        assert exc.value.code == 2
 
 
 class TestParserBasics:

@@ -1,4 +1,5 @@
-"""Bipolar frame, coordinate maps, and the polynomial building blocks."""
+"""Bipolar frame, coordinate maps, the propulsion tip, and the polynomial
+building blocks."""
 
 import math
 
@@ -16,6 +17,7 @@ from swimcollide.geometry import (
     from_bipolar,
     gegenbauer_minus_half,
     legendre_values,
+    tip_height,
     to_bipolar,
 )
 
@@ -117,6 +119,20 @@ class TestAxisZeta:
         fr = frame_from_gap(0.5)
         with pytest.raises(DomainError):
             axis_zeta(fr, fr.c)
+
+
+class TestTipGeometry:
+    @given(
+        st.floats(min_value=1e-4, max_value=10.0),
+        st.floats(min_value=1e-4, max_value=10.0),
+    )
+    def test_tip_sits_behind_rear_pole(self, h, lam):
+        assert tip_height(h, lam) == pytest.approx(2.0 + h + lam, rel=1e-15)
+
+    @pytest.mark.parametrize("h,lam", [(0.0, 1.0), (0.5, 0.0), (-1.0, 1.0)])
+    def test_validation(self, h, lam):
+        with pytest.raises(DomainError):
+            tip_height(h, lam)
 
 
 class TestLegendre:
