@@ -297,11 +297,14 @@ class TestValidateCommand:
         assert capsys.readouterr().out == "PASS good: residual 1e-16\n1/1 checks passed\n"
 
     def test_fault_injection_is_caught(self, capsys):
-        kernels = lambda: (geometry.gegenbauer_minus_half, series._gegenbauer_array)
-        originals = kernels()
         assert main(["validate", "--fault", "gegenbauer"]) == 1
         # The fault must be caught by the independent cross checks.
         assert "FAIL gegenbauer_closed_forms: " in capsys.readouterr().out
+
+    def test_fault_injection_is_restored(self):
+        kernels = lambda: (geometry.gegenbauer_minus_half, series._gegenbauer_array)
+        originals = kernels()
+        main(["validate", "--fault", "gegenbauer"])
         assert all(now is was for now, was in zip(kernels(), originals))
 
     @pytest.mark.parametrize(
