@@ -364,7 +364,7 @@ def _add_common(sub):
     sub.add_argument("--config", help="run configuration file")
     sub.add_argument("--out", help="output directory (default ./out)")
     sub.add_argument("--tol", type=float, help="series tail tolerance override")
-    sub.add_argument("--nmax", type=int, help="initial series mode count override")
+    sub.add_argument("--nmax", type=int, help="smallest starting series mode count override")
 
 
 def build_parser():

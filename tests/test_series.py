@@ -215,6 +215,87 @@ class TestStimsonJeffery:
         )
 
 
+# One gap per decade over the series range of the drag layer, 2e-6 .. 10.
+DECADE_GAPS = [2e-6 * 10.0**k for k in range(7)] + [10.0]
+# Tip offset of propulsion_drag; None stands for passive_drag.
+DRAG_LAMS = [None, 0.01, 1.0, 5.0]
+
+
+def drag_sum(h, lam, truncation=None):
+    if lam is None:
+        return passive_drag(h, truncation)
+    return propulsion_drag(h, lam, truncation)
+
+
+class TestPredictedStart:
+    """The drag sums start at their predicted mode count (series._start_count):
+    at the default truncation one pass meets the tail test, and that pass
+    agrees with a much tighter evaluation."""
+
+    @pytest.mark.parametrize("h", DECADE_GAPS)
+    @pytest.mark.parametrize("lam", DRAG_LAMS)
+    def test_one_pass_per_sum(self, lam, h, monkeypatch):
+        passes = []
+        converge = series._converge
+
+        def counting(n_start, tail_tol, evaluate, what):
+            def counted(n_count):
+                passes.append(n_count)
+                return evaluate(n_count)
+
+            return converge(n_start, tail_tol, counted, what)
+
+        monkeypatch.setattr(series, "_converge", counting)
+        drag_sum(h, lam)
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("h", DECADE_GAPS)
+    @pytest.mark.parametrize("lam", DRAG_LAMS)
+    def test_agrees_with_tighter_tolerance(self, lam, h):
+        try:
+            want = drag_sum(h, lam, SeriesTruncation(tail_tol=1e-14))
+        except TruncationError:
+            pytest.skip("the tail_tol = 1e-14 reference needs more than the mode cap")
+        assert drag_sum(h, lam) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_one_mode_start_converges(self):
+        # A one-term window has no ratio to extrapolate and must not pass the
+        # tail test, so n_max = 1 doubles on to the converged sum.
+        one = SeriesTruncation(n_max=1)
+        assert passive_drag(0.01, one) == pytest.approx(passive_drag(0.01), rel=1e-10)
+        assert propulsion_drag(0.01, 1.0, one) == pytest.approx(
+            propulsion_drag(0.01, 1.0), rel=1e-10
+        )
+        fr = frame_from_gap(0.01)
+        short, default = solve_coefficients(fr, 1.0, one), solve_coefficients(fr, 1.0)
+        assert short.n_modes > 1 and 0.0 < short.tail_estimate <= one.tail_tol
+        assert np.sum(short.b + short.d) == pytest.approx(
+            np.sum(default.b + default.d), rel=1e-10
+        )
+
+
+class TestTaylorBlock:
+    """S_m = 2 [sinh(2 m alpha) - m sinh(2 alpha)] from _pair_gap_sum against
+    40-digit mpmath, on the Taylor side of the crossover and just across it.
+    Above alpha = 0.7 / 3 every half-integer order m >= 1.5 is past it."""
+
+    @pytest.mark.parametrize("alpha", np.geomspace(1e-4, 0.35, 12))
+    def test_matches_mpmath(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        m = np.arange(1.5, 2.0 * _S_TAYLOR_CUT / (2.0 * alpha), 1.0)
+        s, scale, _ = series._pair_gap_sum(m, alpha)
+        taylor = 2.0 * m * alpha < _S_TAYLOR_CUT
+        assert np.array_equal(scale == 1.0, taylor)
+        assert np.any(taylor) == (alpha < _S_TAYLOR_CUT / 3.0)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(float(alpha))
+            want = [
+                float(2 * (mpmath.sinh(2 * mk * a) - mk * mpmath.sinh(2 * a)))
+                for mk in map(mpmath.mpf, m)
+            ]
+        np.testing.assert_allclose(s / scale, want, rtol=1e-14, atol=0.0)
+
+
 def short_solution_near_contact():
     """Five stored modes at h = 1e-8, where the surface needs far more than
     the mode cap: the evaluators extend it and hit the cap."""
