@@ -15,23 +15,21 @@ SeriesTruncation defaults when drag runs without one). validate takes only
 Exit codes: 0 success, 1 validation failure, 2 config or usage error,
 3 numerical failure. All floating point output is written with 17
 significant digits, and identical inputs produce byte-identical files:
-reports carry no timestamps and sweep rows are merged in grid order no
-matter how many worker threads ran them.
+reports carry no timestamps, and sweep runs its grid points one after
+another and writes the rows in grid order.
 """
 
 import argparse
 import contextlib
 import csv
-import dataclasses
 import itertools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, checks, drag, dynamics
-from .config import SWEEP_AXES, parse_config
+from .config import parse_config, sweep_scenario
 from .drag import BoundaryCondition
 from .errors import (
     ConfigError,
@@ -42,6 +40,7 @@ from .errors import (
 )
 from .series import SeriesTruncation
 
+# Only the benchmark (bench/workloads.py) sets this; nothing reads it.
 THREADS_ENV = "SWIMCOLLIDE_THREADS"
 
 
@@ -93,9 +92,9 @@ def cmd_drag(args):
         bc = BoundaryCondition(kind=args.bc, beta=args.beta)
         lam = args.lam
         trunc = _resolve_truncation(SeriesTruncation(), args)
-    if args.h_min <= 0 or args.h_max <= args.h_min or args.points < 2:
+    if not 0.0 < args.h_min < args.h_max < np.inf or args.points < 2:
         raise ConfigError(
-            f"need 0 < h-min < h-max and points >= 2, "
+            f"need 0 < h-min < h-max < inf and points >= 2, "
             f"got {args.h_min}, {args.h_max}, {args.points}"
         )
     out = _out_dir(args, cfg)
@@ -187,39 +186,6 @@ def cmd_simulate(args):
     return 0
 
 
-def _sweep_scenario(base, axes, combo):
-    """Scenario for one grid point; axis values override the base scenario."""
-    named = dict(zip(axes, combo))
-    bc = base.bc
-    if "beta" in named:
-        if bc.kind != "navier":
-            raise ConfigError("sweeping beta requires scenario bc = navier")
-        bc = BoundaryCondition.navier(named["beta"])
-    return dataclasses.replace(
-        base,
-        bc=bc,
-        h0=named.get("h0", base.h0),
-        s0=named.get("s0", base.s0),
-        mass=named.get("mass", base.mass),
-        f_p=named.get("f_p", base.f_p),
-        lam=named.get("lambda", base.lam),
-        f_ext=named.get("f_ext", base.f_ext),
-    )
-
-
-def _worker_count(cfg):
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}")
-        if n < 1:
-            raise ConfigError(f"{THREADS_ENV} must be >= 1, got {n}")
-        return n
-    return cfg.workers
-
-
 def cmd_sweep(args):
     if not args.config:
         raise ConfigError("sweep needs --config")
@@ -229,66 +195,43 @@ def cmd_sweep(args):
     trunc = _resolve_truncation(cfg.truncation, args)
     out = _out_dir(args, cfg)
 
-    axes = [axis for axis in SWEEP_AXES if axis in cfg.sweep]
-    grid = list(itertools.product(*[cfg.sweep[axis] for axis in axes]))
-
-    def run_point(idx_combo):
-        idx, combo = idx_combo
-        scenario = _sweep_scenario(cfg.scenario, axes, combo)
-        co = drag.coefficients(scenario.h0, scenario.lam, scenario.bc, trunc)
-        traj = dynamics.simulate(
-            scenario,
-            cfg.t_max,
-            h_floor=cfg.h_floor,
-            rtol=cfg.rtol,
-            atol=cfg.atol,
-            truncation=trunc,
-            max_steps=cfg.max_steps,
-        )
-        return {
-            "kappa_pass_h0": co.kappa_pass,
-            "kappa_prop_h0": co.kappa_prop,
-            "termination": traj.termination.value,
-            "t_coll": traj.t_coll,
-            "min_h": traj.min_h,
-        }
-
-    results = {}
-    failures = {}
-    workers = _worker_count(cfg)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(run_point, (idx, combo)): idx
-            for idx, combo in enumerate(grid)
-        }
-        for future, idx in futures.items():
-            try:
-                results[idx] = future.result()
-            except ConfigError:
-                raise
-            except Exception as exc:  # recorded per point, reported at exit
-                failures[idx] = f"{type(exc).__name__}: {exc}"
-
-    # merge strictly by grid index so worker scheduling cannot reorder rows
+    axes = list(cfg.sweep)
+    grid = itertools.product(*[cfg.sweep[axis] for axis in axes])
     rows = []
+    failures = []
     for idx, combo in enumerate(grid):
         head = [str(idx)] + [_fmt(v) for v in combo]
-        if idx in results:
-            r = results[idx]
+        try:
+            scenario = sweep_scenario(cfg.scenario, dict(zip(axes, combo)))
+            co = drag.coefficients(scenario.h0, scenario.lam, scenario.bc, trunc)
+            traj = dynamics.simulate(
+                scenario,
+                cfg.t_max,
+                h_floor=cfg.h_floor,
+                rtol=cfg.rtol,
+                atol=cfg.atol,
+                truncation=trunc,
+                max_steps=cfg.max_steps,
+            )
+        except ConfigError:
+            raise
+        except Exception as exc:  # recorded per point, reported at exit
+            reason = f"{type(exc).__name__}: {exc}"
+            failures.append((idx, reason))
+            rows.append(head + ["", "", "", "", "", "error", reason])
+        else:
             rows.append(
                 head
                 + [
-                    _fmt(r["kappa_pass_h0"]),
-                    _fmt(r["kappa_prop_h0"]),
-                    r["termination"],
-                    _fmt(r["t_coll"]),
-                    _fmt(r["min_h"]),
+                    _fmt(co.kappa_pass),
+                    _fmt(co.kappa_prop),
+                    traj.termination.value,
+                    _fmt(traj.t_coll),
+                    _fmt(traj.min_h),
                     "ok",
                     "",
                 ]
             )
-        else:
-            rows.append(head + ["", "", "", "", "", "error", failures[idx]])
 
     header = (
         ["index"]
@@ -299,10 +242,9 @@ def cmd_sweep(args):
     _write_csv(table, header, rows)
 
     outcome = [
-        ("points", str(len(grid))),
+        ("points", str(len(rows))),
         ("failed", str(len(failures))),
         ("axes", ", ".join(axes)),
-        ("workers", str(workers)),
     ]
     cfg_pairs = [tuple(line.split(" = ", 1)) for line in cfg.resolved_lines()]
     cfg_pairs.append(("config_hash", cfg.config_hash()))
@@ -314,11 +256,11 @@ def cmd_sweep(args):
             ("package", [("version", __version__)]),
         ],
     )
-    print(f"wrote {table} ({len(grid)} points, {len(failures)} failed)")
+    print(f"wrote {table} ({len(rows)} points, {len(failures)} failed)")
     if failures and not args.allow_partial:
-        first = min(failures)
+        first, reason = failures[0]
         print(
-            f"point {first} failed: {failures[first]} (rerun with --allow-partial "
+            f"point {first} failed: {reason} (rerun with --allow-partial "
             "to keep going)",
             file=sys.stderr,
         )

@@ -3,8 +3,10 @@
 The format is a plain INI dialect: [section] headers, key = value lines,
 blank lines, and comments starting with # or ;. Parsing is strict so a typo
 fails loudly: unknown sections or keys, duplicate keys, and unparsable
-values all raise ConfigError naming the offending key and line. The parser
-is deliberately hand-rolled; it is thirty lines and in exchange every error
+values, non-finite floats included, all raise ConfigError naming the
+offending key and line. So does a sweep axis value the scenario rejects:
+each one is checked as it is parsed, not when its grid point runs. The
+parser is deliberately hand-rolled; it is thirty lines and in exchange every error
 carries an exact location, which the stdlib parser does not track per key.
 
 Example:
@@ -25,18 +27,28 @@ Example:
     lambda = 0.1, 0.5, 1.0, 2.0
 """
 
+import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .drag import BoundaryCondition
 from .dynamics import Mode, SwimmerScenario
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .series import SeriesTruncation
 
-__all__ = ["RunConfig", "parse_config", "parse_config_text", "SWEEP_AXES"]
+__all__ = [
+    "RunConfig",
+    "parse_config",
+    "parse_config_text",
+    "SWEEP_AXES",
+    "sweep_scenario",
+]
 
 # Axes a sweep may range over, in the order grid indices are generated.
 SWEEP_AXES = ("lambda", "beta", "h0", "s0", "f_p", "f_ext", "mass")
+# Scenario field of each sweep axis whose name differs from it.
+_AXIS_FIELD = {"lambda": "lam"}
 
 _SCHEMA = {
     "scenario": {
@@ -58,7 +70,7 @@ _SCHEMA = {
         "h_floor": float,
         "max_steps": int,
     },
-    "sweep": {axis: "floats" for axis in SWEEP_AXES} | {"workers": int},
+    "sweep": {axis: "floats" for axis in SWEEP_AXES},
     "output": {"dir": str},
 }
 
@@ -79,7 +91,6 @@ _DEFAULTS = {
     ("integrator", "atol"): 1e-12,
     ("integrator", "h_floor"): None,
     ("integrator", "max_steps"): 400000,
-    ("sweep", "workers"): 1,
     ("output", "dir"): None,
 }
 
@@ -95,8 +106,7 @@ class RunConfig:
     atol: float
     h_floor: float  # None selects the model default
     max_steps: int
-    sweep: dict = field(default_factory=dict)
-    workers: int = 1
+    sweep: dict = field(default_factory=dict)  # axis -> values, in SWEEP_AXES order
     out_dir: str = None
     resolved: tuple = ()
 
@@ -109,14 +119,21 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
+
+
 def _parse_scalar(raw, want, section, key, line_no):
     try:
         if want is int:
             return int(raw)
         if want is float:
-            return float(raw)
+            return _finite(raw)
         if want == "floats":
-            return tuple(float(p) for p in raw.split(",") if p.strip())
+            return tuple(_finite(p) for p in raw.split(",") if p.strip())
         return raw
     except ValueError:
         raise ConfigError(
@@ -254,13 +271,15 @@ def _build(values, lines_of, source):
     for axis in SWEEP_AXES:
         if ("sweep", axis) in values:
             pts = values[("sweep", axis)]
-            if not pts:
-                _fail_from(
-                    "sweep axis needs at least one value",
-                    values,
-                    lines_of,
-                    ("sweep", axis),
-                )
+            # The scenario checks each field on its own, so one scenario per
+            # axis value covers every grid point.
+            try:
+                if not pts:
+                    raise DomainError("sweep axis needs at least one value")
+                for value in pts:
+                    sweep_scenario(scenario, {axis: value})
+            except ValueError as exc:
+                _fail_from(exc, values, lines_of, ("sweep", axis))
             sweep[axis] = pts
 
     t_max = _get(values, "integrator", "t_max")
@@ -270,14 +289,6 @@ def _build(values, lines_of, source):
             values,
             lines_of,
             ("integrator", "t_max"),
-        )
-    workers = _get(values, "sweep", "workers")
-    if workers < 1:
-        _fail_from(
-            f"workers must be >= 1, got {workers}",
-            values,
-            lines_of,
-            ("sweep", "workers"),
         )
 
     resolved = []
@@ -298,7 +309,6 @@ def _build(values, lines_of, source):
         h_floor=_get(values, "integrator", "h_floor"),
         max_steps=_get(values, "integrator", "max_steps"),
         sweep=sweep,
-        workers=workers,
         out_dir=_get(values, "output", "dir"),
         resolved=tuple(resolved),
     )
@@ -310,3 +320,15 @@ def _canon(val):
     if isinstance(val, float):
         return format(val, ".17g")
     return str(val)
+
+
+def sweep_scenario(base, point):
+    """Scenario for one sweep grid point: base with each axis of point
+    ({axis: value}) set to its value. Raises DomainError for a value the
+    scenario rejects, and for a beta axis under a bc other than navier."""
+    fields = {_AXIS_FIELD.get(axis, axis): value for axis, value in point.items()}
+    if "beta" in fields:
+        if base.bc.kind != "navier":
+            raise DomainError("sweeping beta requires scenario bc = navier")
+        fields["bc"] = BoundaryCondition.navier(fields.pop("beta"))
+    return dataclasses.replace(base, **fields)

@@ -53,7 +53,6 @@ class TestConfigParsing:
         assert cfg.t_max == 100.0
         assert cfg.truncation == SeriesTruncation()
         assert cfg.sweep == {}
-        assert cfg.workers == 1
 
     def test_full_round(self):
         cfg = parse_config_text(BASE_RUN)
@@ -67,11 +66,8 @@ class TestConfigParsing:
         assert parse_config_text(text).scenario.h0 == 0.5
 
     def test_sweep_axis_lists(self):
-        cfg = parse_config_text(
-            BASE_RUN + "\n[sweep]\nlambda = 0.5, 1.0, 2.0\nworkers = 2\n"
-        )
+        cfg = parse_config_text(BASE_RUN + "\n[sweep]\nlambda = 0.5, 1.0, 2.0\n")
         assert cfg.sweep == {"lambda": (0.5, 1.0, 2.0)}
-        assert cfg.workers == 2
         assert set(cfg.sweep) <= set(SWEEP_AXES)
 
     def test_hash_ignores_formatting_not_values(self):
@@ -111,6 +107,23 @@ class TestConfigParsing:
             parse_config_text(text)
         assert fragment in str(exc.value)
         assert "line" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "section,key,raw",
+        [
+            ("integrator", "t_max", "nan"),
+            ("integrator", "t_max", "inf"),
+            ("integrator", "h_floor", "nan"),
+            ("integrator", "rtol", "-inf"),
+            ("scenario", "h0", "inf"),
+            ("sweep", "h0", "0.5, nan"),
+        ],
+    )
+    def test_non_finite_floats_are_rejected(self, section, key, raw):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"[{section}]\n{key} = {raw}\n")
+        assert exc.value.key == f"{section}.{key}"
+        assert exc.value.line == 2
 
     def test_domain_errors_name_the_key(self):
         with pytest.raises(ConfigError) as exc:
@@ -170,6 +183,13 @@ class TestDragCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "h_min,h_max", [("nan", "1.0"), ("1e-3", "nan"), ("1e-3", "inf")]
+    )
+    def test_non_finite_grid_is_a_config_error(self, tmp_path, h_min, h_max):
+        rc = main(["drag", "--h-min", h_min, "--h-max", h_max, "--out", str(tmp_path)])
+        assert rc == 2
+
 
 class TestSimulateCommand:
     def test_run_and_reproducibility(self, tmp_path):
@@ -209,9 +229,9 @@ class TestSimulateCommand:
 
 
 class TestSweepCommand:
-    SWEEP = BASE_RUN + "\n[sweep]\nlambda = 0.5, 1.0, 2.0\nworkers = 2\n"
+    SWEEP = BASE_RUN + "\n[sweep]\nlambda = 0.5, 1.0, 2.0\n"
 
-    def test_rows_merge_in_grid_order(self, tmp_path, monkeypatch):
+    def test_rows_merge_in_grid_order(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(self.SWEEP)
         out1 = tmp_path / "a"
@@ -222,24 +242,40 @@ class TestSweepCommand:
         assert [float(r[1]) for r in rows[1:]] == [0.5, 1.0, 2.0]
         assert all(r[-2] == "ok" for r in rows[1:])
 
-        # Worker count must not affect the merged output.
-        monkeypatch.setenv("SWIMCOLLIDE_THREADS", "5")
+        # A rerun writes byte-identical files.
         out2 = tmp_path / "b"
         assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
-        assert read_bytes(out1 / "sweep.csv") == read_bytes(out2 / "sweep.csv")
+        for name in ("sweep.csv", "sweep_report.txt"):
+            assert read_bytes(out1 / name) == read_bytes(out2 / name)
 
-    def test_env_override_validated(self, tmp_path, monkeypatch):
+    def test_workers_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(self.SWEEP)
-        monkeypatch.setenv("SWIMCOLLIDE_THREADS", "many")
+        cfg.write_text(self.SWEEP + "workers = 2\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        line = len(self.SWEEP.splitlines()) + 1
+        err = capsys.readouterr().err
+        assert f"line {line}: unknown key 'workers' in [sweep]" in err
 
-    def test_beta_sweep_needs_navier(self, tmp_path):
+    @pytest.mark.parametrize("axis", ["lambda = -1, 1.0", "beta = 0.1, nan"])
+    @pytest.mark.parametrize("partial", [[], ["--allow-partial"]])
+    def test_bad_axis_value_is_a_config_error(self, tmp_path, capsys, axis, partial):
+        # Rejected at parse, naming the axis and its line, before any point runs.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"[scenario]\nbc = navier\nbeta = 0.1\n\n[sweep]\n{axis}\n")
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out)] + partial
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "line 6: " in err and f"sweep.{axis.split()[0]}" in err
+        assert not (out / "sweep.csv").exists()
+
+    def test_beta_sweep_needs_navier(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             "[scenario]\nbc = no_slip\n\n[sweep]\nbeta = 0.05, 0.1\n"
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "line 5: sweep.beta: sweeping beta requires" in capsys.readouterr().err
 
     def test_partial_failure_reporting(self, tmp_path):
         # The second grid point starts below the contact floor and fails;
@@ -248,6 +284,7 @@ class TestSweepCommand:
         cfg.write_text(BASE_RUN + "\n[sweep]\nh0 = 0.5, 1e-10\n")
         out = tmp_path / "strict"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        assert [r[-2] for r in read_csv(out / "sweep.csv")[1:]] == ["ok", "error"]
 
         out = tmp_path / "partial"
         rc = main(
