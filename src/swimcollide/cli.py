@@ -22,6 +22,7 @@ another and writes the rows in grid order.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import itertools
 import os
 import sys
@@ -70,9 +71,15 @@ def _write_report(path, sections):
 
 
 def _resolve_truncation(cfg_trunc, args):
-    n_max = args.nmax if args.nmax is not None else cfg_trunc.n_max
-    tail_tol = args.tol if args.tol is not None else cfg_trunc.tail_tol
-    return SeriesTruncation(n_max=n_max, tail_tol=tail_tol)
+    """cfg_trunc with the --nmax and --tol overrides applied, each checked."""
+    trunc = cfg_trunc
+    for option, name, value in (("--nmax", "n_max", args.nmax), ("--tol", "tail_tol", args.tol)):
+        if value is not None:
+            try:
+                trunc = dataclasses.replace(trunc, **{name: value})
+            except DomainError as exc:
+                raise ConfigError(f"{option}: {exc}") from None
+    return trunc
 
 
 def _out_dir(args, cfg=None):
@@ -89,7 +96,12 @@ def cmd_drag(args):
         trunc = _resolve_truncation(cfg.truncation, args)
     else:
         cfg = None
-        bc = BoundaryCondition(kind=args.bc, beta=args.beta)
+        try:
+            bc = BoundaryCondition(kind=args.bc, beta=args.beta)
+        except DomainError as exc:
+            raise ConfigError(f"--beta: {exc}") from None
+        if not np.isfinite(args.lam) or args.lam <= 0.0:
+            raise ConfigError(f"--lam: tip offset must be finite and positive, got {args.lam}")
         lam = args.lam
         trunc = _resolve_truncation(SeriesTruncation(), args)
     if not 0.0 < args.h_min < args.h_max < np.inf or args.points < 2:

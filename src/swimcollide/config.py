@@ -119,28 +119,26 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _finite(raw):
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError
-    return value
-
-
 def _parse_scalar(raw, want, section, key, line_no):
-    try:
-        if want is int:
-            return int(raw)
-        if want is float:
-            return _finite(raw)
-        if want == "floats":
-            return tuple(_finite(p) for p in raw.split(",") if p.strip())
-        return raw
-    except ValueError:
-        raise ConfigError(
-            f"line {line_no}: value {raw!r} for {section}.{key} is not a valid {want if isinstance(want, str) else want.__name__}",
-            key=f"{section}.{key}",
-            line=line_no,
-        ) from None
+    name = f"{section}.{key}"
+
+    def number(kind, text, what):
+        try:
+            value = kind(text)
+        except ValueError:
+            problem = f"not a valid {kind.__name__}"
+        else:
+            if kind is int or math.isfinite(value):
+                return value
+            problem = "not a finite float"
+        raise ConfigError(f"line {line_no}: {what} is {problem}", key=name, line=line_no)
+
+    if want == "floats":
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        return tuple(number(float, p, f"element {p!r} of {name}") for p in parts)
+    if want in (int, float):
+        return number(want, raw, f"value {raw!r} for {name}")
+    return raw
 
 
 def parse_config_text(text, source="<string>"):

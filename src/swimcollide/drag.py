@@ -34,6 +34,7 @@ __all__ = [
     "kappa_pass",
     "kappa_pass_provenance",
     "kappa_prop",
+    "kappa_arrays",
     "net_propulsion",
     "coefficients",
     "cache_clear",
@@ -130,6 +131,14 @@ def _series_edge(bc):
     return bc.beta if bc.slips else SERIES_GAP_FLOOR
 
 
+def _below_edge(anchor, edge, h, slips):
+    """kappa_pass below the series edge, for one gap or an array of them: the
+    slip-layer log law under slip, the 1/h lubrication law otherwise."""
+    if slips:
+        return anchor * (1.0 + np.log(edge / h))
+    return anchor * edge / h
+
+
 def kappa_pass(h, bc, truncation=None):
     """Pair drag coefficient at half-gap h under the given wall model."""
     h = _require_positive_gap(h)
@@ -137,10 +146,7 @@ def kappa_pass(h, bc, truncation=None):
     edge = _series_edge(bc)
     if h >= edge:
         return _series_pass(h, n_max, tail_tol)
-    anchor = _series_pass(edge, n_max, tail_tol)
-    if bc.slips:
-        return float(anchor * (1.0 + np.log(edge / h)))
-    return float(anchor * edge / h)
+    return float(_below_edge(_series_pass(edge, n_max, tail_tol), edge, h, bc.slips))
 
 
 def kappa_pass_provenance(h, bc):
@@ -167,6 +173,34 @@ def kappa_prop(h, lam, bc, truncation=None, model=None):
     h = _require_positive_gap(h)
     fn = model or _default_prop_model
     return float(fn(h, lam, bc, truncation))
+
+
+def kappa_arrays(hs, bc, truncation=None, lam=None, model=None):
+    """kappa_pass and kappa_prop at every gap of the array hs, in its shape.
+
+    Each value equals the one kappa_pass or kappa_prop returns for that gap:
+    gaps at or above the series edge go one by one through the same memoized
+    series, the gaps below it take the same continuation in one array
+    expression, and the propulsion factor comes from model (or the built-in
+    series) once per gap. lam = None, as for a passive pair, which has no
+    propulsion factor, gives kappa_prop = 0 without evaluating anything.
+    """
+    hs = np.asarray(hs, dtype=float)
+    if not np.all(np.isfinite(hs) & (hs > 0.0)):
+        raise DomainError("half-gaps must be finite and positive")
+    n_max, tail_tol = _trunc_key(truncation)
+    edge = _series_edge(bc)
+    above = hs >= edge
+    kp = np.empty_like(hs)
+    kp[above] = [_series_pass(h, n_max, tail_tol) for h in hs[above].tolist()]
+    if not above.all():
+        anchor = _series_pass(edge, n_max, tail_tol)
+        kp[~above] = _below_edge(anchor, edge, hs[~above], bc.slips)
+    if lam is None:
+        return kp, np.zeros_like(hs)
+    fn = model or _default_prop_model
+    kpr = [float(fn(h, lam, bc, truncation)) for h in hs.ravel().tolist()]
+    return kp, np.array(kpr).reshape(hs.shape)
 
 
 def net_propulsion(h, lam, f_p, bc, truncation=None, model=None):

@@ -12,9 +12,12 @@ h' = -F / kappa_pass.
 Massless scenarios need no time stepping: h' is a function of h alone, so
 the elapsed time is the integral of dt/du = -h / h' over u = ln h, taken by
 a 5-point Gauss-Lobatto rule on panels at most 0.05 wide in ln h, with
-edges at the kinks of the drag model. One point is recorded per panel edge,
-a floor run ends exactly on the floor, and the horizon point comes from one
-root solve on the last panel.
+edges at the kinks of the drag model. Every node is known before the first
+evaluation, so the panels go in blocks: one array drag call per block, one
+product of the nodal rates with the rule's weight vector, and one running
+sum of the panel times. One point is recorded per panel edge, a floor run
+ends exactly on the floor, and the horizon point comes from one root solve
+on the first panel to pass the horizon, after which no block is evaluated.
 
 Inertial scenarios (m > 0) are stiff: the speed relaxes toward the force
 balance on the fast scale m / kappa_pass, which near contact is orders of
@@ -185,6 +188,10 @@ _LN_GAP_ONSET = 0.1
 # polynomial through the nodal values, built on the monomials by this matrix.
 _LOBATTO_NODES = 0.5 + np.array([-0.5, -np.sqrt(21.0) / 14.0, 0.0, np.sqrt(21.0) / 14.0, 0.5])
 _LOBATTO_TO_MONOMIAL = np.linalg.inv(np.vander(_LOBATTO_NODES, increasing=True))
+# Its integral over [0, 1] is the dot product of the nodal values with the
+# rule's weights.
+_LOBATTO_WEIGHTS = np.array([9.0, 49.0, 64.0, 49.0, 9.0]) / 180.0
+_BLOCK_PANELS = 32  # panels a massless run evaluates and integrates at once
 
 
 def simulate(
@@ -249,41 +256,74 @@ def _panel_edges(h0, floor, kinks):
 
 def _simulate_massless(scenario, t_max, floor, truncation, prop_model, max_steps):
     """Massless branch of simulate: the elapsed time is the integral of
-    dt/du = -h / h' over u = ln h, taken panel by panel. One point is
-    recorded per panel edge, and the horizon point is where the integral
-    over the last panel reaches t_max."""
+    dt/du = -h / h' over u = ln h, taken _BLOCK_PANELS panels at a time.
 
-    def point(t, h):
-        force, kp, kpr = _force_and_coefficients(scenario, h, truncation, prop_model)
-        return TrajectoryPoint(float(t), float(h), -force / kp, kp, kpr)
+    All nodes of a block are evaluated by one drag call, each panel's time is
+    the dot product of its five nodal rates with _LOBATTO_WEIGHTS, and one
+    running sum carries t from edge to edge and from block to block. One
+    point is recorded per panel edge, and the horizon point is where the
+    integral of the first panel to pass t_max reaches it, so the run stops
+    after the block that holds the horizon. The earliest panel decides: a
+    panel past max_steps is never evaluated, and a lost drive ends the run
+    unless an earlier panel reached the horizon.
+    """
+    active = scenario.mode is Mode.ACTIVE
 
-    def rate(p):
-        # kappa_prop stays in (0, 1), so only a user prop_model can stop the drive
-        if p.hdot >= 0.0:
-            raise InvalidRegimeError(f"approach speed is not positive at h = {p.h}")
-        return -p.h / p.hdot
+    def evaluate(hs):
+        # Gaps are evaluated no closer than the scalar path's 1e-15.
+        kp, kpr = drag.kappa_arrays(
+            np.maximum(hs, 1e-15),
+            scenario.bc,
+            truncation,
+            lam=scenario.lam if active else None,
+            model=prop_model,
+        )
+        force = scenario.f_p * (1.0 - kpr) if active else scenario.f_ext
+        return -force / kp, kp, kpr
 
-    points = [point(0.0, scenario.h0)]
-    if points[0].hdot >= 0.0:
+    def record(*columns):
+        return list(map(TrajectoryPoint, *(np.asarray(c).tolist() for c in columns)))
+
+    h0 = float(scenario.h0)
+    hdot, kp, kpr = evaluate(np.array([h0]))
+    points = record([0.0], [h0], hdot, kp, kpr)
+    if hdot[0] >= 0.0:
         return _trajectory(scenario, floor, points, TerminationKind.SPEED_REVERSED)
-    edges = _panel_edges(scenario.h0, floor, (SERIES_GAP_FLOOR, scenario.bc.beta))
-    t, rates = 0.0, [rate(points[0])]
-    for panel, (h_a, h_b) in enumerate(zip(edges, edges[1:]), start=1):
-        if panel > max_steps:
-            msg = f"panel budget {max_steps} exhausted at t = {t}"
-            raise StiffnessError(msg, t=t, state=np.array([h_a]))
+    edges = np.array(_panel_edges(h0, floor, (SERIES_GAP_FLOOR, scenario.bc.beta)))
+    n_panels = min(len(edges) - 1, max(max_steps, 0))
+    t, rate = 0.0, -h0 / hdot[0]
+    for start in range(0, n_panels, _BLOCK_PANELS):
+        h_a = edges[start : min(start + _BLOCK_PANELS, n_panels)]
+        h_b = edges[start + 1 : start + 1 + len(h_a)]
         width = np.log(h_a / h_b)
-        inner = [point(t, h_a * np.exp(-s * width)) for s in _LOBATTO_NODES[1:-1]]
-        edge = point(t, h_b)
-        rates = [rates[-1], *map(rate, inner), rate(edge)]
-        antiderivative = P.polyint(_LOBATTO_TO_MONOMIAL @ rates)
-        elapsed = lambda s: t + width * P.polyval(s, antiderivative)
-        if elapsed(1.0) > t_max:
-            s = brentq(lambda s: elapsed(s) - t_max, 0.0, 1.0, xtol=1e-15)
-            points.append(point(t_max, h_a * np.exp(-s * width)))
+        inner = h_a[:, None] * np.exp(-_LOBATTO_NODES[1:-1] * width[:, None])
+        hs = np.column_stack([inner, h_b])
+        hdot, kp, kpr = evaluate(hs)
+        # kappa_prop stays in (0, 1), so only a user prop_model can stop the drive
+        lost = np.flatnonzero(hdot >= 0.0)
+        n_ok = lost[0] // hs.shape[1] if lost.size else len(hs)
+        node_rates = -hs[:n_ok] / hdot[:n_ok]
+        rates = np.column_stack([np.append(rate, node_rates[:, -1])[:-1], node_rates])
+        t_edges = np.cumsum(np.append(t, width[:n_ok] * (rates @ _LOBATTO_WEIGHTS)))[1:]
+        past = np.flatnonzero(t_edges > t_max)
+        k = past[0] if past.size else n_ok
+        points += record(t_edges[:k], h_b[:k], hdot[:k, -1], kp[:k, -1], kpr[:k, -1])
+        if past.size:
+            t_a = t_edges[k - 1] if k else t
+            antiderivative = P.polyint(_LOBATTO_TO_MONOMIAL @ rates[k])
+            excess = lambda s: t_a + width[k] * P.polyval(s, antiderivative) - t_max
+            # The interpolant's end may round to t_max where the panel sum passed it.
+            s = brentq(excess, 0.0, 1.0, xtol=1e-15) if excess(1.0) > 0.0 else 1.0
+            h = h_a[k] * np.exp(-s * width[k])
+            points += record([t_max], [h], *evaluate(np.array([h])))
             return _trajectory(scenario, floor, points, TerminationKind.HORIZON_REACHED)
-        t = float(elapsed(1.0))
-        points.append(dataclasses.replace(edge, t=t))
+        if lost.size:
+            h = float(hs.flat[lost[0]])
+            raise InvalidRegimeError(f"approach speed is not positive at h = {h}")
+        t, rate = float(t_edges[-1]), node_rates[-1, -1]
+    if n_panels < len(edges) - 1:
+        msg = f"panel budget {max_steps} exhausted at t = {t}"
+        raise StiffnessError(msg, t=t, state=edges[n_panels : n_panels + 1])
     return _trajectory(scenario, floor, points, TerminationKind.COLLISION)
 
 

@@ -124,6 +124,9 @@ class TestConfigParsing:
             parse_config_text(f"[{section}]\n{key} = {raw}\n")
         assert exc.value.key == f"{section}.{key}"
         assert exc.value.line == 2
+        bad = raw.split(",")[-1].strip()
+        assert f"{bad!r} " in str(exc.value)
+        assert str(exc.value).endswith("is not a finite float")
 
     def test_domain_errors_name_the_key(self):
         with pytest.raises(ConfigError) as exc:
@@ -189,6 +192,28 @@ class TestDragCommand:
     def test_non_finite_grid_is_a_config_error(self, tmp_path, h_min, h_max):
         rc = main(["drag", "--h-min", h_min, "--h-max", h_max, "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["drag", "--bc", "navier", "--beta", "nan"], "--beta"),
+            (["drag", "--lam", "nan"], "--lam"),
+            (["drag", "--lam", "-1"], "--lam"),
+            (["drag", "--tol", "nan"], "--tol"),
+            (["simulate", "--tol", "nan"], "--tol"),
+            (["sweep", "--tol", "nan"], "--tol"),
+        ],
+    )
+    def test_bad_option_is_a_config_error(self, tmp_path, capsys, argv, option):
+        # Rejected before any output, naming the option, not as a numerical failure.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_RUN + "\n[sweep]\nh0 = 0.4, 0.5\n")
+        if argv[0] != "drag":
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {option}: ")
+        assert not out.exists()
 
 
 class TestSimulateCommand:

@@ -12,6 +12,7 @@ from swimcollide.drag import (
     Provenance,
     cache_clear,
     coefficients,
+    kappa_arrays,
     kappa_pass,
     kappa_pass_provenance,
     kappa_prop,
@@ -156,6 +157,55 @@ class TestCoefficients:
         assert c.h == 0.5
         assert c.kappa_pass == kappa_pass(0.5, NO_SLIP)
         assert c.kappa_prop == kappa_prop(0.5, 1.0, NO_SLIP)
+
+
+class TestArrays:
+    # Nodes on both sides of beta = 0.1 and of the series floor.
+    HS = np.array(
+        [
+            2.0,
+            0.5,
+            0.1 * (1.0 + 1e-9),
+            0.1,
+            0.1 * (1.0 - 1e-9),
+            1e-3,
+            SERIES_GAP_FLOOR * (1.0 + 1e-9),
+            SERIES_GAP_FLOOR,
+            SERIES_GAP_FLOOR * (1.0 - 1e-9),
+            1e-9,
+        ]
+    )
+
+    @pytest.mark.parametrize("bc", [NO_SLIP, NAVIER], ids=["no_slip", "navier"])
+    def test_match_the_scalar_coefficients(self, bc):
+        cache_clear()
+        kp, kpr = kappa_arrays(self.HS.reshape(2, 5), bc, lam=0.7)
+        assert kp.shape == kpr.shape == (2, 5)
+        want_kp = [kappa_pass(h, bc) for h in self.HS]
+        want_kpr = [kappa_prop(h, 0.7, bc) for h in self.HS]
+        np.testing.assert_allclose(kp.ravel(), want_kp, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(kpr.ravel(), want_kpr, rtol=1e-15, atol=0.0)
+
+    def test_user_prop_model_is_called_once_per_gap(self):
+        calls = []
+
+        def model(h, lam, bc, truncation):
+            calls.append((h, lam))
+            return 0.25 + h
+
+        _, kpr = kappa_arrays(self.HS, NAVIER, lam=2.0, model=model)
+        assert calls == [(h, 2.0) for h in self.HS]
+        want = [kappa_prop(h, 2.0, NAVIER, model=model) for h in self.HS]
+        np.testing.assert_allclose(kpr, want, rtol=1e-15, atol=0.0)
+
+    def test_no_propulsion_factor_without_lam(self):
+        _, kpr = kappa_arrays(self.HS, NAVIER)
+        assert np.all(kpr == 0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan")])
+    def test_rejects_nonpositive_gaps(self, bad):
+        with pytest.raises(DomainError):
+            kappa_arrays(np.array([0.5, bad]), NO_SLIP)
 
 
 class TestCache:

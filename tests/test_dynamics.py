@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from swimcollide.drag import BoundaryCondition, cache_clear
+from swimcollide.drag import BoundaryCondition, _series_prop, cache_clear
 from swimcollide.dynamics import (
+    _BLOCK_PANELS,
     Mode,
     QuadratureReport,
     SwimmerScenario,
@@ -173,6 +174,32 @@ class TestNoSlipFloor:
         assert traj.termination is TerminationKind.FLOOR_REACHED
         assert traj.t_coll is None
         assert traj.t_end < 5.0
+
+
+class TestMasslessEvaluations:
+    """How many gaps a massless run evaluates, counted by the propulsion-factor
+    memo: an active run asks it once per node, and it misses once per gap."""
+
+    def test_collision_run_evaluates_each_node_once(self):
+        # Above the series floor no two nodes share a memo entry.
+        cache_clear()
+        traj = simulate(active(NAVIER), t_max=200.0, h_floor=1e-5)
+        assert traj.termination is TerminationKind.COLLISION
+        info = _series_prop.cache_info()
+        # h0, then the three inner nodes and the far edge of every panel
+        assert (info.hits, info.misses) == (0, 1 + 4 * (len(traj.points) - 1))
+
+    def test_horizon_run_stops_after_its_block(self):
+        cache_clear()
+        traj = simulate(active(NAVIER), t_max=90.0)
+        assert traj.termination is TerminationKind.HORIZON_REACHED
+        horizon_panel = len(traj.points) - 2
+        assert horizon_panel > _BLOCK_PANELS
+        evaluated = _series_prop.cache_info().misses
+        # h0 and the horizon point, plus four nodes a panel: at least through
+        # the horizon panel, and no panel a block past it.
+        assert 2 + 4 * (horizon_panel + 1) <= evaluated
+        assert evaluated <= 2 + 4 * (horizon_panel + _BLOCK_PANELS)
 
 
 class TestMasslessReference:
