@@ -9,8 +9,10 @@ Subcommands:
 
 drag, simulate and sweep share --config, --out, --tol and --nmax, where
 --tol and --nmax override the series truncation of the config (or the
-SeriesTruncation defaults when drag runs without one). validate takes only
---out, which also writes validate_report.txt, and --fault.
+SeriesTruncation defaults when drag runs without one). drag's --bc, --beta
+and --lam set what the config's [scenario] would, so they are an error with
+--config. validate takes only --out, which also writes validate_report.txt,
+and --fault.
 
 Exit codes: 0 success, 1 validation failure, 2 config or usage error,
 3 numerical failure. All floating point output is written with 17
@@ -88,21 +90,32 @@ def _out_dir(args, cfg=None):
     return out
 
 
+# The drag options a config's [scenario] section sets, with their values
+# when drag runs without a config.
+_DRAG_SCENARIO_OPTIONS = {"bc": "no_slip", "beta": 0.0, "lam": 1.0}
+
+
 def cmd_drag(args):
     if args.config:
+        for name in _DRAG_SCENARIO_OPTIONS:
+            if getattr(args, name) is not None:
+                raise ConfigError(f"--{name}: not allowed with --config, which sets it")
         cfg = parse_config(args.config)
         bc = cfg.scenario.bc
         lam = cfg.scenario.lam
         trunc = _resolve_truncation(cfg.truncation, args)
     else:
         cfg = None
+        kind, beta, lam = (
+            default if getattr(args, name) is None else getattr(args, name)
+            for name, default in _DRAG_SCENARIO_OPTIONS.items()
+        )
         try:
-            bc = BoundaryCondition(kind=args.bc, beta=args.beta)
+            bc = BoundaryCondition(kind=kind, beta=beta)
         except DomainError as exc:
             raise ConfigError(f"--beta: {exc}") from None
-        if not np.isfinite(args.lam) or args.lam <= 0.0:
-            raise ConfigError(f"--lam: tip offset must be finite and positive, got {args.lam}")
-        lam = args.lam
+        if not np.isfinite(lam) or lam <= 0.0:
+            raise ConfigError(f"--lam: tip offset must be finite and positive, got {lam}")
         trunc = _resolve_truncation(SeriesTruncation(), args)
     if not 0.0 < args.h_min < args.h_max < np.inf or args.points < 2:
         raise ConfigError(
@@ -331,9 +344,11 @@ def build_parser():
 
     p_drag = subs.add_parser("drag", help="tabulate drag coefficients over a gap grid")
     _add_common(p_drag)
-    p_drag.add_argument("--bc", choices=["no_slip", "navier"], default="no_slip")
-    p_drag.add_argument("--beta", type=float, default=0.0, help="slip length")
-    p_drag.add_argument("--lam", type=float, default=1.0, help="propulsion tip offset")
+    # These default to None, which marks an option not given; --config forbids them.
+    d = _DRAG_SCENARIO_OPTIONS
+    p_drag.add_argument("--bc", choices=["no_slip", "navier"], help=f"wall model (default {d['bc']})")
+    p_drag.add_argument("--beta", type=float, help=f"slip length (default {d['beta']})")
+    p_drag.add_argument("--lam", type=float, help=f"propulsion tip offset (default {d['lam']})")
     p_drag.add_argument("--h-min", type=float, default=1e-4)
     p_drag.add_argument("--h-max", type=float, default=10.0)
     p_drag.add_argument("--points", type=int, default=25)

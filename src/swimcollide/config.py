@@ -280,14 +280,17 @@ def _build(values, lines_of, source):
                 _fail_from(exc, values, lines_of, ("sweep", axis))
             sweep[axis] = pts
 
-    t_max = _get(values, "integrator", "t_max")
-    if t_max <= 0.0:
-        _fail_from(
-            f"t_max must be positive, got {t_max}",
-            values,
-            lines_of,
-            ("integrator", "t_max"),
-        )
+    # Every integrator setting must be positive; h_floor may stay unset (None),
+    # which selects the model default.
+    for key in _SCHEMA["integrator"]:
+        value = _get(values, "integrator", key)
+        if value is not None and value <= 0:
+            _fail_from(
+                f"{key} must be positive, got {value}",
+                values,
+                lines_of,
+                ("integrator", key),
+            )
 
     resolved = []
     for (section, key), default in sorted(_DEFAULTS.items()):
@@ -301,7 +304,7 @@ def _build(values, lines_of, source):
     return RunConfig(
         scenario=scenario,
         truncation=truncation,
-        t_max=t_max,
+        t_max=_get(values, "integrator", "t_max"),
         rtol=_get(values, "integrator", "rtol"),
         atol=_get(values, "integrator", "atol"),
         h_floor=_get(values, "integrator", "h_floor"),

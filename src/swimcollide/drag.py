@@ -5,15 +5,21 @@ touch. Under the no-slip condition the exact series applies at every gap the
 mode cap can resolve and grows like 1/h, which is what forbids contact in
 finite time. A Navier slip length beta > 0 cuts that divergence off below
 h = beta, where lubrication theory replaces 1/h by the integrable
-(1/beta) log(beta/h) law. The blended model used here keeps the exact series
-for h >= beta and switches to
+(1/beta) log(beta/h) law. The blended model used here keeps the no-slip law
+kappa_ns for h >= beta and switches to
 
-    kappa(h) = kappa_series(beta) * (1 + log(beta / h)),   h < beta,
+    kappa(h) = kappa_ns(beta) * (1 + log(beta / h)),   h < beta,
 
-which is continuous at h = beta by construction and reduces to the pure
-series as beta -> 0.
+which is continuous at h = beta by construction and reduces to kappa_ns as
+beta -> 0. kappa_ns is the exact series down to SERIES_GAP_FLOOR and its
+1/h continuation below it, so every slip length, however small, has a value.
 
-Every value is memoized on (gap, offset, model, truncation); the cache is a
+The propulsion factor kappa_prop is the paper's, from the Lorentz reciprocal
+theorem on the no-slip series (series.propulsion_drag), for both wall models.
+A gap's coefficients are tagged EXACT_SERIES iff both come from a converged
+series at that gap, which is iff h >= max(beta, SERIES_GAP_FLOOR).
+
+Every series value is memoized on (gap, offset, truncation); the cache is a
 pure lookup and never changes results.
 """
 
@@ -32,7 +38,6 @@ __all__ = [
     "Provenance",
     "DragCoefficients",
     "kappa_pass",
-    "kappa_pass_provenance",
     "kappa_prop",
     "kappa_arrays",
     "net_propulsion",
@@ -126,17 +131,19 @@ def _require_positive_gap(h):
 
 
 def _series_edge(bc):
-    """The gap below which kappa_pass leaves the exact series: the slip
-    length under slip, SERIES_GAP_FLOOR otherwise."""
-    return bc.beta if bc.slips else SERIES_GAP_FLOOR
+    """The gap below which kappa_pass leaves the exact series."""
+    return max(bc.beta, SERIES_GAP_FLOOR)
 
 
-def _below_edge(anchor, edge, h, slips):
-    """kappa_pass below the series edge, for one gap or an array of them: the
-    slip-layer log law under slip, the 1/h lubrication law otherwise."""
-    if slips:
-        return anchor * (1.0 + np.log(edge / h))
-    return anchor * edge / h
+def _below_edge(anchor, h, beta):
+    """kappa_pass below the series edge, for one gap or an array of them:
+    kappa_ns(g) * (1 + log(g / h)) with g = max(h, beta), which is the
+    slip-layer log law below beta. anchor is the series at the edge, which is
+    kappa_ns there; below SERIES_GAP_FLOOR kappa_ns continues as 1/h."""
+    if beta >= SERIES_GAP_FLOOR:  # the edge is beta, so g = beta
+        return anchor * (1.0 + np.log(beta / h))
+    g = np.maximum(h, beta)
+    return anchor * SERIES_GAP_FLOOR / g * (1.0 + np.log(g / h))
 
 
 def kappa_pass(h, bc, truncation=None):
@@ -146,43 +153,26 @@ def kappa_pass(h, bc, truncation=None):
     edge = _series_edge(bc)
     if h >= edge:
         return _series_pass(h, n_max, tail_tol)
-    return float(_below_edge(_series_pass(edge, n_max, tail_tol), edge, h, bc.slips))
+    return float(_below_edge(_series_pass(edge, n_max, tail_tol), h, bc.beta))
 
 
-def kappa_pass_provenance(h, bc):
+def kappa_prop(h, lam, bc, truncation=None):
+    """Propulsion reduction factor at half-gap h: the no-slip series under
+    both wall models (slip enters it only at O(beta)), frozen at its value
+    at SERIES_GAP_FLOOR below the floor."""
     h = _require_positive_gap(h)
-    if h >= _series_edge(bc):
-        return Provenance.EXACT_SERIES
-    return Provenance.ASYMPTOTIC_MODEL
-
-
-def _default_prop_model(h, lam, bc, truncation):
-    # Slip enters the propulsion factor only at O(beta); the no-slip value is
-    # used for both wall models. Below the series floor the factor is frozen.
     n_max, tail_tol = _trunc_key(truncation)
     return _series_prop(max(h, SERIES_GAP_FLOOR), float(lam), n_max, tail_tol)
 
 
-def kappa_prop(h, lam, bc, truncation=None, model=None):
-    """Propulsion reduction factor at half-gap h.
-
-    model, when given, must be a callable (h, lam, bc, truncation) -> float
-    and replaces the built-in evaluation; the hook exists so a slip-corrected
-    propulsion model can be swapped in without touching the dynamics.
-    """
-    h = _require_positive_gap(h)
-    fn = model or _default_prop_model
-    return float(fn(h, lam, bc, truncation))
-
-
-def kappa_arrays(hs, bc, truncation=None, lam=None, model=None):
+def kappa_arrays(hs, bc, truncation=None, lam=None):
     """kappa_pass and kappa_prop at every gap of the array hs, in its shape.
 
     Each value equals the one kappa_pass or kappa_prop returns for that gap:
     gaps at or above the series edge go one by one through the same memoized
     series, the gaps below it take the same continuation in one array
-    expression, and the propulsion factor comes from model (or the built-in
-    series) once per gap. lam = None, as for a passive pair, which has no
+    expression, and the propulsion factor comes from the same memoized series
+    once per gap. lam = None, as for a passive pair, which has no
     propulsion factor, gives kappa_prop = 0 without evaluating anything.
     """
     hs = np.asarray(hs, dtype=float)
@@ -195,33 +185,34 @@ def kappa_arrays(hs, bc, truncation=None, lam=None, model=None):
     kp[above] = [_series_pass(h, n_max, tail_tol) for h in hs[above].tolist()]
     if not above.all():
         anchor = _series_pass(edge, n_max, tail_tol)
-        kp[~above] = _below_edge(anchor, edge, hs[~above], bc.slips)
+        kp[~above] = _below_edge(anchor, hs[~above], bc.beta)
     if lam is None:
         return kp, np.zeros_like(hs)
-    fn = model or _default_prop_model
-    kpr = [float(fn(h, lam, bc, truncation)) for h in hs.ravel().tolist()]
+    floored = np.maximum(hs, SERIES_GAP_FLOOR).ravel().tolist()
+    kpr = [_series_prop(h, float(lam), n_max, tail_tol) for h in floored]
     return kp, np.array(kpr).reshape(hs.shape)
 
 
-def net_propulsion(h, lam, f_p, bc, truncation=None, model=None):
+def net_propulsion(h, lam, f_p, bc, truncation=None):
     """Net inward thrust f_p (1 - kappa_prop), the drive left after the
     backflow each swimmer's forcing induces at its partner is paid for."""
     f_p = float(f_p)
     if not np.isfinite(f_p) or f_p < 0.0:
         raise DomainError(f"thrust magnitude must be >= 0, got {f_p}")
-    return f_p * (1.0 - kappa_prop(h, lam, bc, truncation, model))
+    return f_p * (1.0 - kappa_prop(h, lam, bc, truncation))
 
 
-def coefficients(h, lam, bc, truncation=None, model=None):
+def coefficients(h, lam, bc, truncation=None):
     """Both coefficients at one gap with a combined provenance tag.
 
-    The tag is EXACT_SERIES only when every ingredient came from a converged
-    series evaluation at the actual gap.
+    The tag is EXACT_SERIES only when both came from a converged series
+    evaluation at the actual gap, which is at or above the series edge.
     """
     h = _require_positive_gap(h)
-    kp = kappa_pass(h, bc, truncation)
-    kpr = kappa_prop(h, lam, bc, truncation, model)
-    prov = kappa_pass_provenance(h, bc)
-    if model is None and h < SERIES_GAP_FLOOR:
-        prov = Provenance.ASYMPTOTIC_MODEL
-    return DragCoefficients(h=h, kappa_pass=float(kp), kappa_prop=float(kpr), provenance=prov)
+    exact = h >= _series_edge(bc)
+    return DragCoefficients(
+        h=h,
+        kappa_pass=kappa_pass(h, bc, truncation),
+        kappa_prop=kappa_prop(h, lam, bc, truncation),
+        provenance=Provenance.EXACT_SERIES if exact else Provenance.ASYMPTOTIC_MODEL,
+    )

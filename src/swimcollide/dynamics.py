@@ -6,8 +6,11 @@ The half-gap h(t) obeys the axial force balance on either body,
 
 where F is the net inward forcing: f_p (1 - kappa_prop(h, lam)) for an
 active pusher pair, or a constant f_ext for a passive externally pushed
-pair. The massless limit m = 0 reduces to the algebraic speed law
-h' = -F / kappa_pass.
+pair. Both coefficients come from drag, which holds the one drag and
+propulsion law. The massless limit m = 0 reduces to the algebraic speed law
+h' = -F / kappa_pass. kappa_prop < 1 holds in exact arithmetic, but at a
+tiny tip offset it can round to one or above, so a massless run checks the
+sign of the drive at every node, and the quadrature at 25 gaps first.
 
 Massless scenarios need no time stepping: h' is a function of h alone, so
 the elapsed time is the integral of dt/du = -h / h' over u = ln h, taken by
@@ -157,11 +160,11 @@ def default_h_floor(bc):
     return 1e-9 if bc.slips else 1e-7
 
 
-def _force_and_coefficients(scenario, h, truncation, prop_model):
+def _force_and_coefficients(scenario, h, truncation):
     h_eval = max(float(h), 1e-15)
     kp = drag.kappa_pass(h_eval, scenario.bc, truncation)
     if scenario.mode is Mode.ACTIVE:
-        kpr = drag.kappa_prop(h_eval, scenario.lam, scenario.bc, truncation, prop_model)
+        kpr = drag.kappa_prop(h_eval, scenario.lam, scenario.bc, truncation)
         force = scenario.f_p * (1.0 - kpr)
     else:
         kpr = 0.0
@@ -169,12 +172,12 @@ def _force_and_coefficients(scenario, h, truncation, prop_model):
     return force, kp, kpr
 
 
-def rhs(scenario, y, truncation=None, prop_model=None):
+def rhs(scenario, y, truncation=None):
     """Time derivative of the state.
 
     State is (h,) for massless scenarios and (h, hdot) otherwise.
     """
-    force, kp, _ = _force_and_coefficients(scenario, y[0], truncation, prop_model)
+    force, kp, _ = _force_and_coefficients(scenario, y[0], truncation)
     if scenario.mass == 0.0:
         return np.array([-force / kp])
     return np.array([y[1], (-kp * y[1] - force) / scenario.mass])
@@ -201,7 +204,6 @@ def simulate(
     rtol=1e-8,
     atol=1e-12,
     truncation=None,
-    prop_model=None,
     max_steps=400000,
 ):
     """Integrate the encounter until contact, reversal, or the time horizon.
@@ -210,9 +212,10 @@ def simulate(
     the floor is a COLLISION under slip and FLOOR_REACHED under no slip.
     Identical inputs produce bitwise identical trajectories. For massless
     scenarios max_steps bounds the number of panels in ln h, and a floor run
-    ends exactly on the floor. rtol and atol apply to inertial scenarios
-    only, where max_steps bounds the right-hand-side evaluation count at 25
-    per nominal step and the floor event satisfies |h - h_floor| < 1e-10.
+    ends exactly on the floor. rtol and atol must be finite and positive;
+    they apply to inertial scenarios only, where max_steps bounds the
+    right-hand-side evaluation count at 25 per nominal step and the floor
+    event satisfies |h - h_floor| < 1e-10.
     """
     truncation = truncation or SeriesTruncation()
     t_max = float(t_max)
@@ -221,15 +224,16 @@ def simulate(
     floor = default_h_floor(scenario.bc) if h_floor is None else float(h_floor)
     if not np.isfinite(floor) or floor <= 0.0:
         raise DomainError(f"gap floor must be positive, got {floor}")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not np.isfinite(tol) or tol <= 0.0:
+            raise DomainError(f"{name} must be finite and positive, got {tol}")
     if scenario.h0 <= floor:
         raise InvalidRegimeError(
             f"initial half-gap {scenario.h0} is not above the floor {floor}"
         )
     if scenario.mass != 0.0:
-        return _simulate_inertial(
-            scenario, t_max, floor, rtol, atol, truncation, prop_model, max_steps
-        )
-    return _simulate_massless(scenario, t_max, floor, truncation, prop_model, max_steps)
+        return _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps)
+    return _simulate_massless(scenario, t_max, floor, truncation, max_steps)
 
 
 def _trajectory(scenario, floor, points, termination):
@@ -254,7 +258,7 @@ def _panel_edges(h0, floor, kinks):
     return edges
 
 
-def _simulate_massless(scenario, t_max, floor, truncation, prop_model, max_steps):
+def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
     """Massless branch of simulate: the elapsed time is the integral of
     dt/du = -h / h' over u = ln h, taken _BLOCK_PANELS panels at a time.
 
@@ -276,7 +280,6 @@ def _simulate_massless(scenario, t_max, floor, truncation, prop_model, max_steps
             scenario.bc,
             truncation,
             lam=scenario.lam if active else None,
-            model=prop_model,
         )
         force = scenario.f_p * (1.0 - kpr) if active else scenario.f_ext
         return -force / kp, kp, kpr
@@ -299,7 +302,9 @@ def _simulate_massless(scenario, t_max, floor, truncation, prop_model, max_steps
         inner = h_a[:, None] * np.exp(-_LOBATTO_NODES[1:-1] * width[:, None])
         hs = np.column_stack([inner, h_b])
         hdot, kp, kpr = evaluate(hs)
-        # kappa_prop stays in (0, 1), so only a user prop_model can stop the drive
+        # kappa_prop < 1 only in exact arithmetic: at lam = 1e-9, beta = 0.1,
+        # 1 - kappa_prop(1e-3) rounds to -4.1e-14, and a run from h0 = 0.5
+        # loses its drive at h = 0.408.
         lost = np.flatnonzero(hdot >= 0.0)
         n_ok = lost[0] // hs.shape[1] if lost.size else len(hs)
         node_rates = -hs[:n_ok] / hdot[:n_ok]
@@ -327,9 +332,7 @@ def _simulate_massless(scenario, t_max, floor, truncation, prop_model, max_steps
     return _trajectory(scenario, floor, points, TerminationKind.COLLISION)
 
 
-def _simulate_inertial(
-    scenario, t_max, floor, rtol, atol, truncation, prop_model, max_steps
-):
+def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps):
     """Stiff branch of simulate for m > 0, on an implicit Radau method.
 
     The speed equation has the fast eigenvalue -kappa_pass / m, which an
@@ -351,8 +354,7 @@ def _simulate_inertial(
                 t=float(t),
                 state=np.asarray(y, dtype=float),
             )
-        force, kp, _ = _force_and_coefficients(scenario, y[0], truncation, prop_model)
-        return [y[1], (-kp * y[1] - force) / scenario.mass]
+        return rhs(scenario, y, truncation)
 
     def contact(t, y):
         return y[0] - floor
@@ -392,7 +394,7 @@ def _simulate_inertial(
         termination = TerminationKind.HORIZON_REACHED
 
     def point_at(t, h, hd):
-        _, kp, kpr = _force_and_coefficients(scenario, h, truncation, prop_model)
+        _, kp, kpr = _force_and_coefficients(scenario, h, truncation)
         return TrajectoryPoint(float(t), float(h), float(hd), kp, kpr)
 
     points = [point_at(sol.t[0], sol.y[0, 0], sol.y[1, 0])]
@@ -422,7 +424,7 @@ class QuadratureReport:
     h_floor: float
 
 
-def collision_time_quadrature(scenario, h_floor=None, truncation=None, prop_model=None):
+def collision_time_quadrature(scenario, h_floor=None, truncation=None):
     """Time to close the gap from h0 to the floor by direct quadrature.
 
     Valid for massless scenarios only, where the approach speed is the
@@ -445,7 +447,7 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None, prop_mode
         raise DomainError(f"gap floor must lie in (0, h0), got {floor}")
 
     def speed(h):
-        force, kp, _ = _force_and_coefficients(scenario, h, truncation, prop_model)
+        force, kp, _ = _force_and_coefficients(scenario, h, truncation)
         return force / kp
 
     for h in np.geomspace(floor, scenario.h0, 25):
@@ -538,7 +540,6 @@ def threshold_speed_probe(
     s_tol=1e-2,
     h_floor=None,
     truncation=None,
-    prop_model=None,
 ):
     """Search for the initial approach speed that first reaches contact.
 
@@ -556,13 +557,7 @@ def threshold_speed_probe(
 
     def collides(s0):
         probe = dataclasses.replace(scenario, s0=s0)
-        traj = simulate(
-            probe,
-            t_max,
-            h_floor=h_floor,
-            truncation=truncation,
-            prop_model=prop_model,
-        )
+        traj = simulate(probe, t_max, h_floor=h_floor, truncation=truncation)
         probes.append((s0, traj.termination.value))
         return traj.termination is TerminationKind.COLLISION
 

@@ -180,6 +180,12 @@ class TestDragCommand:
         report = (tmp_path / "drag_report.txt").read_text()
         assert "bc = navier" in report
 
+    def test_slip_length_below_the_series_floor(self, tmp_path):
+        argv = ["drag", "--bc", "navier", "--beta", "1e-12", "--h-min", "1e-9"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "drag_table.csv")[1:]
+        assert {r[3] for r in rows} == {"exact_series", "asymptotic_model"}
+
     def test_bad_grid_is_a_config_error(self, tmp_path):
         rc = main(
             ["drag", "--h-min", "1.0", "--h-max", "0.5", "--out", str(tmp_path)]
@@ -215,6 +221,22 @@ class TestDragCommand:
         assert capsys.readouterr().err.startswith(f"config error: {option}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option,value", [("--bc", "no_slip"), ("--beta", "0.2"), ("--lam", "5")]
+    )
+    def test_scenario_option_with_config_is_a_config_error(
+        self, tmp_path, capsys, option, value
+    ):
+        # The config sets the wall model and tip offset; an option that would
+        # be ignored is rejected before any output.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_RUN)
+        out = tmp_path / "out"
+        argv = ["drag", "--config", str(cfg), option, value, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {option}: ")
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_run_and_reproducibility(self, tmp_path):
@@ -244,6 +266,25 @@ class TestSimulateCommand:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize(
+        "setting", ["rtol = -1", "atol = -1", "h_floor = -1", "max_steps = 0"]
+    )
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_bad_integrator_value_is_a_config_error(
+        self, tmp_path, capsys, setting, command
+    ):
+        # Rejected at parse with its key and line, not by the integrator.
+        cfg = tmp_path / "run.cfg"
+        line = len(BASE_RUN.splitlines()) + 1
+        cfg.write_text(
+            BASE_RUN + f"{setting}\n[scenario]\nmass = 0.1\n[sweep]\nh0 = 0.4, 0.5\n"
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        key = setting.split()[0]
+        assert f"line {line}: integrator.{key}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_step_budget_maps_to_numerical_failure(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -14,7 +14,6 @@ from swimcollide.drag import (
     coefficients,
     kappa_arrays,
     kappa_pass,
-    kappa_pass_provenance,
     kappa_prop,
     net_propulsion,
 )
@@ -23,6 +22,7 @@ from swimcollide.series import passive_drag
 
 NO_SLIP = BoundaryCondition.no_slip()
 NAVIER = BoundaryCondition.navier(0.1)
+TINY = BoundaryCondition.navier(1e-12)  # a slip length below the series floor
 
 
 class TestBoundaryCondition:
@@ -81,6 +81,18 @@ class TestPassiveBlend:
         )
         assert rel < 1e-8
 
+    @pytest.mark.parametrize("kink", [TINY.beta, SERIES_GAP_FLOOR], ids=["beta", "floor"])
+    def test_continuous_below_the_floor(self, kink):
+        # Under a slip length below the series floor the no-slip continuation
+        # carries the drag down to beta, and the log law takes over there.
+        above = kappa_pass(kink * (1.0 + 1e-9), TINY)
+        below = kappa_pass(kink * (1.0 - 1e-9), TINY)
+        assert below == pytest.approx(above, rel=1e-7)
+        anchor = kappa_pass(SERIES_GAP_FLOOR, NO_SLIP) * SERIES_GAP_FLOOR / TINY.beta
+        assert kappa_pass(TINY.beta / 10.0, TINY) == pytest.approx(
+            anchor * (1.0 + np.log(10.0)), rel=1e-12
+        )
+
     def test_slip_reduces_drag_in_the_gap(self):
         assert kappa_pass(1e-4, NAVIER) < kappa_pass(1e-4, NO_SLIP)
 
@@ -95,15 +107,6 @@ class TestPassiveBlend:
             anchor, rel=1e-9
         )
 
-    def test_provenance(self):
-        assert kappa_pass_provenance(0.5, NAVIER) is Provenance.EXACT_SERIES
-        assert kappa_pass_provenance(0.01, NAVIER) is Provenance.ASYMPTOTIC_MODEL
-        assert kappa_pass_provenance(0.01, NO_SLIP) is Provenance.EXACT_SERIES
-        assert (
-            kappa_pass_provenance(SERIES_GAP_FLOOR / 2.0, NO_SLIP)
-            is Provenance.ASYMPTOTIC_MODEL
-        )
-
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(DomainError):
             kappa_pass(0.0, NO_SLIP)
@@ -116,16 +119,6 @@ class TestPropulsionFactor:
 
     def test_same_for_both_wall_models(self):
         assert kappa_prop(0.1, 1.0, NAVIER) == kappa_prop(0.1, 1.0, NO_SLIP)
-
-    def test_model_override(self):
-        calls = []
-
-        def fixed(h, lam, bc, truncation):
-            calls.append((h, lam))
-            return 0.25
-
-        assert kappa_prop(0.5, 1.0, NO_SLIP, model=fixed) == 0.25
-        assert calls == [(0.5, 1.0)]
 
     @given(
         st.floats(min_value=1e-3, max_value=2.0),
@@ -147,6 +140,7 @@ class TestCoefficients:
             coefficients(0.01, 1.0, NAVIER).provenance
             is Provenance.ASYMPTOTIC_MODEL
         )
+        assert coefficients(0.01, 1.0, NO_SLIP).provenance is Provenance.EXACT_SERIES
         assert (
             coefficients(SERIES_GAP_FLOOR / 2.0, 1.0, NO_SLIP).provenance
             is Provenance.ASYMPTOTIC_MODEL
@@ -160,7 +154,7 @@ class TestCoefficients:
 
 
 class TestArrays:
-    # Nodes on both sides of beta = 0.1 and of the series floor.
+    # Nodes on both sides of beta = 0.1, of the series floor and of beta = 1e-12.
     HS = np.array(
         [
             2.0,
@@ -173,30 +167,22 @@ class TestArrays:
             SERIES_GAP_FLOOR,
             SERIES_GAP_FLOOR * (1.0 - 1e-9),
             1e-9,
+            1e-12 * (1.0 + 1e-9),
+            1e-13,
         ]
     )
 
-    @pytest.mark.parametrize("bc", [NO_SLIP, NAVIER], ids=["no_slip", "navier"])
+    @pytest.mark.parametrize(
+        "bc", [NO_SLIP, NAVIER, TINY], ids=["no_slip", "navier", "tiny_navier"]
+    )
     def test_match_the_scalar_coefficients(self, bc):
         cache_clear()
-        kp, kpr = kappa_arrays(self.HS.reshape(2, 5), bc, lam=0.7)
-        assert kp.shape == kpr.shape == (2, 5)
+        kp, kpr = kappa_arrays(self.HS.reshape(3, 4), bc, lam=0.7)
+        assert kp.shape == kpr.shape == (3, 4)
         want_kp = [kappa_pass(h, bc) for h in self.HS]
         want_kpr = [kappa_prop(h, 0.7, bc) for h in self.HS]
         np.testing.assert_allclose(kp.ravel(), want_kp, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(kpr.ravel(), want_kpr, rtol=1e-15, atol=0.0)
-
-    def test_user_prop_model_is_called_once_per_gap(self):
-        calls = []
-
-        def model(h, lam, bc, truncation):
-            calls.append((h, lam))
-            return 0.25 + h
-
-        _, kpr = kappa_arrays(self.HS, NAVIER, lam=2.0, model=model)
-        assert calls == [(h, 2.0) for h in self.HS]
-        want = [kappa_prop(h, 2.0, NAVIER, model=model) for h in self.HS]
-        np.testing.assert_allclose(kpr, want, rtol=1e-15, atol=0.0)
 
     def test_no_propulsion_factor_without_lam(self):
         _, kpr = kappa_arrays(self.HS, NAVIER)

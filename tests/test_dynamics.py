@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from swimcollide import drag
 from swimcollide.drag import BoundaryCondition, _series_prop, cache_clear
 from swimcollide.dynamics import (
     _BLOCK_PANELS,
@@ -121,6 +122,13 @@ class TestMasslessCollision:
         again = simulate(active(NAVIER), t_max=200.0)
         assert again.points == self.TRAJ.points
         assert again.t_coll == self.TRAJ.t_coll
+
+    def test_slip_length_below_the_series_floor(self):
+        # beta = 1e-12 lies below the 1e-9 contact floor: the drag there is the
+        # no-slip continuation, and the massless pair still reaches contact.
+        traj = simulate(forced(BoundaryCondition.navier(1e-12), h0=0.01), t_max=1e4)
+        assert traj.termination is TerminationKind.COLLISION
+        assert traj.points[-1].h == traj.h_floor == 1e-9
 
 
 class TestNoSlipStall:
@@ -290,31 +298,45 @@ class TestSimulateGuards:
         with pytest.raises(DomainError):
             simulate(active(NAVIER), t_max=0.0)
 
+    @pytest.mark.parametrize("name", ["rtol", "atol"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_tolerance(self, name, bad):
+        with pytest.raises(DomainError, match=name):
+            simulate(forced(NAVIER, mass=0.1), t_max=1.0, **{name: bad})
+
     def test_step_budget_reported(self):
         with pytest.raises(StiffnessError) as exc:
             simulate(active(NAVIER), t_max=200.0, max_steps=10)
         assert exc.value.t is not None
 
     def test_massless_speed_reversal(self):
-        # A propulsion factor above one flips the net force outward; the
-        # massless gap rate turns positive immediately.
-        traj = simulate(
-            active(NAVIER),
-            t_max=10.0,
-            prop_model=lambda h, lam, bc, tr: 1.5,
-        )
+        # Without a net inward drive the massless gap does not close: the run
+        # ends at its start.
+        traj = simulate(active(NAVIER, f_p=0.0), t_max=10.0)
         assert traj.termination is TerminationKind.SPEED_REVERSED
         assert traj.t_end == 0.0 and len(traj.points) == 1
 
-    def test_drive_lost_on_the_way_in(self):
-        # kappa_prop stays below one, so only a user model can turn the drive
+    def test_drive_lost_on_the_way_in(self, monkeypatch):
+        # A propulsion factor that passes one below h = 0.2 turns the drive
         # off after the start; the approach then has no collision course.
-        with pytest.raises(InvalidRegimeError):
-            simulate(
-                active(NAVIER),
-                t_max=200.0,
-                prop_model=lambda h, lam, bc, tr: 0.5 if h > 0.2 else 1.5,
-            )
+        real = drag.kappa_arrays
+
+        def fake(hs, bc, truncation=None, lam=None):
+            kp, kpr = real(hs, bc, truncation, lam)
+            return kp, np.where(np.asarray(hs) < 0.2, 1.5, kpr)
+
+        monkeypatch.setattr(drag, "kappa_arrays", fake)
+        with pytest.raises(InvalidRegimeError, match=r"at h = 0\.19"):
+            simulate(active(NAVIER), t_max=200.0)
+
+    def test_rounding_can_lose_the_drive(self):
+        # At lam = 1e-9 the series gives 1 - kappa_prop = -4.1e-14 at h = 1e-3:
+        # the built-in model alone needs both drive guards.
+        sc = active(NAVIER, lam=1e-9)
+        with pytest.raises(InvalidRegimeError, match=r"at h = 0\.40"):
+            simulate(sc, t_max=1e300)
+        with pytest.raises(InvalidRegimeError, match=r"at h = 9\.7"):
+            collision_time_quadrature(sc)
 
 
 class TestQuadrature:
@@ -342,9 +364,7 @@ class TestQuadrature:
 
     def test_rejects_outward_drive(self):
         with pytest.raises(InvalidRegimeError):
-            collision_time_quadrature(
-                active(NAVIER), prop_model=lambda h, lam, bc, tr: 1.5
-            )
+            collision_time_quadrature(active(NAVIER, f_p=0.0))
 
 
 class TestThresholdProbe:
