@@ -107,6 +107,20 @@ class TestPassiveBlend:
             anchor, rel=1e-9
         )
 
+    def test_provenance(self):
+        # kappa_pass is exact at and above the series edge max(beta, floor),
+        # and a model just below it.
+        def tag(h, bc):
+            return coefficients(h, 1.0, bc).provenance
+
+        exact, model = Provenance.EXACT_SERIES, Provenance.ASYMPTOTIC_MODEL
+        assert tag(NAVIER.beta, NAVIER) is exact
+        assert tag(NAVIER.beta * (1.0 - 1e-9), NAVIER) is model
+        assert tag(SERIES_GAP_FLOOR, NO_SLIP) is exact
+        assert tag(SERIES_GAP_FLOOR * (1.0 - 1e-9), NO_SLIP) is model
+        assert tag(SERIES_GAP_FLOOR, TINY) is exact
+        assert tag(TINY.beta * 10.0, TINY) is model
+
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(DomainError):
             kappa_pass(0.0, NO_SLIP)
