@@ -24,7 +24,6 @@ from .drag import (
 from .dynamics import (
     ExponentialBound,
     Mode,
-    ProbeReport,
     QuadratureReport,
     SwimmerScenario,
     TerminationKind,
@@ -34,7 +33,6 @@ from .dynamics import (
     default_h_floor,
     noslip_lower_bound_fit,
     simulate,
-    threshold_speed_probe,
 )
 from .errors import (
     ConfigError,

@@ -21,8 +21,20 @@ series at that gap, which is iff h >= max(beta, SERIES_GAP_FLOOR).
 
 Every series value is memoized on (gap, offset, truncation); the cache is a
 pure lookup and never changes results.
+
+kappa_table serves inertial runs, whose Radau steps ask for the coefficients
+thousands of times at gaps that never repeat. It tabulates ln kappa_pass on
+[series edge, TABLE_TOP] and ln kappa_prop on [SERIES_GAP_FLOOR, TABLE_TOP]
+as Chebyshev interpolants in ln h through the memoized series, with a bound
+measured against the series at build time, and gives the h-derivatives the
+Jacobian needs. A table whose bound exceeds tail_tol is not used: the run
+reads the series. Which path a caller takes is fixed by the caller, never
+by cache warmth: only inertial simulate uses the table, while kappa_pass,
+kappa_prop, kappa_arrays and coefficients (and so massless runs, rhs and the
+drag command) always read the series.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -42,6 +54,7 @@ __all__ = [
     "kappa_arrays",
     "net_propulsion",
     "coefficients",
+    "kappa_table",
     "cache_clear",
 ]
 
@@ -144,6 +157,104 @@ def _below_edge(anchor, h, beta):
         return anchor * (1.0 + np.log(beta / h))
     g = np.maximum(h, beta)
     return anchor * SERIES_GAP_FLOOR / g * (1.0 + np.log(g / h))
+
+
+def _below_edge_slope(anchor, h, beta):
+    """d/dh of _below_edge at one gap below the series edge."""
+    return -anchor * max(beta, SERIES_GAP_FLOOR) / (max(h, beta) * h)
+
+
+TABLE_TOP = 100.0  # the tables end here; larger gaps go to the series
+_TABLE_NODES = 96  # Chebyshev nodes, so the interpolant has degree 95
+_TABLE_TAIL = 8  # trailing coefficients whose summed size enters the bound
+_TABLE_K = np.arange(_TABLE_NODES)
+_TABLE_THETA = np.pi * (_TABLE_K + 0.5) / _TABLE_NODES
+# Values at the first-kind nodes x_j = cos(theta_j) to coefficients (the
+# discrete cosine transform, with the constant term halved).
+_TABLE_DCT = (2.0 / _TABLE_NODES) * np.cos(np.outer(_TABLE_K, _TABLE_THETA))
+_TABLE_DCT[0] *= 0.5
+# Angles of the points where the bound is measured: the n - 1 extrema of
+# T_n, which interleave the nodes.
+_TABLE_CHECK = np.pi * np.arange(1, _TABLE_NODES) / _TABLE_NODES
+
+
+class _ChebyshevTable:
+    """ln series(h) on [lo, hi] as a degree-95 Chebyshev interpolant in u = ln h.
+
+    series(h) gives kappa at one gap. The interpolant and its derivative sit
+    side by side in one (n x 2) matrix, so an evaluation is one row of
+    T_k(x) = cos(k acos x) times it. bound is the larger of the measured
+    relative error at the interleaved check points and the summed size of
+    the last _TABLE_TAIL coefficients.
+    """
+
+    def __init__(self, series, lo, hi):
+        self.series, self.lo, self.hi = series, lo, hi
+        self.mid, self.half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
+        at = lambda x: np.log([series(h) for h in np.exp(self.mid + self.half * x).tolist()])
+        c = _TABLE_DCT @ at(np.cos(_TABLE_THETA))
+        self.matrix = np.column_stack([c, np.append(np.polynomial.chebyshev.chebder(c), 0.0)])
+        fit = np.cos(np.outer(_TABLE_CHECK, _TABLE_K)) @ c
+        measured = np.max(np.abs(np.expm1(fit - at(np.cos(_TABLE_CHECK)))))
+        self.bound = float(max(measured, np.sum(np.abs(c[-_TABLE_TAIL:]))))
+
+    def __call__(self, h):
+        """kappa and dkappa/dh at one gap h >= lo: the table's strictly inside
+        it; the series at lo (with the table's end slope) and at hi and above
+        (with a central difference of the series)."""
+        if h >= self.hi:
+            step = 1e-4 * h
+            return self.series(h), (self.series(h + step) - self.series(h - step)) / (2.0 * step)
+        x = max((math.log(h) - self.mid) / self.half, -1.0)
+        g, dg = np.cos(_TABLE_K * math.acos(x)) @ self.matrix
+        kappa = self.series(h) if h == self.lo else math.exp(g)
+        return kappa, kappa * dg / (self.half * h)
+
+
+def kappa_table(bc, truncation=None, lam=None):
+    """kappa_pass and kappa_prop with their h-derivatives at one gap, from
+    Chebyshev tables of the series built for one run, or None when the
+    tables cannot certify the series tolerance.
+
+    ln kappa_pass is tabulated on [series edge, TABLE_TOP] and ln kappa_prop
+    on [SERIES_GAP_FLOOR, TABLE_TOP], each by _ChebyshevTable from the
+    memoized series. When either table's bound exceeds tail_tol, or the edge
+    leaves no range to tabulate, this returns None and the caller stays on
+    the series; the choice depends on the inputs alone. Otherwise it returns
+    a function of h giving (kappa_pass, dkappa_pass/dh, kappa_prop,
+    dkappa_prop/dh). Strictly inside a table the values are the table's and
+    within its bound of the series; at the table ends and above TABLE_TOP
+    they are the series. Below the edge kappa_pass takes the _below_edge
+    continuation, and below SERIES_GAP_FLOOR kappa_prop stays frozen.
+    lam = None, as for a passive pair, builds no kappa_prop table and gives
+    kappa_prop = 0.
+    """
+    n_max, tail_tol = _trunc_key(truncation)
+    edge = _series_edge(bc)
+    if edge >= TABLE_TOP:
+        return None
+    pass_series = lambda h: _series_pass(h, n_max, tail_tol)
+    pass_table = _ChebyshevTable(pass_series, edge, TABLE_TOP)
+    prop_table = None
+    if lam is not None:
+        prop_series = lambda h: _series_prop(h, float(lam), n_max, tail_tol)
+        prop_table = _ChebyshevTable(prop_series, SERIES_GAP_FLOOR, TABLE_TOP)
+    if max(t.bound for t in (pass_table, prop_table) if t) > tail_tol:
+        return None
+    anchor = pass_series(edge)
+
+    def at(h):
+        if h < edge:
+            kp = float(_below_edge(anchor, h, bc.beta)), _below_edge_slope(anchor, h, bc.beta)
+        else:
+            kp = pass_table(h)
+        if prop_table is None:
+            return kp + (0.0, 0.0)
+        if h < SERIES_GAP_FLOOR:
+            return kp + (prop_series(SERIES_GAP_FLOOR), 0.0)
+        return kp + prop_table(h)
+
+    return at
 
 
 def kappa_pass(h, bc, truncation=None):

@@ -26,10 +26,14 @@ Inertial scenarios (m > 0) are stiff: the speed relaxes toward the force
 balance on the fast scale m / kappa_pass, which near contact is orders of
 magnitude below the approach time. They integrate with an L-stable implicit
 Radau method, and the trajectory is densified from the dense interpolant so
-the same recording guarantees hold as for the massless path.
+the same recording guarantees hold as for the massless path. Each run reads
+its coefficients from one drag.kappa_table, whose derivatives give Radau the
+Jacobian in closed form; the recorded kappa values come from the same table
+and sit within its stated bound of the series. When the table's bound
+exceeds tail_tol the whole run reads the series with a finite-difference
+Jacobian, as rhs and massless runs always do.
 """
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,8 +60,6 @@ __all__ = [
     "collision_time_quadrature",
     "ExponentialBound",
     "noslip_lower_bound_fit",
-    "ProbeReport",
-    "threshold_speed_probe",
 ]
 
 
@@ -172,6 +174,26 @@ def _force_and_coefficients(scenario, h, truncation):
     return force, kp, kpr
 
 
+def _table_terms(scenario, table, h):
+    """Force, kappa_pass and kappa_prop at h from a drag.kappa_table, with the
+    h-derivatives of the force and of kappa_pass. The gap is clamped as in
+    _force_and_coefficients, and the terms are flat below the clamp."""
+    h_eval = max(float(h), 1e-15)
+    kp, dkp, kpr, dkpr = table(h_eval)
+    if h_eval != h:
+        dkp = dkpr = 0.0
+    if scenario.mode is Mode.ACTIVE:
+        return scenario.f_p * (1.0 - kpr), kp, kpr, -scenario.f_p * dkpr, dkp
+    return scenario.f_ext, kp, 0.0, 0.0, dkp
+
+
+def _table_jacobian(scenario, table, y):
+    """d(rhs)/dy of an inertial scenario in closed form, from a drag.kappa_table."""
+    _, kp, _, dforce, dkp = _table_terms(scenario, table, y[0])
+    m = scenario.mass
+    return np.array([[0.0, 1.0], [-(dkp * y[1] + dforce) / m, -kp / m]])
+
+
 def rhs(scenario, y, truncation=None):
     """Time derivative of the state.
 
@@ -180,6 +202,12 @@ def rhs(scenario, y, truncation=None):
     force, kp, _ = _force_and_coefficients(scenario, y[0], truncation)
     if scenario.mass == 0.0:
         return np.array([-force / kp])
+    return _inertial_rate(scenario, y, force, kp)
+
+
+def _inertial_rate(scenario, y, force, kp):
+    """The equation of motion m h'' = -kappa_pass h' - F as a first-order
+    system in (h, h')."""
     return np.array([y[1], (-kp * y[1] - force) / scenario.mass])
 
 
@@ -341,7 +369,19 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps
     manifold instead. The floor and reversal are terminal events, and recorded
     points are densified from the interpolant so consecutive points satisfy
     the same log-gap spacing bound as the massless path.
+
+    The right-hand side, the recorded kappa values and the Jacobian all read
+    the run's drag.kappa_table, or the series when it returns None.
     """
+    active = scenario.mode is Mode.ACTIVE
+    table = drag.kappa_table(scenario.bc, truncation, lam=scenario.lam if active else None)
+    if table is None:
+        coefficients = lambda h: _force_and_coefficients(scenario, h, truncation)
+        jac = None
+    else:
+        coefficients = lambda h: _table_terms(scenario, table, h)[:3]
+        jac = lambda t, y: _table_jacobian(scenario, table, y)
+
     eval_budget = 25 * max_steps
     evals = 0
 
@@ -354,7 +394,8 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps
                 t=float(t),
                 state=np.asarray(y, dtype=float),
             )
-        return rhs(scenario, y, truncation)
+        force, kp, _ = coefficients(y[0])
+        return _inertial_rate(scenario, y, force, kp)
 
     def contact(t, y):
         return y[0] - floor
@@ -376,6 +417,7 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps
         method="Radau",
         rtol=rtol,
         atol=atol,
+        jac=jac,
         dense_output=True,
         events=(contact, reversal),
     )
@@ -394,7 +436,7 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps
         termination = TerminationKind.HORIZON_REACHED
 
     def point_at(t, h, hd):
-        _, kp, kpr = _force_and_coefficients(scenario, h, truncation)
+        _, kp, kpr = coefficients(h)
         return TrajectoryPoint(float(t), float(h), float(hd), kp, kpr)
 
     points = [point_at(sol.t[0], sol.y[0, 0], sol.y[1, 0])]
@@ -521,61 +563,3 @@ def noslip_lower_bound_fit(trajectory):
     return ExponentialBound(
         c1=c1, c2=c2, rms_log_residual=float(np.sqrt(np.mean(resid**2)))
     )
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Outcome of the initial-speed threshold search."""
-
-    all_collide: bool
-    bracketed: bool
-    critical_s0: float  # None when no threshold exists in [0, s_max]
-    probes: tuple  # (s0, termination value) pairs in evaluation order
-
-
-def threshold_speed_probe(
-    scenario,
-    s_max,
-    t_max,
-    s_tol=1e-2,
-    h_floor=None,
-    truncation=None,
-):
-    """Search for the initial approach speed that first reaches contact.
-
-    Massless scenarios have no speed memory, so a single run decides. With
-    inertia the collision predicate is monotone in s0 and the threshold is
-    bisected to width s_tol; all_collide reports that s0 = 0 already reaches
-    contact, and bracketed = False that even s_max does not. A no-slip floor
-    is not contact (FLOOR_REACHED), so no-slip runs never bracket.
-    """
-    s_max = float(s_max)
-    if not np.isfinite(s_max) or s_max <= 0.0:
-        raise DomainError(f"probe speed bound must be positive, got {s_max}")
-
-    probes = []
-
-    def collides(s0):
-        probe = dataclasses.replace(scenario, s0=s0)
-        traj = simulate(probe, t_max, h_floor=h_floor, truncation=truncation)
-        probes.append((s0, traj.termination.value))
-        return traj.termination is TerminationKind.COLLISION
-
-    def report(all_collide, bracketed, critical_s0):
-        return ProbeReport(all_collide, bracketed, critical_s0, tuple(probes))
-
-    if scenario.mass == 0.0:
-        hit = collides(scenario.s0)
-        return report(hit, hit, None)
-    if collides(0.0):
-        return report(True, True, 0.0)
-    if not collides(s_max):
-        return report(False, False, None)
-    lo, hi = 0.0, s_max
-    while hi - lo > s_tol:
-        mid = 0.5 * (lo + hi)
-        if collides(mid):
-            hi = mid
-        else:
-            lo = mid
-    return report(False, True, 0.5 * (lo + hi))

@@ -314,6 +314,18 @@ class TestSweepCommand:
         for name in ("sweep.csv", "sweep_report.txt"):
             assert read_bytes(out1 / name) == read_bytes(out2 / name)
 
+    def test_inertial_rerun_is_identical(self, tmp_path):
+        # Inertial points read the Chebyshev tables built for each run.
+        cfg = tmp_path / "sweep.cfg"
+        short = BASE_RUN.replace("t_max = 200.0", "t_max = 20.0")
+        cfg.write_text(short + "[scenario]\nmass = 0.1\n[sweep]\nh0 = 0.4, 0.5\n")
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [r[-2] for r in read_csv(outs[0] / "sweep.csv")[1:]] == ["ok", "ok"]
+        for name in ("sweep.csv", "sweep_report.txt"):
+            assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name)
+
     def test_workers_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(self.SWEEP + "workers = 2\n")

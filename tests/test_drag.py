@@ -1,4 +1,5 @@
-"""Wall models, the blended drag law, and the coefficient cache."""
+"""Wall models, the blended drag law, the coefficient cache and the
+Chebyshev coefficient tables."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,14 +12,16 @@ from swimcollide.drag import (
     BoundaryCondition,
     Provenance,
     cache_clear,
+    TABLE_TOP,
     coefficients,
     kappa_arrays,
     kappa_pass,
     kappa_prop,
+    kappa_table,
     net_propulsion,
 )
 from swimcollide.errors import DomainError
-from swimcollide.series import passive_drag
+from swimcollide.series import SeriesTruncation, passive_drag, propulsion_drag
 
 NO_SLIP = BoundaryCondition.no_slip()
 NAVIER = BoundaryCondition.navier(0.1)
@@ -230,3 +233,67 @@ class TestCache:
             for _ in range(3):
                 got = list(pool.map(worker, hs))
                 assert got == expected
+
+
+class TestKappaTable:
+    TAIL_TOL = SeriesTruncation().tail_tol
+
+    @staticmethod
+    def interior(lo):
+        """101 gaps strictly inside [lo, TABLE_TOP], evenly spaced in ln h."""
+        return np.geomspace(lo, TABLE_TOP, 103)[1:-1]
+
+    def check_against_series(self, series, values, slopes, hs):
+        for h, value, slope in zip(hs, values, slopes):
+            exact = series(h)
+            assert abs(value / exact - 1.0) <= self.TAIL_TOL
+            step = 1e-4 * h
+            difference = (series(h + step) - series(h - step)) / (2.0 * step)
+            # The slope is compared on the scale kappa / h of d kappa / d ln h:
+            # where kappa_prop is nearly flat, at the smallest gaps, its slope
+            # is 1e-7 of that scale and a difference quotient of the series
+            # is all rounding there.
+            assert abs(slope - difference) * h <= 1e-6 * exact
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.1])
+    def test_kappa_pass_matches_the_series(self, beta):
+        bc = BoundaryCondition.navier(beta)
+        at = kappa_table(bc)
+        hs = self.interior(max(beta, SERIES_GAP_FLOOR))
+        kp, dkp, kpr, dkpr = np.array([at(h) for h in hs]).T
+        assert np.all(kpr == 0.0) and np.all(dkpr == 0.0)
+        self.check_against_series(passive_drag, kp, dkp, hs)
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0, 5.0, 100.0])
+    def test_kappa_prop_matches_the_series(self, lam):
+        at = kappa_table(NO_SLIP, lam=lam)
+        hs = self.interior(SERIES_GAP_FLOOR)
+        _, _, kpr, dkpr = np.array([at(h) for h in hs]).T
+        self.check_against_series(lambda h: propulsion_drag(h, lam), kpr, dkpr, hs)
+
+    def test_tight_tolerance_takes_the_series(self):
+        # At tail_tol = 1e-13 the degree-95 tables cannot certify the
+        # tolerance, so an inertial run reads the series bit for bit.
+        from swimcollide.dynamics import Mode, SwimmerScenario, simulate
+
+        tight = SeriesTruncation(tail_tol=1e-13)
+        assert kappa_table(NAVIER, tight, lam=1.0) is None
+        sc = SwimmerScenario(mode=Mode.ACTIVE, bc=NAVIER, h0=0.5, mass=0.1)
+        traj = simulate(sc, t_max=1.0, truncation=tight)
+        assert len(traj.points) > 2
+        for p in traj.points:
+            assert p.kappa_pass == kappa_pass(p.h, NAVIER, tight)
+            assert p.kappa_prop == kappa_prop(p.h, 1.0, NAVIER, tight)
+
+    @pytest.mark.parametrize("bc", [NO_SLIP, NAVIER, TINY])
+    def test_ends_and_outside_give_the_series_or_continuation(self, bc):
+        at = kappa_table(bc, lam=1.0)
+        edge = max(bc.beta, SERIES_GAP_FLOOR)
+        outside = [TABLE_TOP, 150.0, SERIES_GAP_FLOOR / 7.0]
+        for h in [edge, edge / 3.0] + outside:
+            assert at(h)[0] == kappa_pass(h, bc)
+        for h in [SERIES_GAP_FLOOR] + outside:
+            assert at(h)[2] == kappa_prop(h, 1.0, bc)
+
+    def test_no_range_above_the_top(self):
+        assert kappa_table(BoundaryCondition.navier(TABLE_TOP)) is None

@@ -1,4 +1,4 @@
-"""Encounter dynamics: integrators, terminations, quadrature, bounds, probes."""
+"""Encounter dynamics: integrators, terminations, quadrature, bounds, inertial tables."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from swimcollide import drag
 from swimcollide.drag import BoundaryCondition, _series_prop, cache_clear
 from swimcollide.dynamics import (
     _BLOCK_PANELS,
+    _table_jacobian,
     Mode,
     QuadratureReport,
     SwimmerScenario,
@@ -19,7 +20,6 @@ from swimcollide.dynamics import (
     noslip_lower_bound_fit,
     rhs,
     simulate,
-    threshold_speed_probe,
 )
 from swimcollide.errors import DomainError, InvalidRegimeError, StiffnessError
 
@@ -367,37 +367,63 @@ class TestQuadrature:
             collision_time_quadrature(active(NAVIER, f_p=0.0))
 
 
-class TestThresholdProbe:
-    def test_massless_is_single_probe(self):
-        rep = threshold_speed_probe(active(NAVIER), s_max=10.0, t_max=200.0)
-        assert rep.all_collide and rep.bracketed
-        assert rep.critical_s0 is None
-        assert len(rep.probes) == 1
+class TestInertialTable:
+    """Inertial runs read a Chebyshev drag.kappa_table and give Radau its
+    closed-form Jacobian; both are checked against the public series rhs."""
 
-    def test_noslip_never_brackets(self):
-        sc = forced(NO_SLIP, h0=0.3, mass=0.5)
-        rep = threshold_speed_probe(sc, s_max=50.0, t_max=5.0, h_floor=1e-7)
-        assert not rep.all_collide and not rep.bracketed
-        assert rep.critical_s0 is None
-        assert len(rep.probes) == 2
-
-    def test_inertial_threshold_is_bisected(self):
-        sc = forced(NAVIER, mass=1.0)
-        rep = threshold_speed_probe(sc, s_max=100.0, t_max=2.0, s_tol=0.05)
-        assert not rep.all_collide and rep.bracketed
-        assert 0.0 < rep.critical_s0 < 100.0
-        # The reported threshold separates the outcomes.
-        import dataclasses
-
-        lo = simulate(
-            dataclasses.replace(sc, s0=rep.critical_s0 * 0.9), t_max=2.0
+    @pytest.mark.parametrize(
+        "sc",
+        [active(NAVIER, mass=0.1), forced(NAVIER, mass=0.1), active(NO_SLIP, mass=0.1, lam=5.0)],
+        ids=["active", "passive", "active_no_slip"],
+    )
+    @pytest.mark.parametrize("h", [0.5, 3e-3, 1e-6])
+    def test_jacobian_matches_the_series(self, sc, h):
+        # 0.5 is above beta, 3e-3 inside the slip layer of NAVIER (and on the
+        # series for no slip), 1e-6 below SERIES_GAP_FLOOR.
+        active_pair = sc.mode is Mode.ACTIVE
+        table = drag.kappa_table(sc.bc, lam=sc.lam if active_pair else None)
+        y = np.array([h, -0.5])
+        jac = _table_jacobian(sc, table, y)
+        steps = (1e-5 * h, 1e-5)
+        difference = np.column_stack(
+            [(rhs(sc, y + d) - rhs(sc, y - d)) / (2.0 * s) for s, d in zip(steps, np.diag(steps))]
         )
-        hi = simulate(
-            dataclasses.replace(sc, s0=rep.critical_s0 * 1.1), t_max=2.0
-        )
-        assert lo.termination is not TerminationKind.COLLISION
-        assert hi.termination is TerminationKind.COLLISION
+        np.testing.assert_allclose(jac, difference, rtol=1e-6, atol=0.0)
 
-    def test_rejects_bad_speed_bound(self):
-        with pytest.raises(DomainError):
-            threshold_speed_probe(active(NAVIER), s_max=0.0, t_max=1.0)
+    def test_passive_run_builds_no_propulsion_table(self):
+        cache_clear()
+        traj = simulate(forced(NAVIER, mass=0.1), t_max=1.0)
+        assert traj.points[-1].t == 1.0
+        assert _series_prop.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "sc",
+        [active(NAVIER, mass=0.1, s0=1.0), active(NAVIER, mass=0.1)],
+        ids=["test_06", "nominal"],
+    )
+    def test_collision_time_matches_the_series(self, sc):
+        # The reference integrates the public series rhs with a
+        # finite-difference Jacobian.
+        floor = default_h_floor(sc.bc)
+        contact = lambda t, y: y[0] - floor
+        contact.terminal, contact.direction = True, -1.0
+        ref = solve_ivp(
+            lambda t, y: rhs(sc, y),
+            (0.0, 200.0),
+            [sc.h0, -sc.s0],
+            method="Radau",
+            rtol=1e-8,
+            atol=1e-12,
+            events=contact,
+        )
+        t_ref = ref.t_events[0][0]
+        traj = simulate(sc, t_max=200.0)
+        assert traj.termination is TerminationKind.COLLISION
+        assert traj.t_coll == pytest.approx(t_ref, rel=1e-8, abs=0.0)
+
+    def test_reruns_are_identical(self):
+        sc = active(NAVIER, mass=0.1, lam=0.7)
+        cache_clear()
+        cold = simulate(sc, t_max=20.0)
+        warm = simulate(sc, t_max=20.0)
+        assert cold.points == warm.points and len(cold.points) > 10
