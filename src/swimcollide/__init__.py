@@ -62,12 +62,10 @@ from .series import (
     mode_profile,
     mode_profile_via_source,
     nonpenetration_report,
-    nonpenetration_source,
     passive_drag,
     propulsion_drag,
     solve_coefficients,
     stream_function,
-    swim_speed_contribution,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

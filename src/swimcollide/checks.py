@@ -73,11 +73,8 @@ def _check_legendre():
 def _check_gegenbauer_closed_forms():
     worst = 0.0
     for x in np.linspace(-1.0, 1.0, 21):
-        worst = max(
-            worst,
-            abs(geometry.gegenbauer_minus_half(1, float(x)) - (1.0 - x * x) / 2.0),
-            abs(geometry.gegenbauer_minus_half(2, float(x)) - x * (1.0 - x * x) / 2.0),
-        )
+        c2, c3 = geometry.gegenbauer_minus_half(2, float(x))
+        worst = max(worst, abs(c2 - (1.0 - x * x) / 2.0), abs(c3 - x * (1.0 - x * x) / 2.0))
     return worst < 1e-14, f"max closed-form residual {worst:.2e}"
 
 
@@ -212,27 +209,21 @@ def _check_kappa_prop():
 
 
 def _check_swim_identity():
-    # approach speed -h' assembled from the two routes must agree:
-    # (direct thrust) / drag + (swim contribution) vs net thrust / drag
+    # The approach speed -h' of dynamics.rhs against the direct squeeze speed
+    # f_p / kappa_pass plus the backflow's swim contribution w < 0.
     h, lam, f_p = 0.5, 1.0, 2.0
-    w = series.swim_speed_contribution(h, lam, f_p)
-    v = f_p / series.passive_drag(h)
     bc = BoundaryCondition.no_slip()
-    hdot = -drag.net_propulsion(h, lam, f_p, bc) / drag.kappa_pass(h, bc)
-    rel = abs((v + w) + hdot) / abs(hdot)
+    sc = SwimmerScenario(mode=Mode.ACTIVE, bc=bc, h0=h, f_p=f_p, lam=lam)
+    hdot = dynamics.rhs(sc, np.array([h]))[0]
+    kp = drag.kappa_pass(h, bc)
+    w = -f_p * drag.kappa_prop(h, lam, bc) / kp
+    rel = abs((f_p / kp + w) + hdot) / abs(hdot)
     ok = w < 0.0 and rel < 1e-12
     return ok, f"swim contribution {w:.6f}, balance identity residual {rel:.2e}"
 
 
 def _quick_navier_scenario():
-    return SwimmerScenario(
-        mode=Mode.ACTIVE,
-        bc=BoundaryCondition.navier(0.1),
-        h0=0.3,
-        mass=0.0,
-        f_p=1.0,
-        lam=1.0,
-    )
+    return SwimmerScenario(mode=Mode.ACTIVE, bc=BoundaryCondition.navier(0.1), h0=0.3)
 
 
 def _check_massless_speed():
@@ -249,13 +240,7 @@ def _check_pure_drag_monotone():
     # short horizon keeps the speed far above the integrator's absolute
     # tolerance, where monotonicity is meaningful
     sc = SwimmerScenario(
-        mode=Mode.ACTIVE,
-        bc=BoundaryCondition.no_slip(),
-        h0=0.5,
-        s0=1.0,
-        mass=0.1,
-        f_p=0.0,
-        lam=1.0,
+        mode=Mode.ACTIVE, bc=BoundaryCondition.no_slip(), h0=0.5, s0=1.0, mass=0.1, f_p=0.0
     )
     traj = dynamics.simulate(sc, 0.05)
     speeds = np.abs(traj.columns()["hdot"])
@@ -294,14 +279,7 @@ def _check_quadrature_match():
 
 
 def _check_noslip_divergence():
-    sc = SwimmerScenario(
-        mode=Mode.ACTIVE,
-        bc=BoundaryCondition.no_slip(),
-        h0=0.1,
-        mass=0.0,
-        f_p=1.0,
-        lam=1.0,
-    )
+    sc = SwimmerScenario(mode=Mode.ACTIVE, bc=BoundaryCondition.no_slip(), h0=0.1)
     report = dynamics.collision_time_quadrature(sc, h_floor=1e-7)
     return report.diverged, (
         f"tail exponent {report.tail_exponent:.3f} at floor 1e-7 "
@@ -310,14 +288,7 @@ def _check_noslip_divergence():
 
 
 def _check_exponential_bound():
-    sc = SwimmerScenario(
-        mode=Mode.ACTIVE,
-        bc=BoundaryCondition.no_slip(),
-        h0=0.3,
-        mass=0.0,
-        f_p=1.0,
-        lam=1.0,
-    )
+    sc = SwimmerScenario(mode=Mode.ACTIVE, bc=BoundaryCondition.no_slip(), h0=0.3)
     traj = dynamics.simulate(sc, 30.0)
     bound = dynamics.noslip_lower_bound_fit(traj)
     cols = traj.columns()
@@ -391,14 +362,13 @@ CHECKS = [
 
 @contextlib.contextmanager
 def scaled_gegenbauer(scale):
-    """Swap in Gegenbauer kernels scaled by `scale` under the names the checks
-    and the series look them up by, and put the originals back on exit."""
-    single, array = geometry.gegenbauer_minus_half, series._gegenbauer_array
-    geometry.gegenbauer_minus_half = lambda n, x: single(n, x) * scale
-    series._gegenbauer_array = lambda n, x: array(n, x) * scale
+    """Swap in the Gegenbauer kernel scaled by `scale` under the one name the
+    checks and the series look it up by, and put the original back on exit."""
+    kernel = geometry.gegenbauer_minus_half
+    geometry.gegenbauer_minus_half = lambda n_count, x: kernel(n_count, x) * scale
     drag.cache_clear()
     try:
         yield
     finally:
-        geometry.gegenbauer_minus_half, series._gegenbauer_array = single, array
+        geometry.gegenbauer_minus_half = kernel
         drag.cache_clear()

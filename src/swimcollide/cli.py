@@ -85,8 +85,15 @@ def _resolve_truncation(cfg_trunc, args):
 
 
 def _out_dir(args, cfg=None):
-    out = args.out or (cfg.out_dir if cfg is not None else None) or "out"
-    os.makedirs(out, exist_ok=True)
+    """The output directory, created if missing. One that cannot be created
+    is a config error naming where it was set: --out or output.dir."""
+    from_cfg = not args.out and cfg is not None and cfg.out_dir
+    out = cfg.out_dir if from_cfg else args.out or "out"
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        where = "output.dir" if from_cfg else "--out"
+        raise ConfigError(f"{where}: cannot create directory {out!r}: {exc.strerror}") from None
     return out
 
 
@@ -299,6 +306,7 @@ _FAULTS = ("gegenbauer",)
 def cmd_validate(args):
     if args.fault and args.fault not in _FAULTS:
         raise ConfigError(f"unknown fault {args.fault!r}; choose from {_FAULTS}")
+    out = _out_dir(args) if args.out else None
     lines = []
     failures = 0
     with checks.scaled_gegenbauer(1.01) if args.fault else contextlib.nullcontext():
@@ -318,8 +326,7 @@ def cmd_validate(args):
         summary += f" (fault injected: {args.fault})"
     lines.append(summary)
     print(summary)
-    if args.out:
-        out = _out_dir(args)
+    if out:
         with open(
             os.path.join(out, "validate_report.txt"), "w", newline="\n", encoding="utf-8"
         ) as fh:

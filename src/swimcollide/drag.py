@@ -11,8 +11,9 @@ kappa_ns for h >= beta and switches to
     kappa(h) = kappa_ns(beta) * (1 + log(beta / h)),   h < beta,
 
 which is continuous at h = beta by construction and reduces to kappa_ns as
-beta -> 0. kappa_ns is the exact series down to SERIES_GAP_FLOOR and its
-1/h continuation below it, so every slip length, however small, has a value.
+beta -> 0. kappa_ns is the exact series down to SERIES_GAP_FLOOR, the floor
+of the series re-exported here, and its 1/h continuation below it, so every
+slip length, however small, has a value.
 
 The propulsion factor kappa_prop is the paper's, from the Lorentz reciprocal
 theorem on the no-slip series (series.propulsion_drag), for both wall models.
@@ -42,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .series import SeriesTruncation, passive_drag, propulsion_drag
+from .series import SERIES_GAP_FLOOR, SeriesTruncation, passive_drag, propulsion_drag
 
 __all__ = [
     "SERIES_GAP_FLOOR",
@@ -57,13 +58,6 @@ __all__ = [
     "kappa_table",
     "cache_clear",
 ]
-
-# Below this half-gap the converged series needs more modes than the hard cap
-# allows (the worst case, a tip offset approaching zero, needs about
-# 23 / alpha of them), so the coefficients continue with their proven
-# asymptotic laws: kappa_pass ~ 1/h for no slip, and kappa_prop frozen at its
-# floor value (it varies by parts in 1e4 across two decades of h there).
-SERIES_GAP_FLOOR = 2e-6
 
 
 class Provenance(Enum):

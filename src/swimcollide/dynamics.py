@@ -34,6 +34,7 @@ exceeds tail_tol the whole run reads the series with a finite-difference
 Jacobian, as rhs and massless runs always do.
 """
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -162,29 +163,38 @@ def default_h_floor(bc):
     return 1e-9 if bc.slips else 1e-7
 
 
+_GAP_CLAMP = 1e-15  # no coefficient is read at a smaller gap
+
+
+def _prop_lam(scenario):
+    """drag's lam argument: the tip offset, or None for a passive pair."""
+    return scenario.lam if scenario.mode is Mode.ACTIVE else None
+
+
+def _force(scenario, kpr):
+    """Net inward forcing F at propulsion factor(s) kpr: f_p (1 - kpr) or f_ext."""
+    return scenario.f_p * (1.0 - kpr) if scenario.mode is Mode.ACTIVE else scenario.f_ext
+
+
 def _force_and_coefficients(scenario, h, truncation):
-    h_eval = max(float(h), 1e-15)
+    h_eval = max(float(h), _GAP_CLAMP)
     kp = drag.kappa_pass(h_eval, scenario.bc, truncation)
-    if scenario.mode is Mode.ACTIVE:
-        kpr = drag.kappa_prop(h_eval, scenario.lam, scenario.bc, truncation)
-        force = scenario.f_p * (1.0 - kpr)
-    else:
-        kpr = 0.0
-        force = scenario.f_ext
-    return force, kp, kpr
+    lam = _prop_lam(scenario)
+    kpr = 0.0 if lam is None else drag.kappa_prop(h_eval, lam, scenario.bc, truncation)
+    return _force(scenario, kpr), kp, kpr
 
 
 def _table_terms(scenario, table, h):
     """Force, kappa_pass and kappa_prop at h from a drag.kappa_table, with the
     h-derivatives of the force and of kappa_pass. The gap is clamped as in
-    _force_and_coefficients, and the terms are flat below the clamp."""
-    h_eval = max(float(h), 1e-15)
+    _force_and_coefficients, and the terms are flat below the clamp. A
+    passive pair's table gives kappa_prop = 0 with zero slope."""
+    h_eval = max(float(h), _GAP_CLAMP)
     kp, dkp, kpr, dkpr = table(h_eval)
     if h_eval != h:
         dkp = dkpr = 0.0
-    if scenario.mode is Mode.ACTIVE:
-        return scenario.f_p * (1.0 - kpr), kp, kpr, -scenario.f_p * dkpr, dkp
-    return scenario.f_ext, kp, 0.0, 0.0, dkp
+    dforce = -scenario.f_p * dkpr if scenario.mode is Mode.ACTIVE else 0.0
+    return _force(scenario, kpr), kp, kpr, dforce, dkp
 
 
 def _table_jacobian(scenario, table, y):
@@ -238,12 +248,12 @@ def simulate(
 
     Returns a Trajectory whose termination reports which happened; reaching
     the floor is a COLLISION under slip and FLOOR_REACHED under no slip.
-    Identical inputs produce bitwise identical trajectories. For massless
-    scenarios max_steps bounds the number of panels in ln h, and a floor run
-    ends exactly on the floor. rtol and atol must be finite and positive;
-    they apply to inertial scenarios only, where max_steps bounds the
-    right-hand-side evaluation count at 25 per nominal step and the floor
-    event satisfies |h - h_floor| < 1e-10.
+    Identical inputs produce bitwise identical trajectories. max_steps, an
+    int >= 1, bounds the number of panels in ln h for massless scenarios,
+    and a floor run ends exactly on the floor. rtol and atol must be finite
+    and positive; they apply to inertial scenarios only, where max_steps
+    bounds the right-hand-side evaluation count at 25 per nominal step and
+    the floor event satisfies |h - h_floor| < 1e-10.
     """
     truncation = truncation or SeriesTruncation()
     t_max = float(t_max)
@@ -255,6 +265,8 @@ def simulate(
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not np.isfinite(tol) or tol <= 0.0:
             raise DomainError(f"{name} must be finite and positive, got {tol}")
+    if not isinstance(max_steps, numbers.Integral) or max_steps < 1:
+        raise DomainError(f"max_steps must be an integer >= 1, got {max_steps!r}")
     if scenario.h0 <= floor:
         raise InvalidRegimeError(
             f"initial half-gap {scenario.h0} is not above the floor {floor}"
@@ -299,18 +311,11 @@ def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
     panel past max_steps is never evaluated, and a lost drive ends the run
     unless an earlier panel reached the horizon.
     """
-    active = scenario.mode is Mode.ACTIVE
+    lam = _prop_lam(scenario)
 
     def evaluate(hs):
-        # Gaps are evaluated no closer than the scalar path's 1e-15.
-        kp, kpr = drag.kappa_arrays(
-            np.maximum(hs, 1e-15),
-            scenario.bc,
-            truncation,
-            lam=scenario.lam if active else None,
-        )
-        force = scenario.f_p * (1.0 - kpr) if active else scenario.f_ext
-        return -force / kp, kp, kpr
+        kp, kpr = drag.kappa_arrays(np.maximum(hs, _GAP_CLAMP), scenario.bc, truncation, lam=lam)
+        return -_force(scenario, kpr) / kp, kp, kpr
 
     def record(*columns):
         return list(map(TrajectoryPoint, *(np.asarray(c).tolist() for c in columns)))
@@ -321,7 +326,7 @@ def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
     if hdot[0] >= 0.0:
         return _trajectory(scenario, floor, points, TerminationKind.SPEED_REVERSED)
     edges = np.array(_panel_edges(h0, floor, (SERIES_GAP_FLOOR, scenario.bc.beta)))
-    n_panels = min(len(edges) - 1, max(max_steps, 0))
+    n_panels = min(len(edges) - 1, max_steps)
     t, rate = 0.0, -h0 / hdot[0]
     for start in range(0, n_panels, _BLOCK_PANELS):
         h_a = edges[start : min(start + _BLOCK_PANELS, n_panels)]
@@ -373,8 +378,7 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps
     The right-hand side, the recorded kappa values and the Jacobian all read
     the run's drag.kappa_table, or the series when it returns None.
     """
-    active = scenario.mode is Mode.ACTIVE
-    table = drag.kappa_table(scenario.bc, truncation, lam=scenario.lam if active else None)
+    table = drag.kappa_table(scenario.bc, truncation, lam=_prop_lam(scenario))
     if table is None:
         coefficients = lambda h: _force_and_coefficients(scenario, h, truncation)
         jac = None

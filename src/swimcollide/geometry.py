@@ -14,8 +14,8 @@ them). Only the upper half-space z >= 0 is represented; the lower half
 follows by mirror symmetry.
 
 Also provides the axis height of the propulsion point force behind the upper
-sphere, and the Legendre and Gegenbauer(-1/2) evaluations the
-stream-function series is built from.
+sphere, the Legendre recurrence, and the one Gegenbauer(-1/2) kernel, which
+gives the angular factors of every stream-function mode as one array.
 """
 
 from dataclasses import dataclass
@@ -176,22 +176,16 @@ def legendre_values(n_max, x):
     return p
 
 
-def gegenbauer_minus_half(n, x):
-    """Gegenbauer polynomial C_{n+1}^{(-1/2)}(x) for n >= 1.
+def gegenbauer_minus_half(n_count, x):
+    """Gegenbauer polynomials C_{n+1}^{(-1/2)}(x) for n = 1 .. n_count.
 
     Evaluated through the stable Legendre difference
     C_{n+1}^{(-1/2)}(x) = (P_{n-1}(x) - P_{n+1}(x)) / (2 n + 1),
     which vanishes at x = +-1 for every n.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"order must be an integer >= 1, got {n}")
-    n = int(n)
-    p = legendre_values(n + 1, x)
-    return float((p[n - 1] - p[n + 1]) / (2 * n + 1))
-
-
-def _gegenbauer_array(n_count, x):
-    """C_{n+1}^{(-1/2)}(x) for n = 1 .. n_count as one array (series kernel)."""
+    if int(n_count) != n_count or n_count < 1:
+        raise DomainError(f"mode count must be an integer >= 1, got {n_count}")
+    n_count = int(n_count)
     p = legendre_values(n_count + 1, x)
     n = np.arange(1, n_count + 1)
-    return (p[0:n_count] - p[2 : n_count + 2]) / (2 * n + 1)
+    return (p[:n_count] - p[2:]) / (2 * n + 1)

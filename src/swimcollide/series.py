@@ -29,6 +29,9 @@ on each side of the Taylor crossover, and the drag against the textbook
 Stimson-Jeffery series. Every adaptive sum doubles its mode count in one loop
 (_converge) and raises TruncationError at HARD_MODE_CAP. The drag sums start
 at a count predicted from their decay rate (_start_count): one pass suffices.
+
+The sums refuse a gap below SERIES_GAP_FLOOR, the package's one gap floor;
+drag continues the coefficients below it.
 """
 
 import math
@@ -36,16 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import DomainError, RegionError, SingularityError, TruncationError
-from .geometry import BipolarFrame, axis_zeta, frame_from_gap, tip_height, _gegenbauer_array
+from .geometry import BipolarFrame, axis_zeta, frame_from_gap, tip_height
 
 __all__ = [
     "HARD_MODE_CAP",
-    "MIN_GAP",
+    "SERIES_GAP_FLOOR",
     "SeriesTruncation",
     "SeriesSolution",
     "solve_coefficients",
-    "nonpenetration_source",
     "mode_profile",
     "mode_profile_via_source",
     "NonpenetrationReport",
@@ -54,16 +57,17 @@ __all__ = [
     "axis_velocity",
     "passive_drag",
     "propulsion_drag",
-    "swim_speed_contribution",
 ]
 
 # Doubling the mode count stops here; a series that has not converged by then
 # raises TruncationError instead of silently returning a bad sum.
 HARD_MODE_CAP = 2**14
 
-# Below this half-gap the converged mode count exceeds the hard cap; callers
-# that need smaller gaps must switch to an asymptotic continuation.
-MIN_GAP = 1e-8
+# Below this half-gap the converged series needs more modes than the hard cap
+# allows (a tip offset approaching zero needs about 23 / alpha of them), so
+# drag continues with the proven asymptotic laws: kappa_pass ~ 1/h for no
+# slip, and kappa_prop frozen (it varies by parts in 1e4 over two decades).
+SERIES_GAP_FLOOR = 2e-6
 
 # Crossover between the Taylor evaluation of the mode denominator and the
 # exponentially scaled closed form. Both are accurate near the crossover.
@@ -244,9 +248,9 @@ def _start_count(k, rate, truncation):
 def _require_gap(h):
     if not np.isfinite(h) or h <= 0.0:
         raise DomainError(f"half-gap must be finite and positive, got {h}")
-    if h < MIN_GAP:
+    if h < SERIES_GAP_FLOOR:
         raise DomainError(
-            f"half-gap {h} is below the series range {MIN_GAP}; "
+            f"half-gap {h} is below the series floor {SERIES_GAP_FLOOR}; "
             "use an asymptotic continuation instead"
         )
 
@@ -277,8 +281,9 @@ def solve_coefficients(frame, w_bc, truncation=None):
     )
 
 
-def nonpenetration_source(frame, n):
-    """Source strength G_n tying the two coefficient families together.
+def _source_array(frame, n_count):
+    """Source strengths G_n, n = 1 .. n_count, tying the two coefficient
+    families together.
 
     For each mode the boundary conditions force
 
@@ -289,14 +294,8 @@ def nonpenetration_source(frame, n):
         (m + 1) e^(-(m-1) alpha) - (m - 1) e^(-(m+1) alpha)
             = 2 e^(-m alpha) (m sinh(alpha) + cosh(alpha))
 
-    which keeps all factors positive.
+    which keeps all factors positive. Past overflow G_n is written as 0.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"mode index must be an integer >= 1, got {n}")
-    return float(_source_array(frame, int(n))[-1])
-
-
-def _source_array(frame, n_count):
     al = frame.alpha
     _, m = _half_orders(n_count)
     pref = frame.c**2 / np.sqrt(2.0) * (m**2 - 0.25) / (m**2 - 1.0)
@@ -414,7 +413,7 @@ def stream_function(solution, point):
 
     def evaluate(n_count):
         b, d = _coefficients(frame, solution.w_bc, n_count, (solution.b, solution.d))
-        terms = _profiles_at(b, d, zeta) * _gegenbauer_array(n_count, np.cos(eta))
+        terms = _profiles_at(b, d, zeta) * geometry.gegenbauer_minus_half(n_count, np.cos(eta))
         return terms, terms
 
     terms, _ = _converge(
@@ -525,15 +524,3 @@ def propulsion_drag(h, lam, truncation=None):
     n_start = _start_count(_START_K_AXIS, 2.0 * frame.alpha - zeta0, truncation)
     return _axis_sum(frame, 1.0, zeta0, truncation.tail_tol, n_start)
 
-
-def swim_speed_contribution(h, lam, f_p, truncation=None):
-    """Signed gap-rate contribution of the propulsion forcing, negative.
-
-    The thrust transmitted through the fluid drives the bodies together:
-    the contribution to d(h)/d(t) is -f_p kappa_prop / kappa_pass < 0 for
-    any positive thrust.
-    """
-    f_p = float(f_p)
-    if not np.isfinite(f_p) or f_p < 0.0:
-        raise DomainError(f"thrust magnitude must be >= 0, got {f_p}")
-    return -f_p * propulsion_drag(h, lam, truncation) / passive_drag(h, truncation)

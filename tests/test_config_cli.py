@@ -417,10 +417,11 @@ class TestValidateCommand:
         assert "FAIL gegenbauer_closed_forms: " in capsys.readouterr().out
 
     def test_fault_injection_is_restored(self):
-        kernels = lambda: (geometry.gegenbauer_minus_half, series._gegenbauer_array)
-        originals = kernels()
+        # The series and the closed-form check look up one kernel, by one name.
+        original = geometry.gegenbauer_minus_half
         main(["validate", "--fault", "gegenbauer"])
-        assert all(now is was for now, was in zip(kernels(), originals))
+        assert geometry.gegenbauer_minus_half is original
+        assert not hasattr(series, "gegenbauer_minus_half")
 
     @pytest.mark.parametrize(
         "argv", [["--tol", "1e-6"], ["--nmax", "5"], ["--config", "run.cfg"]]
@@ -429,6 +430,33 @@ class TestValidateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["validate"] + argv)
         assert exc.value.code == 2
+
+
+class TestOutputDirectory:
+    """An output directory that cannot be created is a config error (exit 2)
+    naming where it was set, raised before any work is done."""
+
+    def test_drag_out_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["drag", "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --out: cannot create directory")
+
+    def test_validate_out_below_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["validate", "--out", str(taken / "sub")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --out: cannot create directory")
+        assert captured.out == ""  # no check ran
+
+    def test_config_output_dir_is_named(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_RUN + f"\n[output]\ndir = {taken}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: output.dir: ")
 
 
 class TestParserBasics:

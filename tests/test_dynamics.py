@@ -304,6 +304,14 @@ class TestSimulateGuards:
         with pytest.raises(DomainError, match=name):
             simulate(forced(NAVIER, mass=0.1), t_max=1.0, **{name: bad})
 
+    @pytest.mark.parametrize("mass", [0.0, 0.1], ids=["massless", "inertial"])
+    @pytest.mark.parametrize("bad", [2.5, 10.0, 0, -3, float("nan"), float("inf"), "10"])
+    def test_bad_step_budget(self, bad, mass):
+        # Neither path may coerce a bad budget: a float is not a panel count,
+        # and a count below one would report a budget exhausted at t = 0.
+        with pytest.raises(DomainError, match="max_steps"):
+            simulate(active(NAVIER, mass=mass), t_max=10.0, max_steps=bad)
+
     def test_step_budget_reported(self):
         with pytest.raises(StiffnessError) as exc:
             simulate(active(NAVIER), t_max=200.0, max_steps=10)

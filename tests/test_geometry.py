@@ -156,6 +156,9 @@ class TestLegendre:
 
 
 class TestGegenbauer:
+    """The one kernel: entry n - 1 of gegenbauer_minus_half(n_count, x) is
+    C_{n+1}^{(-1/2)}(x)."""
+
     # Hand-expanded closed forms for the first few degrees.
     CLOSED = {
         1: lambda x: (1.0 - x * x) / 2.0,
@@ -167,15 +170,16 @@ class TestGegenbauer:
     @pytest.mark.parametrize("n", sorted(CLOSED))
     def test_closed_forms(self, n):
         for x in np.linspace(-1.0, 1.0, 13):
-            assert gegenbauer_minus_half(n, x) == pytest.approx(
-                self.CLOSED[n](x), abs=1e-14
-            )
+            values = gegenbauer_minus_half(len(self.CLOSED), x)
+            assert values.shape == (len(self.CLOSED),)
+            assert values[n - 1] == pytest.approx(self.CLOSED[n](x), abs=1e-14)
 
     @given(st.integers(1, 80))
-    def test_vanishes_at_endpoints(self, n):
-        assert gegenbauer_minus_half(n, 1.0) == pytest.approx(0.0, abs=1e-13)
-        assert gegenbauer_minus_half(n, -1.0) == pytest.approx(0.0, abs=1e-13)
+    def test_vanishes_at_endpoints(self, n_count):
+        np.testing.assert_allclose(gegenbauer_minus_half(n_count, 1.0), 0.0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(gegenbauer_minus_half(n_count, -1.0), 0.0, rtol=0, atol=1e-13)
 
     def test_degree_zero_not_defined(self):
-        with pytest.raises(DomainError):
-            gegenbauer_minus_half(0, 0.5)
+        for n_count in (0, -1, 2.5):
+            with pytest.raises(DomainError):
+                gegenbauer_minus_half(n_count, 0.5)

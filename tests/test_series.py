@@ -13,27 +13,26 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from swimcollide import series
+from swimcollide import drag, series
 from swimcollide.errors import DomainError, RegionError, TruncationError
 from swimcollide.geometry import AxisymPoint, BipolarPoint, frame_from_gap, to_bipolar
 from swimcollide.series import (
     _S_TAYLOR_CUT,
     HARD_MODE_CAP,
-    MIN_GAP,
+    SERIES_GAP_FLOOR,
     SeriesSolution,
     SeriesTruncation,
     _coefficient_arrays,
     _force_terms,
+    _source_array,
     axis_velocity,
     mode_profile,
     mode_profile_via_source,
     nonpenetration_report,
-    nonpenetration_source,
     passive_drag,
     propulsion_drag,
     solve_coefficients,
     stream_function,
-    swim_speed_contribution,
 )
 
 gaps = st.floats(min_value=1e-4, max_value=20.0)
@@ -88,16 +87,9 @@ class TestFrozenValues:
             0.611609278713521, rel=1e-10
         )
 
-    def test_swim_speed_contribution(self):
-        assert swim_speed_contribution(0.5, 1.0, 1.0) == pytest.approx(
-            -0.016137597607926452, rel=1e-10
-        )
-
     def test_source_strength(self):
         fr = frame_from_gap(0.5)
-        assert nonpenetration_source(fr, 1) == pytest.approx(
-            2.121320343559643, rel=1e-10
-        )
+        assert _source_array(fr, 1)[0] == pytest.approx(2.121320343559643, rel=1e-10)
 
 
 class TestCoefficientStructure:
@@ -132,11 +124,13 @@ class TestCoefficientStructure:
         sol = solve_coefficients(frame_from_gap(0.3), 1.0, tr)
         assert sol.tail_estimate <= tr.tail_tol
 
-    def test_mode_cap_is_reported(self):
+    def test_mode_cap_is_reported(self, monkeypatch):
+        # The surface sum at h = 1e-3 needs several hundred modes.
+        monkeypatch.setattr(series, "HARD_MODE_CAP", SMALL_CAP)
         with pytest.raises(TruncationError) as exc:
-            solve_coefficients(frame_from_gap(1e-8), 1.0)
+            solve_coefficients(frame_from_gap(1e-3), 1.0)
         assert exc.value.residual > 0.0
-        assert exc.value.n_modes == HARD_MODE_CAP
+        assert exc.value.n_modes == SMALL_CAP
 
     def test_determinism(self):
         a = solved(0.37)
@@ -296,10 +290,17 @@ class TestTaylorBlock:
         np.testing.assert_allclose(s / scale, want, rtol=1e-14, atol=0.0)
 
 
+# The drag sums converge under the real cap at every gap the series accepts
+# (passive_drag at the floor even with tail_tol = 1e-30), so the cap tests
+# lower the cap below what the sums need at CAP_GAP, an ordinary gap.
+SMALL_CAP = 64
+CAP_GAP = 1e-3
+
+
 def short_solution_near_contact():
-    """Five stored modes at h = 1e-8, where the surface needs far more than
-    the mode cap: the evaluators extend it and hit the cap."""
-    fr = frame_from_gap(1e-8)
+    """Five stored modes at CAP_GAP: the evaluators extend them and hit the
+    lowered cap."""
+    fr = frame_from_gap(CAP_GAP)
     b, d = _coefficient_arrays(fr, 1.0, 5)
     return SeriesSolution(
         frame=fr, w_bc=1.0, b=b, d=d, tail_estimate=0.0, requested=SeriesTruncation()
@@ -310,22 +311,23 @@ def short_solution_near_contact():
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda: passive_drag(1e-8, SeriesTruncation(tail_tol=1e-12)),
-        lambda: propulsion_drag(1e-8, 1.0),
-        lambda: axis_velocity(short_solution_near_contact(), 2.0 + 2e-8),
+        lambda: passive_drag(CAP_GAP),
+        lambda: propulsion_drag(CAP_GAP, 1.0),
+        lambda: axis_velocity(short_solution_near_contact(), 2.0 + 2.0 * CAP_GAP),
         lambda: stream_function(
             short_solution_near_contact(),
-            BipolarPoint(zeta=frame_from_gap(1e-8).alpha, eta=0.5),
+            BipolarPoint(zeta=frame_from_gap(CAP_GAP).alpha, eta=0.5),
         ),
     ],
     ids=["passive_drag", "propulsion_drag", "axis_velocity", "stream_function"],
 )
-def test_every_adaptive_sum_stops_at_the_mode_cap(evaluate):
+def test_every_adaptive_sum_stops_at_the_mode_cap(evaluate, monkeypatch):
+    monkeypatch.setattr(series, "HARD_MODE_CAP", SMALL_CAP)
     with pytest.raises(TruncationError) as exc:
         evaluate()
-    assert exc.value.n_modes == HARD_MODE_CAP
+    assert exc.value.n_modes == SMALL_CAP
     assert exc.value.residual > 0.0
-    assert f"mode cap {HARD_MODE_CAP}" in str(exc.value)
+    assert f"mode cap {SMALL_CAP}" in str(exc.value)
 
 
 class TestNonpenetrationIdentity:
@@ -337,8 +339,9 @@ class TestNonpenetrationIdentity:
     @pytest.mark.parametrize("h", [0.01, 0.5, 5.0])
     def test_source_positive(self, h):
         fr = frame_from_gap(h)
+        sources = _source_array(fr, 200)
         for n in (1, 2, 3, 10, 50, 200):
-            val = nonpenetration_source(fr, n)
+            val = sources[n - 1]
             if (2 * n + 1) * fr.alpha < 700.0:
                 assert val > 0.0
             else:
@@ -480,8 +483,18 @@ class TestPassiveDrag:
         assert passive_drag(h) > passive_drag(1.5 * h)
 
     def test_gap_guard(self):
-        with pytest.raises(DomainError):
-            passive_drag(0.5 * MIN_GAP)
+        # One floor: each sum that takes a gap accepts SERIES_GAP_FLOOR itself
+        # and nothing below it, and drag's floor is the same object.
+        assert drag.SERIES_GAP_FLOOR is SERIES_GAP_FLOOR
+        below = SERIES_GAP_FLOOR * (1.0 - 1e-12)
+        for evaluate in (
+            passive_drag,
+            lambda h: propulsion_drag(h, 1.0),
+            lambda h: solve_coefficients(frame_from_gap(h), 1.0),
+        ):
+            evaluate(SERIES_GAP_FLOOR)
+            with pytest.raises(DomainError, match="below the series floor"):
+                evaluate(below)
         with pytest.raises(DomainError):
             passive_drag(-1.0)
 
@@ -507,23 +520,3 @@ class TestPropulsionDrag:
         with pytest.raises(DomainError):
             propulsion_drag(0.5, 0.0)
 
-
-class TestSwimSpeedContribution:
-    @given(
-        st.floats(min_value=1e-3, max_value=5.0),
-        st.floats(min_value=0.05, max_value=5.0),
-        st.floats(min_value=1e-2, max_value=100.0),
-    )
-    def test_negative_and_linear_in_thrust(self, h, lam, f_p):
-        w = swim_speed_contribution(h, lam, f_p)
-        assert w < 0.0
-        assert w == pytest.approx(
-            f_p * swim_speed_contribution(h, lam, 1.0), rel=1e-12
-        )
-
-    def test_zero_thrust(self):
-        assert swim_speed_contribution(0.5, 1.0, 0.0) == 0.0
-
-    def test_rejects_negative_thrust(self):
-        with pytest.raises(DomainError):
-            swim_speed_contribution(0.5, 1.0, -1.0)
