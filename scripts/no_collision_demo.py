@@ -11,8 +11,10 @@ ways, and this script checks both:
   * the time to reach a floor d grows like ln(1 / d), so the extrapolated
     time to d = 0 is infinite (the quadrature report flags the divergent
     integrand directly);
-  * the whole trajectory admits a certificate h(t) >= c1 exp(-c2 t) that
-    holds at every recorded point.
+  * the scenario alone gives the rate c* = sup F / (h kappa_pass) over
+    [floor, h0], and by Gronwall h(t) >= h0 exp(-c* t) with no run needed;
+    c* meets the lubrication limit 2 F / (3 pi), so it stays finite as the
+    floor goes to zero, and the bound holds at every recorded point.
 """
 
 import argparse
@@ -26,7 +28,7 @@ from swimcollide import (
     SwimmerScenario,
     TerminationKind,
     collision_time_quadrature,
-    noslip_lower_bound_fit,
+    decay_rate_bound,
     simulate,
 )
 
@@ -77,12 +79,15 @@ def main(argv=None):
         f" {quad.diverged} (local exponent {quad.tail_exponent:.3f})"
     )
 
-    bound = noslip_lower_bound_fit(deepest)
-    holds = all(p.h >= bound.evaluate(p.t) for p in deepest.points)
+    rate = decay_rate_bound(sc, h_floor=deepest.h_floor)
+    bound = lambda t: args.h0 * np.exp(-rate * t) * (1.0 - 1e-12)
+    holds = all(p.h >= bound(p.t) for p in deepest.points)
+    lubrication = rate * 3.0 * np.pi / (2.0 * args.force)
     print()
-    print(f"exponential lower bound: h(t) >= {bound.c1:.6e} * exp(-{bound.c2:.6f} t)")
+    print(f"a priori lower bound: h(t) >= {args.h0} * exp(-{rate:.6f} t)")
+    print(f"rate / lubrication limit 2 f_ext / (3 pi): {lubrication:.6f}")
     print(f"bound holds at all {len(deepest.points)} recorded points: {holds}")
-    return 0 if holds and quad.diverged else 1
+    return 0 if holds and abs(lubrication - 1.0) <= 1e-3 and quad.diverged else 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from .drag import (
     net_propulsion,
 )
 from .dynamics import (
-    ExponentialBound,
     Mode,
     QuadratureReport,
     SwimmerScenario,
@@ -30,8 +29,8 @@ from .dynamics import (
     Trajectory,
     TrajectoryPoint,
     collision_time_quadrature,
+    decay_rate_bound,
     default_h_floor,
-    noslip_lower_bound_fit,
     simulate,
 )
 from .errors import (

@@ -290,15 +290,15 @@ def _check_noslip_divergence():
 def _check_exponential_bound():
     sc = SwimmerScenario(mode=Mode.ACTIVE, bc=BoundaryCondition.no_slip(), h0=0.3)
     traj = dynamics.simulate(sc, 30.0)
-    bound = dynamics.noslip_lower_bound_fit(traj)
+    rate = dynamics.decay_rate_bound(sc, traj.h_floor)
     cols = traj.columns()
-    holds = bool(
-        np.all(cols["h"] >= bound.evaluate(cols["t"]) * (1.0 - 1e-9))
-    )
-    ok = holds and 1e-3 < bound.c2 < 1.0
+    holds = bool(np.all(cols["h"] >= sc.h0 * np.exp(-rate * cols["t"]) * (1.0 - 1e-12)))
+    lubrication = 2.0 * drag.net_propulsion(traj.h_floor, sc.lam, sc.f_p, sc.bc) / (3.0 * np.pi)
+    ok = holds and abs(rate / lubrication - 1.0) <= 1e-3
     return ok, (
-        f"h(t) >= {bound.c1:.4e} exp(-{bound.c2:.4f} t) holds at all "
-        f"{len(traj.points)} points: {holds}"
+        f"a priori h(t) >= {sc.h0} exp(-{rate:.6f} t) holds at all "
+        f"{len(traj.points)} points: {holds}; rate / lubrication limit "
+        f"{rate / lubrication:.6f}"
     )
 
 

@@ -172,7 +172,7 @@ def _run_report_sections(cfg, trunc, traj):
         ("h_floor", _fmt(traj.h_floor)),
         ("points", str(len(traj.points))),
     ]
-    cfg_pairs = [tuple(line.split(" = ", 1)) for line in cfg.resolved_lines()]
+    cfg_pairs = [tuple(line.split(" = ", 1)) for line in cfg.resolved]
     cfg_pairs += [
         ("series.n_max_effective", str(trunc.n_max)),
         ("series.tail_tol_effective", _fmt(trunc.tail_tol)),
@@ -278,7 +278,7 @@ def cmd_sweep(args):
         ("failed", str(len(failures))),
         ("axes", ", ".join(axes)),
     ]
-    cfg_pairs = [tuple(line.split(" = ", 1)) for line in cfg.resolved_lines()]
+    cfg_pairs = [tuple(line.split(" = ", 1)) for line in cfg.resolved]
     cfg_pairs.append(("config_hash", cfg.config_hash()))
     _write_report(
         os.path.join(out, "sweep_report.txt"),

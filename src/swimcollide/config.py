@@ -108,11 +108,7 @@ class RunConfig:
     max_steps: int
     sweep: dict = field(default_factory=dict)  # axis -> values, in SWEEP_AXES order
     out_dir: str = None
-    resolved: tuple = ()
-
-    def resolved_lines(self):
-        """Canonical sorted key = value lines; basis of the config hash."""
-        return self.resolved
+    resolved: tuple = ()  # sorted canonical key = value lines, hashed by config_hash
 
     def config_hash(self):
         text = "\n".join(self.resolved) + "\n"

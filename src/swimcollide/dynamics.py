@@ -22,6 +22,12 @@ sum of the panel times. One point is recorded per panel edge, a floor run
 ends exactly on the floor, and the horizon point comes from one root solve
 on the first panel to pass the horizon, after which no block is evaluated.
 
+Two massless results need no run at all. collision_time_quadrature gives
+the time to the floor as a direct integral. decay_rate_bound gives the rate
+c* = sup F / (h kappa_pass) over [floor, h0], so that h(t) >= h0 exp(-c* t)
+by Gronwall: the paper's no-slip result, since c* tends to the finite
+lubrication limit 2 F / (3 pi) as the floor is lowered.
+
 Inertial scenarios (m > 0) are stiff: the speed relaxes toward the force
 balance on the fast scale m / kappa_pass, which near contact is orders of
 magnitude below the approach time. They integrate with an L-stable implicit
@@ -59,8 +65,7 @@ __all__ = [
     "simulate",
     "QuadratureReport",
     "collision_time_quadrature",
-    "ExponentialBound",
-    "noslip_lower_bound_fit",
+    "decay_rate_bound",
 ]
 
 
@@ -470,6 +475,16 @@ class QuadratureReport:
     h_floor: float
 
 
+def _massless_floor(scenario, h_floor, what):
+    """The floor of an a priori massless result, checked to lie in (0, h0)."""
+    if scenario.mass != 0.0:
+        raise InvalidRegimeError(f"{what} needs mass = 0")
+    floor = default_h_floor(scenario.bc) if h_floor is None else float(h_floor)
+    if not np.isfinite(floor) or floor <= 0.0 or floor >= scenario.h0:
+        raise DomainError(f"gap floor must lie in (0, h0), got {floor}")
+    return floor
+
+
 def collision_time_quadrature(scenario, h_floor=None, truncation=None):
     """Time to close the gap from h0 to the floor by direct quadrature.
 
@@ -485,12 +500,8 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
     floor is lowered (the no-slip stall); kappa values come from the same
     model as the dynamics, so the report matches what simulate would do.
     """
-    if scenario.mass != 0.0:
-        raise InvalidRegimeError("quadrature form of the collision time needs mass = 0")
+    floor = _massless_floor(scenario, h_floor, "quadrature form of the collision time")
     truncation = truncation or SeriesTruncation()
-    floor = default_h_floor(scenario.bc) if h_floor is None else float(h_floor)
-    if not np.isfinite(floor) or floor <= 0.0 or floor >= scenario.h0:
-        raise DomainError(f"gap floor must lie in (0, h0), got {floor}")
 
     def speed(h):
         force, kp, _ = _force_and_coefficients(scenario, h, truncation)
@@ -524,46 +535,23 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
     )
 
 
-@dataclass(frozen=True)
-class ExponentialBound:
-    """Pointwise certificate h(t) >= c1 exp(-c2 t) extracted from a run."""
+def decay_rate_bound(scenario, h_floor=None, truncation=None):
+    """A priori decay rate c* of a massless run: h(t) >= h0 exp(-c* t).
 
-    c1: float
-    c2: float
-    rms_log_residual: float
+    The massless speed law gives h' = -F(h) / kappa_pass(h) >= -c* h with
 
-    def evaluate(self, t):
-        return self.c1 * np.exp(-self.c2 * np.asarray(t, dtype=float))
+        c* = max(0, sup over [floor, h0] of F(h) / (h kappa_pass(h))),
 
+    so by Gronwall h(t) >= h0 exp(-c* t) for every t at which the gap has
+    not passed the floor, with no run needed. Under no slip h kappa_pass
+    tends to 3 pi / 2 at contact and c* to 2 F(floor) / (3 pi): the rate
+    stays finite as the floor is lowered, so the gap never closes. Under
+    slip c* grows as the floor is lowered and bounds runs to that floor only.
 
-def noslip_lower_bound_fit(trajectory):
-    """Fit the stalling tail and certify an exponential lower bound.
-
-    The decay rate c2 is the least-squares slope of log h over the later
-    half of the run; c1 is then chosen as min_i h_i exp(c2 t_i), which makes
-    the bound hold at every recorded point by construction. Requires a
-    trajectory whose gap is positive and non-increasing.
+    The sup is taken at the panel edges a massless run to the same floor
+    evaluates, so after that run every coefficient is a cache hit.
     """
-    cols = trajectory.columns()
-    t = cols["t"]
-    h = cols["h"]
-    if len(t) < 8:
-        raise InvalidRegimeError("too few points to fit a decay rate")
-    if np.any(h <= 0.0):
-        raise InvalidRegimeError("gap must stay positive")
-    if np.any(np.diff(h) > 1e-12 * h[:-1]):
-        raise InvalidRegimeError("gap is not non-increasing; no stall to bound")
-
-    tail = t >= 0.5 * (t[0] + t[-1])
-    if np.count_nonzero(tail) < 4:
-        tail = np.zeros_like(t, dtype=bool)
-        tail[len(t) // 2 :] = True
-    slope, intercept = np.polyfit(t[tail], np.log(h[tail]), 1)
-    c2 = -float(slope)
-    if c2 <= 0.0:
-        raise InvalidRegimeError(f"fitted decay rate is not positive ({c2})")
-    c1 = float(np.min(h * np.exp(c2 * t)))
-    resid = np.log(h[tail]) - (intercept + slope * t[tail])
-    return ExponentialBound(
-        c1=c1, c2=c2, rms_log_residual=float(np.sqrt(np.mean(resid**2)))
-    )
+    floor = _massless_floor(scenario, h_floor, "the a priori decay rate")
+    hs = np.array(_panel_edges(scenario.h0, floor, (SERIES_GAP_FLOOR, scenario.bc.beta)))
+    kp, kpr = drag.kappa_arrays(hs, scenario.bc, truncation, lam=_prop_lam(scenario))
+    return max(0.0, float(np.max(_force(scenario, kpr) / (hs * kp))))

@@ -395,9 +395,10 @@ def nonpenetration_report(solution):
 def stream_function(solution, point):
     """psi at a bipolar point on the fluid side (zeta <= alpha).
 
-    Extends the stored mode set automatically if the local tail estimate is
-    above the solution's tolerance, and raises TruncationError only at the
-    hard cap. psi vanishes identically on the midplane zeta = 0.
+    Starts at the solution's mode count and extends it automatically if the
+    local tail estimate is above the solution's tolerance, and raises
+    TruncationError only at the hard cap. psi vanishes identically on the
+    midplane zeta = 0.
     """
     zeta = float(point.zeta)
     eta = float(point.eta)
@@ -412,7 +413,7 @@ def stream_function(solution, point):
         raise SingularityError("(0, 0) is the point at infinity")
 
     def evaluate(n_count):
-        b, d = _coefficients(frame, solution.w_bc, n_count, (solution.b, solution.d))
+        b, d = _coefficient_arrays(frame, solution.w_bc, n_count)
         terms = _profiles_at(b, d, zeta) * geometry.gegenbauer_minus_half(n_count, np.cos(eta))
         return terms, terms
 
@@ -423,25 +424,17 @@ def stream_function(solution, point):
     return float(den ** (-1.5) * np.sum(terms))
 
 
-def _coefficients(frame, w_bc, n_count, stored=None):
-    """(b, d) for n_count modes. stored, a (b, d) pair already solved for this
-    frame and w_bc, is returned as is when it holds exactly n_count modes."""
-    if stored is not None and len(stored[0]) == n_count:
-        return stored
-    return _coefficient_arrays(frame, w_bc, n_count)
-
-
-def _axis_sum(frame, w_bc, zeta0, tail_tol, n_start, stored=None):
+def _axis_sum(frame, w_bc, zeta0, tail_tol, n_start):
     """Adaptive evaluation of sqrt(2) sinh(zeta0/2) / c^2 sum_n U_n(zeta0).
 
     The per-mode terms decay like exp(-m (2 alpha - zeta0)), so the loop is
     keyed to the actual evaluation point rather than the slower surface
     criterion; near-contact tip evaluations stay inside the mode cap that
-    the surface sum would bust. stored is passed on to _coefficients.
+    the surface sum would bust.
     """
 
     def evaluate(n_count):
-        u = _profiles_at(*_coefficients(frame, w_bc, n_count, stored), zeta0)
+        u = _profiles_at(*_coefficient_arrays(frame, w_bc, n_count), zeta0)
         return u, u
 
     u, _ = _converge(n_start, tail_tol, evaluate, "axis velocity")
@@ -469,12 +462,7 @@ def axis_velocity(solution, z0):
         )
     zeta0 = axis_zeta(frame, z0)
     return _axis_sum(
-        frame,
-        solution.w_bc,
-        zeta0,
-        solution.requested.tail_tol,
-        solution.n_modes,
-        (solution.b, solution.d),
+        frame, solution.w_bc, zeta0, solution.requested.tail_tol, solution.n_modes
     )
 
 

@@ -34,13 +34,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from swimcollide.drag import BoundaryCondition
+from swimcollide.drag import BoundaryCondition, net_propulsion
 from swimcollide.dynamics import (
     Mode,
     SwimmerScenario,
     TerminationKind,
     collision_time_quadrature,
-    noslip_lower_bound_fit,
+    decay_rate_bound,
     rhs,
     simulate,
 )
@@ -228,19 +228,25 @@ def test_05_noslip_stall_with_certificate():
             traj.termination is TerminationKind.HORIZON_REACHED
             and traj.min_h > traj.h_floor
         )
-        bound = noslip_lower_bound_fit(traj)
+        # The rate comes from the scenario alone, not from the run: by
+        # Gronwall h(t) >= h0 exp(-c* t), and near contact c* must meet the
+        # lubrication limit 2 F(floor) / (3 pi) of kappa_pass ~ 3 pi / (2h).
+        rate = decay_rate_bound(sc, h_floor=traj.h_floor)
         cols = traj.columns()
         certified = bool(
-            np.all(cols["h"] >= bound.evaluate(cols["t"]) * (1.0 - 1e-12))
+            np.all(cols["h"] >= sc.h0 * np.exp(-rate * cols["t"]) * (1.0 - 1e-12))
         )
-    ok = stalled and certified
+        force = net_propulsion(traj.h_floor, sc.lam, sc.f_p, NO_SLIP)
+        lubrication = rate * 3.0 * math.pi / (2.0 * force)
+    ok = stalled and certified and abs(lubrication - 1.0) <= 1e-3
     assert report(
         5,
         "no-slip approach stalls",
         ok,
         f"termination {traj.termination.value}, min_h {traj.min_h:.3e} > "
-        f"floor {traj.h_floor:.0e}, bound h >= {bound.c1:.3e} "
-        f"exp(-{bound.c2:.4f} t) pointwise: {certified}, {budget.elapsed:.1f}s",
+        f"floor {traj.h_floor:.0e}, a priori h >= {sc.h0} exp(-{rate:.6f} t) "
+        f"pointwise: {certified}, rate / lubrication limit {lubrication:.6f} "
+        f"(want 1 +- 1e-3), {budget.elapsed:.1f}s",
     )
     budget.check()
 

@@ -87,9 +87,18 @@ class TestConfigParsing:
         del shuffled
 
     def test_resolved_lines_are_sorted(self):
-        lines = parse_config_text(BASE_RUN).resolved_lines()
+        lines = parse_config_text(BASE_RUN).resolved
         assert list(lines) == sorted(lines)
         assert any(line.startswith("scenario.h0 = 0.5") for line in lines)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config_text(example)
+        assert cfg.scenario.mode is Mode.ACTIVE
+        assert cfg.scenario.bc == BoundaryCondition.navier(0.1)
+        assert (cfg.scenario.h0, cfg.scenario.mass, cfg.t_max) == (0.5, 0.0, 200.0)
+        assert cfg.sweep == {"lambda": (0.1, 0.5, 1.0, 2.0)}
 
     @pytest.mark.parametrize(
         "text,fragment",

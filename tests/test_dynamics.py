@@ -13,11 +13,9 @@ from swimcollide.dynamics import (
     QuadratureReport,
     SwimmerScenario,
     TerminationKind,
-    Trajectory,
-    TrajectoryPoint,
     collision_time_quadrature,
+    decay_rate_bound,
     default_h_floor,
-    noslip_lower_bound_fit,
     rhs,
     simulate,
 )
@@ -141,11 +139,14 @@ class TestNoSlipStall:
         assert self.TRAJ.t_end == pytest.approx(50.0, rel=1e-12)
 
     def test_exponential_lower_bound_certificate(self):
-        bound = noslip_lower_bound_fit(self.TRAJ)
-        assert bound.c2 > 0.0
+        # The a priori rate bounds the run it never saw, and near contact it
+        # meets the lubrication limit 2 F(floor) / (3 pi).
+        sc, floor = self.TRAJ.scenario, self.TRAJ.h_floor
+        rate = decay_rate_bound(sc, floor)
         cols = self.TRAJ.columns()
-        floor_vals = bound.evaluate(cols["t"])
-        assert np.all(cols["h"] >= floor_vals * (1.0 - 1e-12))
+        assert np.all(cols["h"] >= sc.h0 * np.exp(-rate * cols["t"]) * (1.0 - 1e-12))
+        force = drag.net_propulsion(floor, sc.lam, sc.f_p, NO_SLIP)
+        assert abs(rate * 3.0 * np.pi / (2.0 * force) - 1.0) <= 1e-3
 
     def test_horizon_point_solves_the_time_integral(self):
         # The last point sits where the contact-time integral from h0 reaches
@@ -155,15 +156,32 @@ class TestNoSlipStall:
         assert rep.time_to_floor == pytest.approx(50.0, rel=1e-9)
 
     def test_decay_rate_scales_with_forcing(self):
-        # The stall rate is proportional to the squeezing force: the
-        # late-time log-slope is force over the lubrication constant.
-        slow = noslip_lower_bound_fit(
-            simulate(forced(NO_SLIP, h0=0.3), t_max=40.0)
-        )
-        fast = noslip_lower_bound_fit(
-            simulate(forced(NO_SLIP, h0=0.3, f_ext=2.0), t_max=40.0)
-        )
-        assert 1.8 <= fast.c2 / slow.c2 <= 2.2
+        # A constant squeezing force enters the rate as a factor.
+        slow = decay_rate_bound(forced(NO_SLIP, h0=0.3))
+        fast = decay_rate_bound(forced(NO_SLIP, h0=0.3, f_ext=2.0))
+        assert fast / slow == pytest.approx(2.0, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "sc",
+        [active(NO_SLIP), forced(NO_SLIP, h0=0.3), active(NAVIER)],
+        ids=["active-no-slip", "forced-no-slip", "active-navier"],
+    )
+    def test_decay_rate_grid_is_fine_enough(self, sc):
+        # The sup over the panel edges (at most 0.05 apart in ln h) against
+        # the sup over a grid five times finer.
+        floor = default_h_floor(sc.bc)
+        hs = np.geomspace(floor, sc.h0, int(np.ceil(np.log(sc.h0 / floor) / 0.01)) + 1)
+        kp, kpr = drag.kappa_arrays(hs, sc.bc, lam=sc.lam)
+        force = sc.f_p * (1.0 - kpr) if sc.mode is Mode.ACTIVE else sc.f_ext
+        fine = float(np.max(force / (hs * kp)))
+        assert decay_rate_bound(sc) == pytest.approx(fine, rel=1e-9)
+
+    def test_decay_rate_guards(self):
+        with pytest.raises(InvalidRegimeError):
+            decay_rate_bound(forced(NO_SLIP, mass=0.1, s0=1.0))
+        for floor in (0.5, 0.6, 0.0, -1e-7, float("nan")):
+            with pytest.raises(DomainError):
+                decay_rate_bound(forced(NO_SLIP), h_floor=floor)
 
 
 class TestNoSlipFloor:
@@ -243,32 +261,6 @@ class TestMasslessReference:
         )
         assert ref.status == 1
         assert traj.t_coll == pytest.approx(ref.t_events[0][0], rel=1e-7)
-
-
-class TestBoundFitValidation:
-    @staticmethod
-    def synthetic(hs):
-        points = tuple(
-            TrajectoryPoint(t=float(i), h=float(h), hdot=0.0, kappa_pass=1.0, kappa_prop=0.0)
-            for i, h in enumerate(hs)
-        )
-        return Trajectory(
-            scenario=forced(NO_SLIP),
-            h_floor=1e-7,
-            points=points,
-            termination=TerminationKind.HORIZON_REACHED,
-            t_coll=None,
-        )
-
-    def test_rejects_short_runs(self):
-        with pytest.raises(InvalidRegimeError):
-            noslip_lower_bound_fit(self.synthetic([0.5, 0.4, 0.3]))
-
-    def test_rejects_reopening_gap(self):
-        hs = [0.5 * 0.9**i for i in range(10)]
-        hs[6] = hs[5] * 1.5
-        with pytest.raises(InvalidRegimeError):
-            noslip_lower_bound_fit(self.synthetic(hs))
 
 
 class TestInertialDynamics:

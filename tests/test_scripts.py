@@ -23,6 +23,8 @@ def test_no_collision_demo(capsys):
     assert demo.main(["--h0", "0.05", "--t-max", "100"]) == 0
     out = capsys.readouterr().out
     assert "divergent dt / dh integrand at the floor: True" in out
+    assert "rate / lubrication limit 2 f_ext / (3 pi): 0.99994" in out
+    assert "recorded points: True" in out
     assert "horizon" not in out
 
 

@@ -443,9 +443,9 @@ class TestAxisVelocity:
         "h, want",
         [(0.01, 0.6116092787203355), (0.3, 0.6167771597882766), (2.0, 0.6389689619231191)],
     )
-    def test_converged_call_reuses_stored_coefficients(self, h, want, monkeypatch):
+    def test_converged_call_solves_once(self, h, want, monkeypatch):
         # The solution's own mode count already converges at the tip, so the
-        # sum reads the stored (b, d) and solves for no new coefficients.
+        # sum solves for (b, d) once, at that count, and never extends it.
         sol = solved(h)
         counted = []
         solve = series._coefficient_arrays
@@ -456,7 +456,7 @@ class TestAxisVelocity:
 
         monkeypatch.setattr(series, "_coefficient_arrays", counting)
         assert axis_velocity(sol, 3.0 + h) == pytest.approx(want, rel=1e-10)
-        assert counted == []
+        assert counted == [sol.n_modes]
 
 
 class TestPassiveDrag:
