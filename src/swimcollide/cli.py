@@ -8,11 +8,11 @@ Subcommands:
     validate  run the physics and plumbing checks of swimcollide.checks
 
 drag, simulate and sweep share --config, --out, --tol and --nmax, where
---tol and --nmax override the series truncation of the config (or the
-SeriesTruncation defaults when drag runs without one). drag's --bc, --beta
-and --lam set what the config's [scenario] would, so they are an error with
---config. validate takes only --out, which also writes validate_report.txt,
-and --fault.
+--tol and --nmax override the series truncation of the config. drag's --bc,
+--beta and --lam set what the config's [scenario] would, so they are an
+error with --config; without one, drag starts from the empty config.
+validate takes only --out, which also writes validate_report.txt, and
+--fault.
 
 Exit codes: 0 success, 1 validation failure, 2 config or usage error,
 3 numerical failure. All floating point output is written with 17
@@ -32,8 +32,7 @@ import sys
 import numpy as np
 
 from . import __version__, checks, drag, dynamics
-from .config import parse_config, sweep_scenario
-from .drag import BoundaryCondition
+from .config import parse_config, parse_config_text, sweep_scenario
 from .errors import (
     ConfigError,
     DomainError,
@@ -41,7 +40,6 @@ from .errors import (
     StiffnessError,
     TruncationError,
 )
-from .series import SeriesTruncation
 
 # Only the benchmark (bench/workloads.py) sets this; nothing reads it.
 THREADS_ENV = "SWIMCOLLIDE_THREADS"
@@ -72,16 +70,22 @@ def _write_report(path, sections):
         fh.write("\n".join(lines))
 
 
-def _resolve_truncation(cfg_trunc, args):
-    """cfg_trunc with the --nmax and --tol overrides applied, each checked."""
-    trunc = cfg_trunc
-    for option, name, value in (("--nmax", "n_max", args.nmax), ("--tol", "tail_tol", args.tol)):
+def _override(obj, args, fields):
+    """obj with each option given in args applied and checked; fields maps
+    an option's name, without its dashes, to the field of obj it sets."""
+    for name, attr in fields.items():
+        value = getattr(args, name)
         if value is not None:
             try:
-                trunc = dataclasses.replace(trunc, **{name: value})
+                obj = dataclasses.replace(obj, **{attr: value})
             except DomainError as exc:
-                raise ConfigError(f"{option}: {exc}") from None
-    return trunc
+                raise ConfigError(f"--{name}: {exc}") from None
+    return obj
+
+
+def _resolve_truncation(cfg, args):
+    """cfg's series truncation with the --nmax and --tol overrides applied."""
+    return _override(cfg.truncation, args, {"nmax": "n_max", "tol": "tail_tol"})
 
 
 def _out_dir(args, cfg=None):
@@ -97,33 +101,17 @@ def _out_dir(args, cfg=None):
     return out
 
 
-# The drag options a config's [scenario] section sets, with their values
-# when drag runs without a config.
-_DRAG_SCENARIO_OPTIONS = {"bc": "no_slip", "beta": 0.0, "lam": 1.0}
-
-
 def cmd_drag(args):
     if args.config:
-        for name in _DRAG_SCENARIO_OPTIONS:
+        for name in ("bc", "beta", "lam"):
             if getattr(args, name) is not None:
                 raise ConfigError(f"--{name}: not allowed with --config, which sets it")
-        cfg = parse_config(args.config)
-        bc = cfg.scenario.bc
-        lam = cfg.scenario.lam
-        trunc = _resolve_truncation(cfg.truncation, args)
-    else:
-        cfg = None
-        kind, beta, lam = (
-            default if getattr(args, name) is None else getattr(args, name)
-            for name, default in _DRAG_SCENARIO_OPTIONS.items()
-        )
-        try:
-            bc = BoundaryCondition(kind=kind, beta=beta)
-        except DomainError as exc:
-            raise ConfigError(f"--beta: {exc}") from None
-        if not np.isfinite(lam) or lam <= 0.0:
-            raise ConfigError(f"--lam: tip offset must be finite and positive, got {lam}")
-        trunc = _resolve_truncation(SeriesTruncation(), args)
+    # Without --config drag starts from the empty config, and --bc, --beta
+    # and --lam apply to its scenario.
+    cfg = parse_config(args.config) if args.config else parse_config_text("")
+    bc = _override(cfg.scenario.bc, args, {"bc": "kind", "beta": "beta"})
+    lam = _override(cfg.scenario, args, {"lam": "lam"}).lam
+    trunc = _resolve_truncation(cfg, args)
     if not 0.0 < args.h_min < args.h_max < np.inf or args.points < 2:
         raise ConfigError(
             f"need 0 < h-min < h-max < inf and points >= 2, "
@@ -163,6 +151,25 @@ def cmd_drag(args):
     return 0
 
 
+def _simulate(cfg, scenario, trunc):
+    """dynamics.simulate of scenario under cfg's integrator settings."""
+    return dynamics.simulate(
+        scenario,
+        cfg.t_max,
+        h_floor=cfg.h_floor,
+        rtol=cfg.rtol,
+        atol=cfg.atol,
+        truncation=trunc,
+        max_steps=cfg.max_steps,
+    )
+
+
+def _config_pairs(cfg, *extra):
+    """The report's [config] pairs: the resolved settings, extra, the hash."""
+    pairs = [tuple(line.split(" = ", 1)) for line in cfg.resolved]
+    return pairs + [*extra, ("config_hash", cfg.config_hash())]
+
+
 def _run_report_sections(cfg, trunc, traj):
     result = [
         ("termination", traj.termination.value),
@@ -172,12 +179,11 @@ def _run_report_sections(cfg, trunc, traj):
         ("h_floor", _fmt(traj.h_floor)),
         ("points", str(len(traj.points))),
     ]
-    cfg_pairs = [tuple(line.split(" = ", 1)) for line in cfg.resolved]
-    cfg_pairs += [
+    cfg_pairs = _config_pairs(
+        cfg,
         ("series.n_max_effective", str(trunc.n_max)),
         ("series.tail_tol_effective", _fmt(trunc.tail_tol)),
-        ("config_hash", cfg.config_hash()),
-    ]
+    )
     return [
         ("config", cfg_pairs),
         ("result", result),
@@ -189,18 +195,10 @@ def cmd_simulate(args):
     if not args.config:
         raise ConfigError("simulate needs --config")
     cfg = parse_config(args.config)
-    trunc = _resolve_truncation(cfg.truncation, args)
+    trunc = _resolve_truncation(cfg, args)
     out = _out_dir(args, cfg)
 
-    traj = dynamics.simulate(
-        cfg.scenario,
-        cfg.t_max,
-        h_floor=cfg.h_floor,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        truncation=trunc,
-        max_steps=cfg.max_steps,
-    )
+    traj = _simulate(cfg, cfg.scenario, trunc)
     rows = [
         [_fmt(p.t), _fmt(p.h), _fmt(p.hdot), _fmt(p.kappa_pass), _fmt(p.kappa_prop)]
         for p in traj.points
@@ -224,7 +222,7 @@ def cmd_sweep(args):
     cfg = parse_config(args.config)
     if not cfg.sweep:
         raise ConfigError("sweep needs a [sweep] section with at least one axis")
-    trunc = _resolve_truncation(cfg.truncation, args)
+    trunc = _resolve_truncation(cfg, args)
     out = _out_dir(args, cfg)
 
     axes = list(cfg.sweep)
@@ -236,15 +234,7 @@ def cmd_sweep(args):
         try:
             scenario = sweep_scenario(cfg.scenario, dict(zip(axes, combo)))
             co = drag.coefficients(scenario.h0, scenario.lam, scenario.bc, trunc)
-            traj = dynamics.simulate(
-                scenario,
-                cfg.t_max,
-                h_floor=cfg.h_floor,
-                rtol=cfg.rtol,
-                atol=cfg.atol,
-                truncation=trunc,
-                max_steps=cfg.max_steps,
-            )
+            traj = _simulate(cfg, scenario, trunc)
         except ConfigError:
             raise
         except Exception as exc:  # recorded per point, reported at exit
@@ -278,12 +268,10 @@ def cmd_sweep(args):
         ("failed", str(len(failures))),
         ("axes", ", ".join(axes)),
     ]
-    cfg_pairs = [tuple(line.split(" = ", 1)) for line in cfg.resolved]
-    cfg_pairs.append(("config_hash", cfg.config_hash()))
     _write_report(
         os.path.join(out, "sweep_report.txt"),
         [
-            ("config", cfg_pairs),
+            ("config", _config_pairs(cfg)),
             ("result", outcome),
             ("package", [("version", __version__)]),
         ],
@@ -351,11 +339,12 @@ def build_parser():
 
     p_drag = subs.add_parser("drag", help="tabulate drag coefficients over a gap grid")
     _add_common(p_drag)
-    # These default to None, which marks an option not given; --config forbids them.
-    d = _DRAG_SCENARIO_OPTIONS
-    p_drag.add_argument("--bc", choices=["no_slip", "navier"], help=f"wall model (default {d['bc']})")
-    p_drag.add_argument("--beta", type=float, help=f"slip length (default {d['beta']})")
-    p_drag.add_argument("--lam", type=float, help=f"propulsion tip offset (default {d['lam']})")
+    # These default to None, which marks an option not given; --config forbids
+    # them. The defaults named are the empty config's.
+    d = parse_config_text("").scenario
+    p_drag.add_argument("--bc", choices=["no_slip", "navier"], help=f"wall model (default {d.bc.kind})")
+    p_drag.add_argument("--beta", type=float, help=f"slip length (default {d.bc.beta})")
+    p_drag.add_argument("--lam", type=float, help=f"propulsion tip offset (default {d.lam})")
     p_drag.add_argument("--h-min", type=float, default=1e-4)
     p_drag.add_argument("--h-max", type=float, default=10.0)
     p_drag.add_argument("--points", type=int, default=25)

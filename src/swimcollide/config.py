@@ -2,12 +2,19 @@
 
 The format is a plain INI dialect: [section] headers, key = value lines,
 blank lines, and comments starting with # or ;. Parsing is strict so a typo
-fails loudly: unknown sections or keys, duplicate keys, and unparsable
-values, non-finite floats included, all raise ConfigError naming the
-offending key and line. So does a sweep axis value the scenario rejects:
-each one is checked as it is parsed, not when its grid point runs. The
-parser is deliberately hand-rolled; it is thirty lines and in exchange every error
-carries an exact location, which the stdlib parser does not track per key.
+fails loudly: unknown sections or keys, duplicate keys, empty values and
+unparsable values, non-finite floats included, all raise ConfigError naming
+the offending key and line. So does a value the scenario rejects, a sweep
+axis value included: each one is checked on its own as it is parsed, not
+when its grid point runs. The parser is deliberately hand-rolled; it is one
+function of under fifty lines and in exchange every error carries an exact
+location, which the stdlib parser does not track per key.
+
+Each setting is declared once, in _KEYS, with its type and default. A key
+the config leaves out takes its default: the config's own for mode, bc, h0,
+t_max and the output dir, and otherwise the default of the library class or
+function it is passed to. RunConfig.resolved lists every setting with a
+value, defaults included.
 
 Example:
 
@@ -29,11 +36,12 @@ Example:
 
 import dataclasses
 import hashlib
+import inspect
 import math
 from dataclasses import dataclass, field
 
 from .drag import BoundaryCondition
-from .dynamics import Mode, SwimmerScenario
+from .dynamics import Mode, SwimmerScenario, simulate
 from .errors import ConfigError, DomainError
 from .series import SeriesTruncation
 
@@ -50,49 +58,34 @@ SWEEP_AXES = ("lambda", "beta", "h0", "s0", "f_p", "f_ext", "mass")
 # Scenario field of each sweep axis whose name differs from it.
 _AXIS_FIELD = {"lambda": "lam"}
 
-_SCHEMA = {
-    "scenario": {
-        "mode": str,
-        "bc": str,
-        "beta": float,
-        "h0": float,
-        "s0": float,
-        "mass": float,
-        "f_p": float,
-        "f_ext": float,
-        "lambda": float,
-    },
-    "series": {"n_max": int, "tail_tol": float},
-    "integrator": {
-        "t_max": float,
-        "rtol": float,
-        "atol": float,
-        "h_floor": float,
-        "max_steps": int,
-    },
-    "sweep": {axis: "floats" for axis in SWEEP_AXES},
-    "output": {"dir": str},
-}
+_SIMULATE = inspect.signature(simulate).parameters
 
-_DEFAULTS = {
-    ("scenario", "mode"): "active",
-    ("scenario", "bc"): "no_slip",
-    ("scenario", "beta"): 0.0,
-    ("scenario", "h0"): 0.5,
-    ("scenario", "s0"): 0.0,
-    ("scenario", "mass"): 0.0,
-    ("scenario", "f_p"): 1.0,
-    ("scenario", "f_ext"): 0.0,
-    ("scenario", "lambda"): 1.0,
-    ("series", "n_max"): 20,
-    ("series", "tail_tol"): 1e-10,
-    ("integrator", "t_max"): 100.0,
-    ("integrator", "rtol"): 1e-8,
-    ("integrator", "atol"): 1e-12,
-    ("integrator", "h_floor"): None,
-    ("integrator", "max_steps"): 400000,
-    ("output", "dir"): None,
+# (section, key) -> (type, default), the one declaration of each setting. The
+# config owns the defaults of the settings the library leaves to its caller
+# (mode, bc, h0, t_max and the output dir); every other default is the one of
+# the class or function the setting goes to. A None default is left out of
+# the resolved lines.
+_KEYS = {
+    ("scenario", "mode"): (str, "active"),
+    ("scenario", "bc"): (str, "no_slip"),
+    ("scenario", "beta"): (float, BoundaryCondition.beta),
+    ("scenario", "h0"): (float, 0.5),
+    ("scenario", "s0"): (float, SwimmerScenario.s0),
+    ("scenario", "mass"): (float, SwimmerScenario.mass),
+    ("scenario", "f_p"): (float, SwimmerScenario.f_p),
+    ("scenario", "f_ext"): (float, SwimmerScenario.f_ext),
+    ("scenario", "lambda"): (float, SwimmerScenario.lam),
+    ("series", "n_max"): (int, SeriesTruncation.n_max),
+    ("series", "tail_tol"): (float, SeriesTruncation.tail_tol),
+    ("integrator", "t_max"): (float, 100.0),
+    ("integrator", "rtol"): (float, _SIMULATE["rtol"].default),
+    ("integrator", "atol"): (float, _SIMULATE["atol"].default),
+    ("integrator", "h_floor"): (float, _SIMULATE["h_floor"].default),
+    ("integrator", "max_steps"): (int, _SIMULATE["max_steps"].default),
+    **{("sweep", axis): ("floats", None) for axis in SWEEP_AXES},
+    ("output", "dir"): (str, None),
 }
+_SECTIONS = {section for section, _ in _KEYS}
 
 
 @dataclass(frozen=True)
@@ -117,6 +110,8 @@ class RunConfig:
 
 def _parse_scalar(raw, want, section, key, line_no):
     name = f"{section}.{key}"
+    if not raw:
+        raise ConfigError(f"line {line_no}: {name} has no value", key=name, line=line_no)
 
     def number(kind, text, what):
         try:
@@ -147,7 +142,7 @@ def parse_config_text(text, source="<string>"):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(
                     f"line {line_no}: unknown section [{section}]",
                     key=section,
@@ -166,7 +161,7 @@ def parse_config_text(text, source="<string>"):
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _SCHEMA[section]:
+        if (section, key) not in _KEYS:
             raise ConfigError(
                 f"line {line_no}: unknown key {key!r} in [{section}]",
                 key=f"{section}.{key}",
@@ -180,7 +175,7 @@ def parse_config_text(text, source="<string>"):
                 line=line_no,
             )
         values[(section, key)] = _parse_scalar(
-            raw, _SCHEMA[section][key], section, key, line_no
+            raw, _KEYS[(section, key)][0], section, key, line_no
         )
         lines_of[(section, key)] = line_no
     return _build(values, lines_of, source)
@@ -196,117 +191,96 @@ def parse_config(path):
     return parse_config_text(text, source=str(path))
 
 
-def _get(values, section, key):
-    return values.get((section, key), _DEFAULTS[(section, key)])
+def _section(values, section):
+    """{key: value} of every key of section, the default where values has none."""
+    return {k: values.get((s, k), d) for (s, k), (_, d) in _KEYS.items() if s == section}
 
 
-def _fail_from(exc, values, lines_of, *keys):
-    """Re-raise a domain validation error naming the config location."""
-    for section, key in keys:
-        if (section, key) in values:
-            line = lines_of[(section, key)]
-            raise ConfigError(
-                f"line {line}: {section}.{key}: {exc}",
-                key=f"{section}.{key}",
-                line=line,
-            ) from None
-    raise ConfigError(str(exc)) from None
+def _mode(raw):
+    try:
+        return Mode(raw)
+    except ValueError:
+        raise DomainError(f"mode must be one of {[m.value for m in Mode]}, got {raw!r}") from None
+
+
+def _positive(key, value):
+    # Every integrator setting must be positive; h_floor may stay unset
+    # (None), which selects the model default.
+    if value is not None and value <= 0:
+        raise DomainError(f"{key} must be positive, got {value}")
+
+
+def _sweep_axis(scenario, axis, pts):
+    if not pts:
+        raise DomainError("sweep axis needs at least one value")
+    # The scenario checks each field on its own, so one scenario per axis
+    # value covers every grid point.
+    for value in pts:
+        sweep_scenario(scenario, {axis: value})
 
 
 def _build(values, lines_of, source):
-    mode_raw = _get(values, "scenario", "mode")
-    try:
-        mode = Mode(mode_raw)
-    except ValueError:
-        _fail_from(
-            f"mode must be one of {[m.value for m in Mode]}, got {mode_raw!r}",
-            values,
-            lines_of,
-            ("scenario", "mode"),
-        )
+    def checked(section, keys, make, *args, **kwargs):
+        """make(*args, **kwargs), with a ValueError turned into the
+        ConfigError naming the first of section's keys that the config sets."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            for key in keys:
+                if (section, key) in values:
+                    line = lines_of[(section, key)]
+                    raise ConfigError(
+                        f"line {line}: {section}.{key}: {exc}",
+                        key=f"{section}.{key}",
+                        line=line,
+                    ) from None
+            raise ConfigError(str(exc)) from None
 
-    bc_raw = _get(values, "scenario", "bc")
-    beta = _get(values, "scenario", "beta")
-    try:
-        bc = BoundaryCondition(kind=bc_raw, beta=beta)
-    except ValueError as exc:
-        _fail_from(exc, values, lines_of, ("scenario", "bc"), ("scenario", "beta"))
+    # Each scenario value the config sets is checked on its own, as a sweep
+    # axis value is, so that an error names its own key and line: the slip
+    # length before the wall model, and the other values against the scenario
+    # of the defaults, which is valid but for a passive pair's f_ext.
+    given = {k: v for (s, k), v in values.items() if s == "scenario"}
+    take = lambda key: given.pop(key, _KEYS[("scenario", key)][1])
+    mode = checked("scenario", ["mode"], _mode, take("mode"))
+    beta = take("beta")
+    checked("scenario", ["beta"], BoundaryCondition.navier, beta)
+    bc = checked("scenario", ["bc", "beta"], BoundaryCondition, take("bc"), beta)
+    scenario = checked(
+        "scenario",
+        ["f_ext", "mode"],
+        SwimmerScenario,
+        mode,
+        bc,
+        _KEYS[("scenario", "h0")][1],
+        f_ext=take("f_ext"),
+    )
+    for key, value in given.items():
+        scenario = checked("scenario", [key], sweep_scenario, scenario, {key: value})
 
-    try:
-        scenario = SwimmerScenario(
-            mode=mode,
-            bc=bc,
-            h0=_get(values, "scenario", "h0"),
-            s0=_get(values, "scenario", "s0"),
-            mass=_get(values, "scenario", "mass"),
-            f_p=_get(values, "scenario", "f_p"),
-            lam=_get(values, "scenario", "lambda"),
-            f_ext=_get(values, "scenario", "f_ext"),
-        )
-    except ValueError as exc:
-        _fail_from(
-            exc,
-            values,
-            lines_of,
-            *[("scenario", k) for k in _SCHEMA["scenario"]],
-        )
+    series = _section(values, "series")
+    truncation = checked("series", series, SeriesTruncation, **series)
 
-    try:
-        truncation = SeriesTruncation(
-            n_max=_get(values, "series", "n_max"),
-            tail_tol=_get(values, "series", "tail_tol"),
-        )
-    except ValueError as exc:
-        _fail_from(
-            exc, values, lines_of, ("series", "n_max"), ("series", "tail_tol")
-        )
+    sweep = {axis: values[("sweep", axis)] for axis in SWEEP_AXES if ("sweep", axis) in values}
+    for axis, pts in sweep.items():
+        checked("sweep", [axis], _sweep_axis, scenario, axis, pts)
 
-    sweep = {}
-    for axis in SWEEP_AXES:
-        if ("sweep", axis) in values:
-            pts = values[("sweep", axis)]
-            # The scenario checks each field on its own, so one scenario per
-            # axis value covers every grid point.
-            try:
-                if not pts:
-                    raise DomainError("sweep axis needs at least one value")
-                for value in pts:
-                    sweep_scenario(scenario, {axis: value})
-            except ValueError as exc:
-                _fail_from(exc, values, lines_of, ("sweep", axis))
-            sweep[axis] = pts
-
-    # Every integrator setting must be positive; h_floor may stay unset (None),
-    # which selects the model default.
-    for key in _SCHEMA["integrator"]:
-        value = _get(values, "integrator", key)
-        if value is not None and value <= 0:
-            _fail_from(
-                f"{key} must be positive, got {value}",
-                values,
-                lines_of,
-                ("integrator", key),
-            )
+    integrator = _section(values, "integrator")
+    for key, value in integrator.items():
+        checked("integrator", [key], _positive, key, value)
 
     resolved = []
-    for (section, key), default in sorted(_DEFAULTS.items()):
-        val = values.get((section, key), default)
-        if val is None:
-            continue
-        resolved.append(f"{section}.{key} = {_canon(val)}")
-    for axis, pts in sorted(sweep.items()):
-        resolved.append(f"sweep.{axis} = {_canon(pts)}")
+    for section, key in sorted(_KEYS):
+        val = values.get((section, key), _KEYS[(section, key)][1])
+        if val is not None:
+            resolved.append(f"{section}.{key} = {_canon(val)}")
 
     return RunConfig(
         scenario=scenario,
         truncation=truncation,
-        t_max=_get(values, "integrator", "t_max"),
-        rtol=_get(values, "integrator", "rtol"),
-        atol=_get(values, "integrator", "atol"),
-        h_floor=_get(values, "integrator", "h_floor"),
-        max_steps=_get(values, "integrator", "max_steps"),
+        **integrator,
         sweep=sweep,
-        out_dir=_get(values, "output", "dir"),
+        out_dir=_section(values, "output")["dir"],
         resolved=tuple(resolved),
     )
 

@@ -26,7 +26,9 @@ Two massless results need no run at all. collision_time_quadrature gives
 the time to the floor as a direct integral. decay_rate_bound gives the rate
 c* = sup F / (h kappa_pass) over [floor, h0], so that h(t) >= h0 exp(-c* t)
 by Gronwall: the paper's no-slip result, since c* tends to the finite
-lubrication limit 2 F / (3 pi) as the floor is lowered.
+lubrication limit 2 F / (3 pi) as the floor is lowered. A massless run, the
+quadrature and the bound read the drag at the gaps they integrate, all at
+or above the floor, for any floor > 0.
 
 Inertial scenarios (m > 0) are stiff: the speed relaxes toward the force
 balance on the fast scale m / kappa_pass, which near contact is orders of
@@ -37,7 +39,8 @@ its coefficients from one drag.kappa_table, whose derivatives give Radau the
 Jacobian in closed form; the recorded kappa values come from the same table
 and sit within its stated bound of the series. When the table's bound
 exceeds tail_tol the whole run reads the series with a finite-difference
-Jacobian, as rhs and massless runs always do.
+Jacobian, as rhs and massless runs always do. rhs and the inertial path
+read the coefficients at max(h, 1e-15), since a solver can step to h <= 0.
 """
 
 import numbers
@@ -168,7 +171,7 @@ def default_h_floor(bc):
     return 1e-9 if bc.slips else 1e-7
 
 
-_GAP_CLAMP = 1e-15  # no coefficient is read at a smaller gap
+_GAP_CLAMP = 1e-15  # the smallest gap rhs and inertial runs read, see above
 
 
 def _prop_lam(scenario):
@@ -182,18 +185,18 @@ def _force(scenario, kpr):
 
 
 def _force_and_coefficients(scenario, h, truncation):
-    h_eval = max(float(h), _GAP_CLAMP)
-    kp = drag.kappa_pass(h_eval, scenario.bc, truncation)
+    h = float(h)
+    kp = drag.kappa_pass(h, scenario.bc, truncation)
     lam = _prop_lam(scenario)
-    kpr = 0.0 if lam is None else drag.kappa_prop(h_eval, lam, scenario.bc, truncation)
+    kpr = 0.0 if lam is None else drag.kappa_prop(h, lam, scenario.bc, truncation)
     return _force(scenario, kpr), kp, kpr
 
 
 def _table_terms(scenario, table, h):
     """Force, kappa_pass and kappa_prop at h from a drag.kappa_table, with the
-    h-derivatives of the force and of kappa_pass. The gap is clamped as in
-    _force_and_coefficients, and the terms are flat below the clamp. A
-    passive pair's table gives kappa_prop = 0 with zero slope."""
+    h-derivatives of the force and of kappa_pass. The gap is clamped at
+    _GAP_CLAMP, and the terms are flat below the clamp. A passive pair's
+    table gives kappa_prop = 0 with zero slope."""
     h_eval = max(float(h), _GAP_CLAMP)
     kp, dkp, kpr, dkpr = table(h_eval)
     if h_eval != h:
@@ -214,7 +217,7 @@ def rhs(scenario, y, truncation=None):
 
     State is (h,) for massless scenarios and (h, hdot) otherwise.
     """
-    force, kp, _ = _force_and_coefficients(scenario, y[0], truncation)
+    force, kp, _ = _force_and_coefficients(scenario, max(y[0], _GAP_CLAMP), truncation)
     if scenario.mass == 0.0:
         return np.array([-force / kp])
     return _inertial_rate(scenario, y, force, kp)
@@ -319,7 +322,7 @@ def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
     lam = _prop_lam(scenario)
 
     def evaluate(hs):
-        kp, kpr = drag.kappa_arrays(np.maximum(hs, _GAP_CLAMP), scenario.bc, truncation, lam=lam)
+        kp, kpr = drag.kappa_arrays(hs, scenario.bc, truncation, lam=lam)
         return -_force(scenario, kpr) / kp, kp, kpr
 
     def record(*columns):
@@ -385,7 +388,7 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps
     """
     table = drag.kappa_table(scenario.bc, truncation, lam=_prop_lam(scenario))
     if table is None:
-        coefficients = lambda h: _force_and_coefficients(scenario, h, truncation)
+        coefficients = lambda h: _force_and_coefficients(scenario, max(h, _GAP_CLAMP), truncation)
         jac = None
     else:
         coefficients = lambda h: _table_terms(scenario, table, h)[:3]

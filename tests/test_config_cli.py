@@ -54,6 +54,31 @@ class TestConfigParsing:
         assert cfg.truncation == SeriesTruncation()
         assert cfg.sweep == {}
 
+    def test_defaults_are_pinned(self):
+        # The defaults read from the library resolve to the same lines, so
+        # no report's hash moves with them unnoticed.
+        cfg = parse_config_text("")
+        assert cfg.resolved == (
+            "integrator.atol = 9.9999999999999998e-13",
+            "integrator.max_steps = 400000",
+            "integrator.rtol = 1e-08",
+            "integrator.t_max = 100",
+            "scenario.bc = no_slip",
+            "scenario.beta = 0",
+            "scenario.f_ext = 0",
+            "scenario.f_p = 1",
+            "scenario.h0 = 0.5",
+            "scenario.lambda = 1",
+            "scenario.mass = 0",
+            "scenario.mode = active",
+            "scenario.s0 = 0",
+            "series.n_max = 20",
+            "series.tail_tol = 1e-10",
+        )
+        assert cfg.config_hash() == (
+            "346ab34daa9836b7a56051f704e09759b2f3e4c796743ea912df4f063bd65722"
+        )
+
     def test_full_round(self):
         cfg = parse_config_text(BASE_RUN)
         sc = cfg.scenario
@@ -142,6 +167,30 @@ class TestConfigParsing:
             parse_config_text("[scenario]\nmode = sideways\n")
         assert "scenario.mode" in str(exc.value)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text,line,key",
+        [
+            ("h0 = 0.5\nmass = -1\n", 3, "mass"),
+            ("bc = navier\nbeta = 0.1\nlambda = 1.0\nf_p = -2\n", 5, "f_p"),
+            ("mode = passive_forced\nf_ext = 1\ns0 = -1\n", 4, "s0"),
+            ("bc = navier\nbeta = -1\n", 3, "beta"),
+        ],
+        ids=["mass", "f_p", "s0", "beta"],
+    )
+    def test_scenario_errors_name_their_own_key(self, text, line, key):
+        # Each value is checked on its own, not pinned on the first key set.
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("[scenario]\n" + text)
+        assert (exc.value.key, exc.value.line) == (f"scenario.{key}", line)
+        assert str(exc.value).startswith(f"line {line}: scenario.{key}: ")
+
+    @pytest.mark.parametrize("section,key", [("output", "dir"), ("scenario", "bc")])
+    def test_empty_value_is_rejected(self, section, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"[{section}]\n{key} =\n")
+        assert (exc.value.key, exc.value.line) == (f"{section}.{key}", 2)
+        assert str(exc.value) == f"line 2: {section}.{key} has no value"
 
     def test_beta_requires_navier(self):
         with pytest.raises(ConfigError) as exc:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from swimcollide import drag
 from swimcollide.drag import BoundaryCondition, _series_prop, cache_clear
@@ -154,6 +154,24 @@ class TestNoSlipStall:
         assert self.TRAJ.t_end == 50.0
         rep = collision_time_quadrature(self.TRAJ.scenario, h_floor=self.TRAJ.min_h)
         assert rep.time_to_floor == pytest.approx(50.0, rel=1e-9)
+
+    def test_certificate_below_the_gap_clamp(self):
+        # A floor far below the 1e-15 clamp of rhs: the run and the bound read
+        # the drag at the gaps they integrate, so the run meets the drag
+        # model's own time to that floor and the bound holds all the way down.
+        sc = self.TRAJ.scenario
+        traj = simulate(sc, t_max=1000.0, h_floor=1e-20)
+        assert traj.termination is TerminationKind.FLOOR_REACHED
+        rate = decay_rate_bound(sc, 1e-20)
+        cols = traj.columns()
+        assert np.all(cols["h"] >= sc.h0 * np.exp(-rate * cols["t"]) * (1.0 - 1e-12))
+
+        def dt_du(u):
+            h = np.exp(u)
+            return h * drag.kappa_pass(h, NO_SLIP) / drag.net_propulsion(h, sc.lam, sc.f_p, NO_SLIP)
+
+        exact, _ = quad(dt_du, np.log(1e-20), np.log(sc.h0), limit=400, epsabs=0.0, epsrel=1e-12)
+        assert traj.t_end == pytest.approx(exact, rel=1e-9)
 
     def test_decay_rate_scales_with_forcing(self):
         # A constant squeezing force enters the rate as a factor.
