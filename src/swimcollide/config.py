@@ -2,9 +2,10 @@
 
 The format is a plain INI dialect: [section] headers, key = value lines,
 blank lines, and comments starting with # or ;. Parsing is strict so a typo
-fails loudly: unknown sections or keys, duplicate keys, empty values and
-unparsable values, non-finite floats included, all raise ConfigError naming
-the offending key and line. So does a value the scenario rejects, a sweep
+fails loudly: unknown sections or keys, duplicate keys, empty values, empty
+elements of a list and unparsable values, non-finite floats included, all
+raise ConfigError naming the offending key and line, after the file's path
+when parse_config read it. So does a value the scenario rejects, a sweep
 axis value included: each one is checked on its own as it is parsed, not
 when its grid point runs. The parser is deliberately hand-rolled; it is one
 function of under fifty lines and in exchange every error carries an exact
@@ -125,14 +126,17 @@ def _parse_scalar(raw, want, section, key, line_no):
         raise ConfigError(f"line {line_no}: {what} is {problem}", key=name, line=line_no)
 
     if want == "floats":
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        parts = [p.strip() for p in raw.split(",")]
+        if "" in parts:
+            problem = f"line {line_no}: {name} has an empty element in {raw!r}"
+            raise ConfigError(problem, key=name, line=line_no)
         return tuple(number(float, p, f"element {p!r} of {name}") for p in parts)
     if want in (int, float):
         return number(want, raw, f"value {raw!r} for {name}")
     return raw
 
 
-def parse_config_text(text, source="<string>"):
+def parse_config_text(text):
     values = {}
     lines_of = {}
     section = None
@@ -178,17 +182,21 @@ def parse_config_text(text, source="<string>"):
             raw, _KEYS[(section, key)][0], section, key, line_no
         )
         lines_of[(section, key)] = line_no
-    return _build(values, lines_of, source)
+    return _build(values, lines_of)
 
 
 def parse_config(path):
-    """Parse and validate a config file into a RunConfig."""
+    """Parse and validate a config file into a RunConfig. A ConfigError
+    names the file before the line."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return parse_config_text(text, source=str(path))
+    try:
+        return parse_config_text(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}", key=exc.key, line=exc.line) from None
 
 
 def _section(values, section):
@@ -219,7 +227,7 @@ def _sweep_axis(scenario, axis, pts):
         sweep_scenario(scenario, {axis: value})
 
 
-def _build(values, lines_of, source):
+def _build(values, lines_of):
     def checked(section, keys, make, *args, **kwargs):
         """make(*args, **kwargs), with a ValueError turned into the
         ConfigError naming the first of section's keys that the config sets."""

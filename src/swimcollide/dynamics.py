@@ -10,17 +10,21 @@ pair. Both coefficients come from drag, which holds the one drag and
 propulsion law. The massless limit m = 0 reduces to the algebraic speed law
 h' = -F / kappa_pass. kappa_prop < 1 holds in exact arithmetic, but at a
 tiny tip offset it can round to one or above, so a massless run checks the
-sign of the drive at every node, and the quadrature at 25 gaps first.
+sign of the drive at every evaluated gap, and the quadrature at 25 gaps
+first.
 
 Massless scenarios need no time stepping: h' is a function of h alone, so
-the elapsed time is the integral of dt/du = -h / h' over u = ln h, taken by
-a 5-point Gauss-Lobatto rule on panels at most 0.05 wide in ln h, with
-edges at the kinks of the drag model. Every node is known before the first
-evaluation, so the panels go in blocks: one array drag call per block, one
-product of the nodal rates with the rule's weight vector, and one running
-sum of the panel times. One point is recorded per panel edge, a floor run
-ends exactly on the floor, and the horizon point comes from one root solve
-on the first panel to pass the horizon, after which no block is evaluated.
+the elapsed time is the integral of dt/du = -h / h' over u = ln h, and the
+drag is read at the panel edges only. The edges are equispaced in ln h
+between the kinks of the drag model, at most 0.05 apart and at least 7
+panels to a segment, and each panel integrates the degree-7 polynomial
+through 8 edges of its own segment with exact rational weights. Every edge
+is known before the first evaluation, so the edges go in blocks: one array
+drag call per block, one weighted sum per panel whose 8 edges are in, and
+one running sum of the panel times. One point is recorded per edge, a
+floor run ends exactly on the floor, and the horizon point comes from one
+root solve on the first panel to pass the horizon, after which no block is
+evaluated.
 
 Two massless results need no run at all. collision_time_quadrature gives
 the time to the floor as a direct integral. decay_rate_bound gives the rate
@@ -232,15 +236,35 @@ def _inertial_rate(scenario, y, force, kp):
 _LN_GAP_CAP = 0.05  # widest panel in ln h, and the inertial point spacing below h = 0.1
 _LN_GAP_ONSET = 0.1
 
-# Five-point Gauss-Lobatto nodes on [0, 1]. Both panel ends are nodes, so
-# neighbouring panels share them. The rule, exact to degree 7, integrates the
-# polynomial through the nodal values, built on the monomials by this matrix.
-_LOBATTO_NODES = 0.5 + np.array([-0.5, -np.sqrt(21.0) / 14.0, 0.0, np.sqrt(21.0) / 14.0, 0.5])
-_LOBATTO_TO_MONOMIAL = np.linalg.inv(np.vander(_LOBATTO_NODES, increasing=True))
-# Its integral over [0, 1] is the dot product of the nodal values with the
-# rule's weights.
-_LOBATTO_WEIGHTS = np.array([9.0, 49.0, 64.0, 49.0, 9.0]) / 180.0
-_BLOCK_PANELS = 32  # panels a massless run evaluates and integrates at once
+# A massless panel integrates the degree-7 polynomial through 8 consecutive
+# edges of its own segment, which are equispaced in ln h. Row r integrates it
+# over [r, r + 1] in units of the edge spacing, from its values at 0, ..., 7,
+# so a segment needs at least _STENCIL_PANELS panels. The rows are exact
+# rationals over 120960; the middle one serves every panel with three edges
+# on either side.
+_STENCIL_PANELS = 7
+_STENCIL_WEIGHTS = np.array([
+    [36799, 139849, -121797, 123133, -88547, 41499, -11351, 1375],
+    [-1375, 47799, 101349, -44797, 26883, -11547, 2999, -351],
+    [351, -4183, 57627, 81693, -20227, 7227, -1719, 191],
+    [-191, 1879, -9531, 68323, 68323, -9531, 1879, -191],
+    [191, -1719, 7227, -20227, 81693, 57627, -4183, 351],
+    [-351, 2999, -11547, 26883, -44797, 101349, 47799, -1375],
+    [1375, -11351, 41499, -88547, 123133, -121797, 139849, 36799],
+]) / 120960.0
+# The same polynomial on the monomials x^0, ..., x^7, exact over 5040, for
+# the horizon point inside a panel.
+_STENCIL_TO_MONOMIAL = np.array([
+    [5040, 0, 0, 0, 0, 0, 0, 0],
+    [-13068, 35280, -52920, 58800, -44100, 21168, -5880, 720],
+    [13132, -56196, 110754, -132860, 103320, -50652, 14266, -1764],
+    [-6769, 35728, -82509, 108920, -89075, 45024, -12943, 1624],
+    [1960, -11655, 29820, -42665, 36960, -19425, 5740, -735],
+    [-322, 2065, -5670, 8645, -7910, 4347, -1330, 175],
+    [28, -189, 546, -875, 840, -483, 154, -21],
+    [-1, 7, -21, 35, -35, 21, -7, 1],
+]) / 5040.0
+_BLOCK_EDGES = 32  # edges a massless run evaluates with one drag call
 
 
 def simulate(
@@ -294,30 +318,37 @@ def _trajectory(scenario, floor, points, termination):
 
 def _panel_edges(h0, floor, kinks):
     """Edges from h0 down to floor, one at each kink of the drag model in
-    between (others, such as a zero beta, are skipped), and no panel wider
-    than _LN_GAP_CAP in ln h."""
+    between (others, such as a zero beta, are skipped), equispaced in ln h
+    between kinks with no panel wider than _LN_GAP_CAP and at least
+    _STENCIL_PANELS panels a segment. Also returns, for each panel, the first
+    of the 8 edges of its stencil: centred on the panel, and moved inward
+    near the segment's ends so that no stencil crosses a kink."""
     stops = [h0, *sorted((k for k in kinks if floor < k < h0), reverse=True), floor]
-    edges = [h0]
+    edges, stencils = [h0], []
     for hi, lo in zip(stops, stops[1:]):
         width = np.log(hi / lo)
-        n = int(np.ceil(width / _LN_GAP_CAP))
+        n = max(int(np.ceil(width / _LN_GAP_CAP)), _STENCIL_PANELS)
+        offsets = np.clip(np.arange(n) - _STENCIL_PANELS // 2, 0, n - _STENCIL_PANELS)
+        stencils.extend(len(edges) - 1 + offsets)
         edges.extend(hi * np.exp(-width * np.arange(1, n) / n))
         edges.append(lo)
-    return edges
+    return np.array(edges), np.array(stencils)
 
 
 def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
     """Massless branch of simulate: the elapsed time is the integral of
-    dt/du = -h / h' over u = ln h, taken _BLOCK_PANELS panels at a time.
+    dt/du = -h / h' over u = ln h, with the drag read at the panel edges only.
 
-    All nodes of a block are evaluated by one drag call, each panel's time is
-    the dot product of its five nodal rates with _LOBATTO_WEIGHTS, and one
-    running sum carries t from edge to edge and from block to block. One
-    point is recorded per panel edge, and the horizon point is where the
-    integral of the first panel to pass t_max reaches it, so the run stops
-    after the block that holds the horizon. The earliest panel decides: a
-    panel past max_steps is never evaluated, and a lost drive ends the run
-    unless an earlier panel reached the horizon.
+    The edges go _BLOCK_EDGES at a time through one drag call, and the drive
+    is checked at each. A panel is integrated once the 8 edges of its stencil
+    are evaluated: its time is the dot product of their rates with its row
+    of _STENCIL_WEIGHTS, and one running sum carries t from edge to edge and
+    from block to block. One point is recorded per edge, and the horizon point
+    is where the stencil polynomial of the first panel to pass t_max reaches
+    it, so the run stops after the block that completes that panel's stencil.
+    max_steps panels at most are integrated, which may read up to 7 edges
+    past the last of them. The earliest panel decides: a lost drive ends the
+    run unless a panel whose stencil lies before it reached the horizon.
     """
     lam = _prop_lam(scenario)
 
@@ -328,45 +359,51 @@ def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
     def record(*columns):
         return list(map(TrajectoryPoint, *(np.asarray(c).tolist() for c in columns)))
 
-    h0 = float(scenario.h0)
-    hdot, kp, kpr = evaluate(np.array([h0]))
-    points = record([0.0], [h0], hdot, kp, kpr)
+    edges, stencils = _panel_edges(scenario.h0, floor, (SERIES_GAP_FLOOR, scenario.bc.beta))
+    hdot, kp, kpr, rate = (np.empty_like(edges) for _ in range(4))
+    hdot[:1], kp[:1], kpr[:1] = evaluate(edges[:1])
+    points = record([0.0], edges[:1], hdot[:1], kp[:1], kpr[:1])
     if hdot[0] >= 0.0:
         return _trajectory(scenario, floor, points, TerminationKind.SPEED_REVERSED)
-    edges = np.array(_panel_edges(h0, floor, (SERIES_GAP_FLOOR, scenario.bc.beta)))
-    n_panels = min(len(edges) - 1, max_steps)
-    t, rate = 0.0, -h0 / hdot[0]
-    for start in range(0, n_panels, _BLOCK_PANELS):
-        h_a = edges[start : min(start + _BLOCK_PANELS, n_panels)]
-        h_b = edges[start + 1 : start + 1 + len(h_a)]
-        width = np.log(h_a / h_b)
-        inner = h_a[:, None] * np.exp(-_LOBATTO_NODES[1:-1] * width[:, None])
-        hs = np.column_stack([inner, h_b])
-        hdot, kp, kpr = evaluate(hs)
+    rate[0] = -edges[0] / hdot[0]
+    n_panels = min(len(stencils), max_steps)
+    stencils = stencils[:n_panels]
+    rows = np.arange(n_panels) - stencils
+    needed = stencils + _STENCIL_PANELS  # the last edge each panel reads
+    width = np.log(edges[:n_panels] / edges[1 : n_panels + 1])
+    t, done, valid = 0.0, 0, 1
+    while done < n_panels:
+        block = slice(valid, min(valid + _BLOCK_EDGES, needed[-1] + 1))
+        hdot[block], kp[block], kpr[block] = evaluate(edges[block])
         # kappa_prop < 1 only in exact arithmetic: at lam = 1e-9, beta = 0.1,
         # 1 - kappa_prop(1e-3) rounds to -4.1e-14, and a run from h0 = 0.5
-        # loses its drive at h = 0.408.
-        lost = np.flatnonzero(hdot >= 0.0)
-        n_ok = lost[0] // hs.shape[1] if lost.size else len(hs)
-        node_rates = -hs[:n_ok] / hdot[:n_ok]
-        rates = np.column_stack([np.append(rate, node_rates[:, -1])[:-1], node_rates])
-        t_edges = np.cumsum(np.append(t, width[:n_ok] * (rates @ _LOBATTO_WEIGHTS)))[1:]
-        past = np.flatnonzero(t_edges > t_max)
-        k = past[0] if past.size else n_ok
-        points += record(t_edges[:k], h_b[:k], hdot[:k, -1], kp[:k, -1], kpr[:k, -1])
+        # loses its drive at h = 0.067.
+        lost = block.start + np.flatnonzero(hdot[block] >= 0.0)
+        valid = lost[0] if lost.size else block.stop
+        rate[block.start : valid] = -edges[block.start : valid] / hdot[block.start : valid]
+        ready = int(np.searchsorted(needed, valid))  # panels whose edges are all valid
+        taps = stencils[done:ready, None] + np.arange(_STENCIL_PANELS + 1)
+        panel_t = width[done:ready] * np.sum(_STENCIL_WEIGHTS[rows[done:ready]] * rate[taps], axis=1)
+        t_edges = np.cumsum(np.append(t, panel_t))
+        past = np.flatnonzero(t_edges[1:] > t_max)
+        k = past[0] if past.size else ready - done
+        got = slice(done + 1, done + 1 + k)
+        points += record(t_edges[1 : k + 1], edges[got], hdot[got], kp[got], kpr[got])
         if past.size:
-            t_a = t_edges[k - 1] if k else t
-            antiderivative = P.polyint(_LOBATTO_TO_MONOMIAL @ rates[k])
-            excess = lambda s: t_a + width[k] * P.polyval(s, antiderivative) - t_max
+            j, t_a = done + k, t_edges[k]
+            antiderivative = P.polyint(_STENCIL_TO_MONOMIAL @ rate[stencils[j] : needed[j] + 1])
+            start = P.polyval(rows[j], antiderivative)
+            excess = lambda s: (
+                t_a + width[j] * (P.polyval(rows[j] + s, antiderivative) - start) - t_max
+            )
             # The interpolant's end may round to t_max where the panel sum passed it.
             s = brentq(excess, 0.0, 1.0, xtol=1e-15) if excess(1.0) > 0.0 else 1.0
-            h = h_a[k] * np.exp(-s * width[k])
+            h = edges[j] * np.exp(-s * width[j])
             points += record([t_max], [h], *evaluate(np.array([h])))
             return _trajectory(scenario, floor, points, TerminationKind.HORIZON_REACHED)
         if lost.size:
-            h = float(hs.flat[lost[0]])
-            raise InvalidRegimeError(f"approach speed is not positive at h = {h}")
-        t, rate = float(t_edges[-1]), node_rates[-1, -1]
+            raise InvalidRegimeError(f"approach speed is not positive at h = {edges[lost[0]]}")
+        t, done = float(t_edges[-1]), ready
     if n_panels < len(edges) - 1:
         msg = f"panel budget {max_steps} exhausted at t = {t}"
         raise StiffnessError(msg, t=t, state=edges[n_panels : n_panels + 1])
@@ -555,6 +592,6 @@ def decay_rate_bound(scenario, h_floor=None, truncation=None):
     evaluates, so after that run every coefficient is a cache hit.
     """
     floor = _massless_floor(scenario, h_floor, "the a priori decay rate")
-    hs = np.array(_panel_edges(scenario.h0, floor, (SERIES_GAP_FLOOR, scenario.bc.beta)))
+    hs, _ = _panel_edges(scenario.h0, floor, (SERIES_GAP_FLOOR, scenario.bc.beta))
     kp, kpr = drag.kappa_arrays(hs, scenario.bc, truncation, lam=_prop_lam(scenario))
     return max(0.0, float(np.max(_force(scenario, kpr) / (hs * kp))))

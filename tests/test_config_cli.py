@@ -192,6 +192,14 @@ class TestConfigParsing:
         assert (exc.value.key, exc.value.line) == (f"{section}.{key}", 2)
         assert str(exc.value) == f"line 2: {section}.{key} has no value"
 
+    @pytest.mark.parametrize("raw", ["0.5,,1.0", "0.5, 1.0,"], ids=["doubled", "trailing"])
+    def test_empty_list_element_is_rejected(self, raw):
+        # A stray comma is no shorter sweep: it names the axis and its line.
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"[sweep]\nlambda = {raw}\n")
+        assert (exc.value.key, exc.value.line) == ("sweep.lambda", 2)
+        assert str(exc.value) == f"line 2: sweep.lambda has an empty element in {raw!r}"
+
     def test_beta_requires_navier(self):
         with pytest.raises(ConfigError) as exc:
             parse_config_text("[scenario]\nbc = no_slip\nbeta = 0.1\n")
@@ -201,6 +209,14 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "absent.cfg")
+
+    def test_file_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[scenario]\nh0 = 0.5\nmass = -1\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert (exc.value.key, exc.value.line) == ("scenario.mass", 3)
+        assert str(exc.value).startswith(f"{path}: line 3: scenario.mass: ")
 
 
 class TestDragCommand:
@@ -343,6 +359,19 @@ class TestSimulateCommand:
         key = setting.split()[0]
         assert f"line {line}: integrator.{key}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_error_names_the_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text(BASE_RUN + "[sweep]\nlambda = 0.5,,1.0\n")
+        line = len(BASE_RUN.splitlines()) + 2
+        assert main(["sweep", "--config", "run.cfg", "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: run.cfg: line {line}: sweep.lambda ")
+        Path("run.cfg").write_text("[scenario]\nh0 = 0.5\nmass = -1\n")
+        assert main(["simulate", "--config", "run.cfg", "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.cfg: line 3: scenario.mass: ")
+        assert not Path("out").exists()
 
     def test_step_budget_maps_to_numerical_failure(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,7 @@
 """Encounter dynamics: integrators, terminations, quadrature, bounds, inertial tables."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -7,7 +9,9 @@ from scipy.integrate import quad, solve_ivp
 from swimcollide import drag
 from swimcollide.drag import BoundaryCondition, _series_prop, cache_clear
 from swimcollide.dynamics import (
-    _BLOCK_PANELS,
+    _BLOCK_EDGES,
+    _STENCIL_TO_MONOMIAL,
+    _STENCIL_WEIGHTS,
     _table_jacobian,
     Mode,
     QuadratureReport,
@@ -222,28 +226,95 @@ class TestNoSlipFloor:
 
 class TestMasslessEvaluations:
     """How many gaps a massless run evaluates, counted by the propulsion-factor
-    memo: an active run asks it once per node, and it misses once per gap."""
+    memo: an active run asks it once per edge, and it misses once per gap."""
 
-    def test_collision_run_evaluates_each_node_once(self):
-        # Above the series floor no two nodes share a memo entry.
+    def test_collision_run_evaluates_each_edge_once(self):
+        # Above the series floor no two edges share a memo entry.
         cache_clear()
         traj = simulate(active(NAVIER), t_max=200.0, h_floor=1e-5)
         assert traj.termination is TerminationKind.COLLISION
         info = _series_prop.cache_info()
-        # h0, then the three inner nodes and the far edge of every panel
-        assert (info.hits, info.misses) == (0, 1 + 4 * (len(traj.points) - 1))
+        assert (info.hits, info.misses) == (0, len(traj.points))
 
     def test_horizon_run_stops_after_its_block(self):
         cache_clear()
         traj = simulate(active(NAVIER), t_max=90.0)
         assert traj.termination is TerminationKind.HORIZON_REACHED
         horizon_panel = len(traj.points) - 2
-        assert horizon_panel > _BLOCK_PANELS
+        assert horizon_panel > _BLOCK_EDGES
         evaluated = _series_prop.cache_info().misses
-        # h0 and the horizon point, plus four nodes a panel: at least through
-        # the horizon panel, and no panel a block past it.
-        assert 2 + 4 * (horizon_panel + 1) <= evaluated
-        assert evaluated <= 2 + 4 * (horizon_panel + _BLOCK_PANELS)
+        # The horizon panel lies well inside the segment below beta = 0.1
+        # (panels 33 to 249), so its stencil ends 4 edges past its near edge.
+        last = horizon_panel + 4
+        # h0 and the horizon point, plus every edge through that stencil, and
+        # no block past the one that completes it.
+        assert 2 + last <= evaluated <= 1 + last + _BLOCK_EDGES
+
+    def test_short_segment_gets_a_full_stencil(self):
+        # h0 = 1.01 beta leaves 0.01 in ln h above the kink at beta, which
+        # still gets the 7 panels a stencil needs.
+        sc = active(NAVIER, h0=1.01 * NAVIER.beta)
+        traj = simulate(sc, t_max=1e3)
+        assert traj.termination is TerminationKind.COLLISION
+        assert sum(p.h >= NAVIER.beta for p in traj.points) - 1 >= 7
+        # The reference breaks at both kinks: collision_time_quadrature
+        # integrates across them in one piece.
+        stops = np.log([traj.h_floor, drag.SERIES_GAP_FLOOR, NAVIER.beta, sc.h0])
+        exact = sum(
+            quad(lambda u: _dt_du(sc, u), a, b, limit=400, epsabs=0.0, epsrel=1e-13)[0]
+            for a, b in zip(stops, stops[1:])
+        )
+        assert traj.t_coll == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+def _dt_du(sc, u):
+    """The massless integrand -h / h' at h = exp(u), from the public drag calls."""
+    h = np.exp(u)
+    kpr = drag.kappa_prop(h, sc.lam, sc.bc) if sc.mode is Mode.ACTIVE else 0.0
+    force = sc.f_p * (1.0 - kpr) if sc.mode is Mode.ACTIVE else sc.f_ext
+    return h * drag.kappa_pass(h, sc.bc) / force
+
+
+class TestStencilQuadrature:
+    """The 8-edge stencils a massless run integrates with."""
+
+    def test_rows_integrate_monomials_exactly(self):
+        # Row r integrates x^p over [r, r + 1] from the values at 0, ..., 7.
+        # The sum runs in rationals, so only the rounding of the table's
+        # entries remains, at most 2^-53 of each term.
+        for r, row in enumerate(_STENCIL_WEIGHTS):
+            for p in range(8):
+                terms = [Fraction(w) * k**p for k, w in enumerate(row.tolist())]
+                exact = Fraction((r + 1) ** (p + 1) - r ** (p + 1), p + 1)
+                scale = sum(abs(x) for x in terms)
+                assert abs(sum(terms) - exact) <= 1e-15 * scale
+
+    def test_monomial_map_reproduces_monomials(self):
+        # The values of x^p at 0, ..., 7 map to the p-th unit vector.
+        for p in range(8):
+            for i, row in enumerate(_STENCIL_TO_MONOMIAL):
+                terms = [Fraction(m) * k**p for k, m in enumerate(row.tolist())]
+                scale = sum(abs(x) for x in terms)
+                assert abs(sum(terms) - (i == p)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize(
+        "sc",
+        [active(NAVIER), forced(BoundaryCondition.navier(0.05), h0=0.12)],
+        ids=["active-beta0.1", "passive-beta0.05"],
+    )
+    def test_time_at_every_point_matches_quad(self, sc):
+        # One quad per panel between consecutive recorded points, each of
+        # which lies inside one segment, summed in order.
+        traj = simulate(sc, t_max=1e4)
+        assert traj.termination is TerminationKind.COLLISION
+        cols = traj.columns()
+        u = np.log(cols["h"])
+        panels = [
+            quad(lambda x: _dt_du(sc, x), b, a, epsabs=0.0, epsrel=1e-13)[0]
+            for a, b in zip(u, u[1:])
+        ]
+        exact = np.cumsum(np.append(0.0, panels))
+        np.testing.assert_allclose(cols["t"], exact, rtol=1e-11, atol=0.0)
 
 
 class TestMasslessReference:
@@ -351,7 +422,7 @@ class TestSimulateGuards:
         # At lam = 1e-9 the series gives 1 - kappa_prop = -4.1e-14 at h = 1e-3:
         # the built-in model alone needs both drive guards.
         sc = active(NAVIER, lam=1e-9)
-        with pytest.raises(InvalidRegimeError, match=r"at h = 0\.40"):
+        with pytest.raises(InvalidRegimeError, match=r"at h = 0\.067"):
             simulate(sc, t_max=1e300)
         with pytest.raises(InvalidRegimeError, match=r"at h = 9\.7"):
             collision_time_quadrature(sc)
