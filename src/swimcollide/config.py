@@ -219,10 +219,8 @@ def _positive(key, value):
 
 
 def _sweep_axis(scenario, axis, pts):
-    if not pts:
-        raise DomainError("sweep axis needs at least one value")
     # The scenario checks each field on its own, so one scenario per axis
-    # value covers every grid point.
+    # value covers every grid point. The parser leaves no axis empty.
     for value in pts:
         sweep_scenario(scenario, {axis: value})
 

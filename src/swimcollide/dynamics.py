@@ -382,8 +382,8 @@ def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
         valid = lost[0] if lost.size else block.stop
         rate[block.start : valid] = -edges[block.start : valid] / hdot[block.start : valid]
         ready = int(np.searchsorted(needed, valid))  # panels whose edges are all valid
-        taps = stencils[done:ready, None] + np.arange(_STENCIL_PANELS + 1)
-        panel_t = width[done:ready] * np.sum(_STENCIL_WEIGHTS[rows[done:ready]] * rate[taps], axis=1)
+        taps = rate[stencils[done:ready, None] + np.arange(_STENCIL_PANELS + 1)]
+        panel_t = width[done:ready] * np.sum(_STENCIL_WEIGHTS[rows[done:ready]] * taps, axis=1)
         t_edges = np.cumsum(np.append(t, panel_t))
         past = np.flatnonzero(t_edges[1:] > t_max)
         k = past[0] if past.size else ready - done

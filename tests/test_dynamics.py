@@ -170,10 +170,7 @@ class TestNoSlipStall:
         cols = traj.columns()
         assert np.all(cols["h"] >= sc.h0 * np.exp(-rate * cols["t"]) * (1.0 - 1e-12))
 
-        def dt_du(u):
-            h = np.exp(u)
-            return h * drag.kappa_pass(h, NO_SLIP) / drag.net_propulsion(h, sc.lam, sc.f_p, NO_SLIP)
-
+        dt_du = lambda u: _dt_du(sc, u)
         exact, _ = quad(dt_du, np.log(1e-20), np.log(sc.h0), limit=400, epsabs=0.0, epsrel=1e-12)
         assert traj.t_end == pytest.approx(exact, rel=1e-9)
 
@@ -228,8 +225,9 @@ class TestMasslessEvaluations:
     """How many gaps a massless run evaluates, counted by the propulsion-factor
     memo: an active run asks it once per edge, and it misses once per gap."""
 
-    def test_collision_run_evaluates_each_edge_once(self):
-        # Above the series floor no two edges share a memo entry.
+    def test_collision_run_evaluates_each_node_once(self):
+        # The edges are the only nodes, and above the series floor no two
+        # share a memo entry.
         cache_clear()
         traj = simulate(active(NAVIER), t_max=200.0, h_floor=1e-5)
         assert traj.termination is TerminationKind.COLLISION
