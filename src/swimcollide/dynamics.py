@@ -22,9 +22,10 @@ through 8 edges of its own segment with exact rational weights. Every edge
 is known before the first evaluation, so the edges go in blocks: one array
 drag call per block, one weighted sum per panel whose 8 edges are in, and
 one running sum of the panel times. One point is recorded per edge, a
-floor run ends exactly on the floor, and the horizon point comes from one
-root solve on the first panel to pass the horizon, after which no block is
-evaluated.
+floor run ends exactly on the floor, and the horizon point comes from a
+bisection on the first panel to pass the horizon, after which no block is
+evaluated. scipy is imported only inside the inertial path and the
+quadrature, so a process that runs massless scenarios never loads it.
 
 Two massless results need no run at all. collision_time_quadrature gives
 the time to the floor as a direct integral. decay_rate_bound gives the rate
@@ -53,8 +54,6 @@ from enum import Enum
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from . import drag
 from .drag import SERIES_GAP_FLOOR, BoundaryCondition
@@ -316,15 +315,21 @@ def _trajectory(scenario, floor, points, termination):
     return Trajectory(scenario, floor, tuple(points), termination, t_coll)
 
 
-def _panel_edges(h0, floor, kinks):
-    """Edges from h0 down to floor, one at each kink of the drag model in
-    between (others, such as a zero beta, are skipped), equispaced in ln h
-    between kinks with no panel wider than _LN_GAP_CAP and at least
-    _STENCIL_PANELS panels a segment. Also returns, for each panel, the first
-    of the 8 edges of its stencil: centred on the panel, and moved inward
-    near the segment's ends so that no stencil crosses a kink."""
-    stops = [h0, *sorted((k for k in kinks if floor < k < h0), reverse=True), floor]
-    edges, stencils = [h0], []
+def _segment_stops(scenario, floor):
+    """h0, the kinks of the drag model strictly between floor and h0
+    (SERIES_GAP_FLOOR, and beta under slip), and floor, in descending order."""
+    kinks = (SERIES_GAP_FLOOR, scenario.bc.beta)
+    h0 = scenario.h0
+    return [h0, *sorted((k for k in kinks if floor < k < h0), reverse=True), floor]
+
+
+def _panel_edges(stops):
+    """Edges through the descending stops of _segment_stops, equispaced in
+    ln h between consecutive stops with no panel wider than _LN_GAP_CAP and
+    at least _STENCIL_PANELS panels a segment. Also returns, for each panel,
+    the first of the 8 edges of its stencil: centred on the panel, and moved
+    inward near the segment's ends so that no stencil crosses a kink."""
+    edges, stencils = [stops[0]], []
     for hi, lo in zip(stops, stops[1:]):
         width = np.log(hi / lo)
         n = max(int(np.ceil(width / _LN_GAP_CAP)), _STENCIL_PANELS)
@@ -359,7 +364,7 @@ def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
     def record(*columns):
         return list(map(TrajectoryPoint, *(np.asarray(c).tolist() for c in columns)))
 
-    edges, stencils = _panel_edges(scenario.h0, floor, (SERIES_GAP_FLOOR, scenario.bc.beta))
+    edges, stencils = _panel_edges(_segment_stops(scenario, floor))
     hdot, kp, kpr, rate = (np.empty_like(edges) for _ in range(4))
     hdot[:1], kp[:1], kpr[:1] = evaluate(edges[:1])
     points = record([0.0], edges[:1], hdot[:1], kp[:1], kpr[:1])
@@ -397,7 +402,7 @@ def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
                 t_a + width[j] * (P.polyval(rows[j] + s, antiderivative) - start) - t_max
             )
             # The interpolant's end may round to t_max where the panel sum passed it.
-            s = brentq(excess, 0.0, 1.0, xtol=1e-15) if excess(1.0) > 0.0 else 1.0
+            s = _bisect(excess) if excess(1.0) > 0.0 else 1.0
             h = edges[j] * np.exp(-s * width[j])
             points += record([t_max], [h], *evaluate(np.array([h])))
             return _trajectory(scenario, floor, points, TerminationKind.HORIZON_REACHED)
@@ -408,6 +413,15 @@ def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
         msg = f"panel budget {max_steps} exhausted at t = {t}"
         raise StiffnessError(msg, t=t, state=edges[n_panels : n_panels + 1])
     return _trajectory(scenario, floor, points, TerminationKind.COLLISION)
+
+
+def _bisect(f):
+    """The root in [0, 1] of f, with f(0) <= 0 < f(1), to a bracket 1e-15 wide."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if f(mid) > 0.0 else (mid, hi)
+    return 0.5 * (lo + hi)
 
 
 def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps):
@@ -423,6 +437,8 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps
     The right-hand side, the recorded kappa values and the Jacobian all read
     the run's drag.kappa_table, or the series when it returns None.
     """
+    from scipy.integrate import solve_ivp
+
     table = drag.kappa_table(scenario.bc, truncation, lam=_prop_lam(scenario))
     if table is None:
         coefficients = lambda h: _force_and_coefficients(scenario, max(h, _GAP_CLAMP), truncation)
@@ -534,11 +550,13 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
         T = integral over h in [floor, h0] of dh / U(h).
 
     The integrand is evaluated on the log-gap substitution, which removes
-    most of the near-floor mass. diverged reports whether the local
-    power-law exponent of 1 / U at the floor is -0.9 or steeper, the
-    signature of a floor-to-contact time that grows without bound as the
-    floor is lowered (the no-slip stall); kappa values come from the same
-    model as the dynamics, so the report matches what simulate would do.
+    most of the near-floor mass, with one quad per segment between the kinks
+    of the drag model, where a massless run's segments also end. diverged
+    reports whether the local power-law exponent of 1 / U at the floor is
+    -0.9 or steeper, the signature of a floor-to-contact time that grows
+    without bound as the floor is lowered (the no-slip stall); kappa values
+    come from the same model as the dynamics, so the report matches what
+    simulate would do.
     """
     floor = _massless_floor(scenario, h_floor, "quadrature form of the collision time")
     truncation = truncation or SeriesTruncation()
@@ -553,14 +571,14 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
                 f"approach speed is not positive at h = {h}; no collision course"
             )
 
-    value, abserr = quad(
-        lambda u: np.exp(u) / speed(np.exp(u)),
-        np.log(floor),
-        np.log(scenario.h0),
-        limit=400,
-        epsabs=0.0,
-        epsrel=1e-10,
-    )
+    from scipy.integrate import quad
+
+    stops = np.log(_segment_stops(scenario, floor))
+    pieces = [
+        quad(lambda u: np.exp(u) / speed(np.exp(u)), lo, hi, limit=400, epsabs=0.0, epsrel=1e-10)
+        for hi, lo in zip(stops, stops[1:])
+    ]
+    value, abserr = (sum(column) for column in zip(*pieces))
     inv_u = lambda h: 1.0 / speed(h)
     p = float(
         (np.log(inv_u(floor)) - np.log(inv_u(10.0 * floor)))
@@ -592,6 +610,6 @@ def decay_rate_bound(scenario, h_floor=None, truncation=None):
     evaluates, so after that run every coefficient is a cache hit.
     """
     floor = _massless_floor(scenario, h_floor, "the a priori decay rate")
-    hs, _ = _panel_edges(scenario.h0, floor, (SERIES_GAP_FLOOR, scenario.bc.beta))
+    hs, _ = _panel_edges(_segment_stops(scenario, floor))
     kp, kpr = drag.kappa_arrays(hs, scenario.bc, truncation, lam=_prop_lam(scenario))
     return max(0.0, float(np.max(_force(scenario, kpr) / (hs * kp))))

@@ -12,6 +12,8 @@ from swimcollide.dynamics import (
     _BLOCK_EDGES,
     _STENCIL_TO_MONOMIAL,
     _STENCIL_WEIGHTS,
+    _panel_edges,
+    _segment_stops,
     _table_jacobian,
     Mode,
     QuadratureReport,
@@ -255,8 +257,8 @@ class TestMasslessEvaluations:
         traj = simulate(sc, t_max=1e3)
         assert traj.termination is TerminationKind.COLLISION
         assert sum(p.h >= NAVIER.beta for p in traj.points) - 1 >= 7
-        # The reference breaks at both kinks: collision_time_quadrature
-        # integrates across them in one piece.
+        # The reference breaks at both kinks, as collision_time_quadrature
+        # does; TestQuadrature checks that one against this run.
         stops = np.log([traj.h_floor, drag.SERIES_GAP_FLOOR, NAVIER.beta, sc.h0])
         exact = sum(
             quad(lambda u: _dt_du(sc, u), a, b, limit=400, epsabs=0.0, epsrel=1e-13)[0]
@@ -313,6 +315,30 @@ class TestStencilQuadrature:
         ]
         exact = np.cumsum(np.append(0.0, panels))
         np.testing.assert_allclose(cols["t"], exact, rtol=1e-11, atol=0.0)
+
+
+class TestHorizonPoint:
+    """The last point of a horizon run, where the stencil polynomial of the
+    first panel to pass t_max reaches it."""
+
+    @pytest.mark.parametrize("bc", [NO_SLIP, NAVIER], ids=["no_slip", "navier"])
+    @pytest.mark.parametrize("h0", [0.3, 2.0])
+    @pytest.mark.parametrize("t_max", [7.0, 60.0])
+    def test_lies_on_its_panel_at_the_horizon(self, bc, h0, t_max):
+        sc = active(bc, h0=h0)
+        traj = simulate(sc, t_max=t_max)
+        assert traj.termination is TerminationKind.HORIZON_REACHED
+        end = traj.points[-1]
+        assert end.t == t_max
+        # Every point before it is an edge, so its panel runs from the last
+        # recorded edge to the next one.
+        edges, _ = _panel_edges(_segment_stops(sc, traj.h_floor))
+        n = len(traj.points)
+        assert traj.points[-2].h == edges[n - 2]
+        assert edges[n - 1] <= end.h <= edges[n - 2]
+        # The quadrature shares only the drag model and the kinks with the run.
+        rep = collision_time_quadrature(sc, h_floor=end.h)
+        assert rep.time_to_floor == pytest.approx(t_max, rel=1e-9, abs=0.0)
 
 
 class TestMasslessReference:
@@ -435,6 +461,16 @@ class TestQuadrature:
         assert rep.time_to_floor == pytest.approx(traj.t_coll, rel=1e-8)
         assert rep.abserr < 1e-6 * rep.time_to_floor
         assert not rep.diverged
+
+    def test_splits_at_the_kinks(self):
+        # From h0 = 1.01 beta the kink at beta lies 0.01 in ln h below the
+        # start: one quad across it lands 9.3e-6 below the run's
+        # 45.1804543794, with an error estimate of only 4e-10.
+        sc = active(NAVIER, h0=1.01 * NAVIER.beta)
+        traj = simulate(sc, t_max=1e3)
+        assert traj.termination is TerminationKind.COLLISION
+        rep = collision_time_quadrature(sc)
+        assert rep.time_to_floor == pytest.approx(traj.t_coll, rel=1e-9, abs=0.0)
 
     def test_noslip_tail_diverges(self):
         rep = collision_time_quadrature(forced(NO_SLIP, h0=0.3))

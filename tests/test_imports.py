@@ -1,0 +1,69 @@
+"""scipy is loaded only by the code paths that call it: inertial runs, the
+collision-time quadrature and validate. The commands that serve the paper's
+massless results start without it, so a stray top-level import would cost
+every such process the half second scipy takes to load.
+
+The check runs in a fresh interpreter, since the test modules themselves
+import scipy."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import swimcollide
+
+SCRIPT = textwrap.dedent(
+    """
+    import sys, tempfile
+    from pathlib import Path
+
+    def scipy_modules(after):
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert not loaded, f"{after} loaded {loaded[:5]}"
+
+    from swimcollide import cli
+    scipy_modules("import swimcollide.cli")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = ["drag", "--bc", "navier", "--beta", "0.1", "--points", "4"]
+        assert cli.main(argv + ["--out", str(tmp / "drag")]) == 0
+        scipy_modules("drag")
+
+        run = tmp / "run.cfg"
+        run.write_text(
+            "[scenario]\\nmode = active\\nbc = no_slip\\nh0 = 0.5\\nlambda = 1.0\\n"
+            "[integrator]\\nt_max = 200.0\\n"
+        )
+        assert cli.main(["simulate", "--config", str(run), "--out", str(tmp / "sim")]) == 0
+        report = (tmp / "sim" / "run_report.txt").read_text()
+        assert "termination = horizon_reached" in report, report
+        scipy_modules("a massless horizon simulate")
+
+        grid = tmp / "sweep.cfg"
+        grid.write_text(
+            "[scenario]\\nmode = active\\nbc = navier\\nbeta = 0.1\\nh0 = 0.5\\n"
+            "[integrator]\\nt_max = 200.0\\n[sweep]\\nlambda = 0.5, 1.0\\n"
+        )
+        assert cli.main(["sweep", "--config", str(grid), "--out", str(tmp / "sweep")]) == 0
+        scipy_modules("a massless sweep")
+    print("ok")
+    """
+)
+
+
+def test_massless_commands_load_no_scipy():
+    src = str(Path(swimcollide.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"
