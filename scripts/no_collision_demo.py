@@ -9,12 +9,14 @@ floor_reached there, never a collision), so the property shows up two
 ways, and this script checks both:
 
   * the time to reach a floor d grows like ln(1 / d), so the extrapolated
-    time to d = 0 is infinite (the quadrature report flags the divergent
-    integrand directly);
+    time to d = 0 is infinite;
   * the scenario alone gives the rate c* = sup F / (h kappa_pass) over
-    [floor, h0], and by Gronwall h(t) >= h0 exp(-c* t) with no run needed;
-    c* meets the lubrication limit 2 F / (3 pi), so it stays finite as the
-    floor goes to zero, and the bound holds at every recorded point.
+    [floor, h0], and by Gronwall h(t) >= h0 exp(-c* t) with no run needed,
+    so every run to a floor d takes at least ln(h0 / d) / c*; c* meets the
+    lubrication limit 2 F / (3 pi), so it stays finite as the floor goes to
+    zero, and the bound holds at every recorded point.
+
+Both need only massless runs and the bound, so the script never loads scipy.
 """
 
 import argparse
@@ -27,7 +29,6 @@ from swimcollide import (
     Mode,
     SwimmerScenario,
     TerminationKind,
-    collision_time_quadrature,
     decay_rate_bound,
     simulate,
 )
@@ -49,8 +50,9 @@ def main(argv=None):
 
     floors = [1e-5, 1e-6, 1e-7, 1e-8, 1e-9]
     print(f"no-slip squeeze, f_ext = {args.force}, h0 = {args.h0}")
-    print(f"{'floor':>8}  {'time to floor':>16}  {'ln(h0 / floor)':>16}")
-    times, logs, deepest = [], [], None
+    heads = ("time to floor", "ln(h0 / floor)", "ln(h0 / floor) / c*")
+    print(f"{'floor':>8}" + "".join(f"  {head:>20}" for head in heads))
+    times, logs, deepest, timely = [], [], None, True
     for floor in floors:
         traj = simulate(sc, t_max=args.t_max, h_floor=floor)
         if traj.termination is not TerminationKind.FLOOR_REACHED:
@@ -58,11 +60,14 @@ def main(argv=None):
             break
         times.append(traj.t_end)
         logs.append(np.log(args.h0 / floor))
+        least = logs[-1] / decay_rate_bound(sc, h_floor=floor)
+        timely = timely and traj.t_end >= least
         deepest = traj
-        print(f"{floor:>8.0e}  {traj.t_end:>16.6f}  {logs[-1]:>16.6f}")
+        print(f"{floor:>8.0e}" + "".join(f"  {v:>20.6f}" for v in (traj.t_end, logs[-1], least)))
     if deepest is None:
         print("raise --t-max so at least one floor is reached")
         return 1
+    print(f"t_end >= ln(h0 / floor) / c* at every floor: {timely}")
 
     if len(times) >= 3:
         # Linear growth of time in ln(1 / floor) is the stall signature:
@@ -72,13 +77,6 @@ def main(argv=None):
         print(f"time to floor grows ~ {slope:.4f} * ln(h0 / floor)")
         print("extrapolated time to zero gap: infinite")
 
-    quad = collision_time_quadrature(sc, h_floor=floors[-1])
-    print()
-    print(
-        f"quadrature flags a divergent dt / dh integrand at the floor:"
-        f" {quad.diverged} (local exponent {quad.tail_exponent:.3f})"
-    )
-
     rate = decay_rate_bound(sc, h_floor=deepest.h_floor)
     bound = lambda t: args.h0 * np.exp(-rate * t) * (1.0 - 1e-12)
     holds = all(p.h >= bound(p.t) for p in deepest.points)
@@ -87,7 +85,7 @@ def main(argv=None):
     print(f"a priori lower bound: h(t) >= {args.h0} * exp(-{rate:.6f} t)")
     print(f"rate / lubrication limit 2 f_ext / (3 pi): {lubrication:.6f}")
     print(f"bound holds at all {len(deepest.points)} recorded points: {holds}")
-    return 0 if holds and abs(lubrication - 1.0) <= 1e-3 and quad.diverged else 1
+    return 0 if timely and holds and abs(lubrication - 1.0) <= 1e-3 else 1
 
 
 if __name__ == "__main__":

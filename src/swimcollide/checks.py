@@ -271,19 +271,26 @@ def _check_quadrature_match():
     traj = dynamics.simulate(sc, 100.0)
     report = dynamics.collision_time_quadrature(sc)
     rel = abs(report.time_to_floor - traj.t_coll) / traj.t_coll
-    ok = rel < 1e-8 and not report.diverged
+    least = np.log(sc.h0 / report.h_floor) / dynamics.decay_rate_bound(sc, report.h_floor)
+    collided = traj.termination is TerminationKind.COLLISION
+    ok = rel < 1e-8 and collided and report.time_to_floor >= least
     return ok, (
         f"quadrature {report.time_to_floor:.6f} vs simulated {traj.t_coll:.6f} "
-        f"(rel {rel:.2e}), tail exponent {report.tail_exponent:.3f}"
+        f"(rel {rel:.2e}), termination {traj.termination.value}, "
+        f"a priori least time {least:.2e}"
     )
 
 
 def _check_noslip_divergence():
     sc = SwimmerScenario(mode=Mode.ACTIVE, bc=BoundaryCondition.no_slip(), h0=0.1)
+    rate = dynamics.decay_rate_bound(sc, 1e-7)
+    ratio = rate * 3.0 * np.pi / (2.0 * drag.net_propulsion(1e-7, sc.lam, sc.f_p, sc.bc))
+    least = np.log(sc.h0 / 1e-7) / rate
     report = dynamics.collision_time_quadrature(sc, h_floor=1e-7)
-    return report.diverged, (
-        f"tail exponent {report.tail_exponent:.3f} at floor 1e-7 "
-        f"(time to floor {report.time_to_floor:.1f})"
+    ok = abs(ratio - 1.0) <= 1e-3 and report.time_to_floor >= least
+    return ok, (
+        f"rate {rate:.7f} at floor 1e-7, rate / lubrication limit {ratio:.6f}; "
+        f"time to floor {report.time_to_floor:.3f} >= ln(h0 / floor) / rate = {least:.3f}"
     )
 
 

@@ -233,7 +233,10 @@ def cmd_sweep(args):
         head = [str(idx)] + [_fmt(v) for v in combo]
         try:
             scenario = sweep_scenario(cfg.scenario, dict(zip(axes, combo)))
-            co = drag.coefficients(scenario.h0, scenario.lam, scenario.bc, trunc)
+            kp = drag.kappa_pass(scenario.h0, scenario.bc, trunc)
+            # a passive pair has no propulsion factor, as in its trajectory
+            active = scenario.mode is dynamics.Mode.ACTIVE
+            kpr = drag.kappa_prop(scenario.h0, scenario.lam, scenario.bc, trunc) if active else 0.0
             traj = _simulate(cfg, scenario, trunc)
         except ConfigError:
             raise
@@ -245,8 +248,8 @@ def cmd_sweep(args):
             rows.append(
                 head
                 + [
-                    _fmt(co.kappa_pass),
-                    _fmt(co.kappa_prop),
+                    _fmt(kp),
+                    _fmt(kpr),
                     traj.termination.value,
                     _fmt(traj.t_coll),
                     _fmt(traj.min_h),

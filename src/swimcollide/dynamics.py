@@ -30,10 +30,11 @@ quadrature, so a process that runs massless scenarios never loads it.
 Two massless results need no run at all. collision_time_quadrature gives
 the time to the floor as a direct integral. decay_rate_bound gives the rate
 c* = sup F / (h kappa_pass) over [floor, h0], so that h(t) >= h0 exp(-c* t)
-by Gronwall: the paper's no-slip result, since c* tends to the finite
-lubrication limit 2 F / (3 pi) as the floor is lowered. A massless run, the
-quadrature and the bound read the drag at the gaps they integrate, all at
-or above the floor, for any floor > 0.
+by Gronwall, and reaching the floor takes at least ln(h0 / floor) / c*: the
+paper's no-slip result, since c* tends to the finite lubrication limit
+2 F / (3 pi) as the floor is lowered. A massless run, the quadrature and the
+bound read the drag at the gaps they integrate, all at or above the floor,
+for any floor > 0.
 
 Inertial scenarios (m > 0) are stiff: the speed relaxes toward the force
 balance on the fast scale m / kappa_pass, which near contact is orders of
@@ -109,6 +110,8 @@ class SwimmerScenario:
     def __post_init__(self):
         if not isinstance(self.mode, Mode):
             raise DomainError(f"mode must be a Mode member, got {self.mode!r}")
+        if not isinstance(self.bc, BoundaryCondition):
+            raise DomainError(f"bc must be a BoundaryCondition, got {self.bc!r}")
         if not np.isfinite(self.h0) or self.h0 <= 0.0:
             raise DomainError(f"initial half-gap must be positive, got {self.h0}")
         if not np.isfinite(self.s0) or self.s0 < 0.0:
@@ -522,12 +525,10 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps
 
 @dataclass(frozen=True)
 class QuadratureReport:
-    """Collision-time integral and its near-floor behavior."""
+    """Collision-time integral from h0 down to h_floor, with quad's error."""
 
     time_to_floor: float
     abserr: float
-    tail_exponent: float
-    diverged: bool
     h_floor: float
 
 
@@ -551,12 +552,11 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
 
     The integrand is evaluated on the log-gap substitution, which removes
     most of the near-floor mass, with one quad per segment between the kinks
-    of the drag model, where a massless run's segments also end. diverged
-    reports whether the local power-law exponent of 1 / U at the floor is
-    -0.9 or steeper, the signature of a floor-to-contact time that grows
-    without bound as the floor is lowered (the no-slip stall); kappa values
+    of the drag model, where a massless run's segments also end. kappa values
     come from the same model as the dynamics, so the report matches what
-    simulate would do.
+    simulate would do. The time to one floor cannot tell a stall from a slow
+    collision; decay_rate_bound can, since T >= ln(h0 / floor) / c* and c*
+    stays finite as the floor is lowered only when the gap never closes.
     """
     floor = _massless_floor(scenario, h_floor, "quadrature form of the collision time")
     truncation = truncation or SeriesTruncation()
@@ -579,18 +579,7 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
         for hi, lo in zip(stops, stops[1:])
     ]
     value, abserr = (sum(column) for column in zip(*pieces))
-    inv_u = lambda h: 1.0 / speed(h)
-    p = float(
-        (np.log(inv_u(floor)) - np.log(inv_u(10.0 * floor)))
-        / (np.log(floor) - np.log(10.0 * floor))
-    )
-    return QuadratureReport(
-        time_to_floor=float(value),
-        abserr=float(abserr),
-        tail_exponent=p,
-        diverged=p <= -0.9,
-        h_floor=floor,
-    )
+    return QuadratureReport(time_to_floor=float(value), abserr=float(abserr), h_floor=floor)
 
 
 def decay_rate_bound(scenario, h_floor=None, truncation=None):
@@ -601,10 +590,11 @@ def decay_rate_bound(scenario, h_floor=None, truncation=None):
         c* = max(0, sup over [floor, h0] of F(h) / (h kappa_pass(h))),
 
     so by Gronwall h(t) >= h0 exp(-c* t) for every t at which the gap has
-    not passed the floor, with no run needed. Under no slip h kappa_pass
-    tends to 3 pi / 2 at contact and c* to 2 F(floor) / (3 pi): the rate
-    stays finite as the floor is lowered, so the gap never closes. Under
-    slip c* grows as the floor is lowered and bounds runs to that floor only.
+    not passed the floor, with no run needed, and the time to the floor is
+    at least ln(h0 / floor) / c*. Under no slip h kappa_pass tends to
+    3 pi / 2 at contact and c* to 2 F(floor) / (3 pi): the rate stays finite
+    as the floor is lowered, so the gap never closes. Under slip c* grows as
+    the floor is lowered and bounds runs to that floor only.
 
     The sup is taken at the panel edges a massless run to the same floor
     evaluates, so after that run every coefficient is a cache hit.

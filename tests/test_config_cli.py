@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import swimcollide
-from swimcollide import checks, geometry, series
+from swimcollide import checks, drag, geometry, series
 from swimcollide.checks import CHECKS
 from swimcollide.cli import main
 from swimcollide.config import SWEEP_AXES, parse_config, parse_config_text
@@ -413,6 +414,28 @@ class TestSweepCommand:
         for name in ("sweep.csv", "sweep_report.txt"):
             assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name)
 
+    def test_passive_rows_have_no_propulsion_factor(self, tmp_path, monkeypatch):
+        # A passive pair is pushed by f_ext alone: its rows report
+        # kappa_prop_h0 = 0, as its trajectory does, and no propulsion series
+        # is evaluated for it.
+        def no_series(*args):
+            raise AssertionError("a passive sweep evaluated a propulsion series")
+
+        monkeypatch.setattr(drag, "_series_prop", no_series)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "[scenario]\nmode = passive_forced\nbc = navier\nbeta = 0.1\nf_ext = 1\n"
+            "[sweep]\nh0 = 0.3, 0.5\n"
+        )
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "sweep.csv")
+        col = rows[0].index("kappa_prop_h0")
+        assert [r[col] for r in rows[1:]] == ["0", "0"]
+        bc = BoundaryCondition.navier(0.1)
+        assert [float(r[col - 1]) for r in rows[1:]] == [
+            drag.kappa_pass(h0, bc) for h0 in (0.3, 0.5)
+        ]
+
     def test_workers_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(self.SWEEP + "workers = 2\n")
@@ -473,6 +496,32 @@ class TestValidateCommand:
     def test_check_passes(self, check):
         ok, detail = check()
         assert ok, detail
+
+    def test_weakened_lubrication_is_caught(self, monkeypatch):
+        # kappa_pass scaled by 0.9 below h = 1e-3 still grows like 1 / h, but
+        # misses the lubrication limit 3 pi / (2 h) by 10%.
+        kappa_pass, kappa_arrays = drag.kappa_pass, drag.kappa_arrays
+
+        def weaken(hs, kp):
+            return np.where(np.asarray(hs) < 1e-3, 0.9 * kp, kp)
+
+        def weak_pass(h, bc, truncation=None):
+            return float(weaken(h, kappa_pass(h, bc, truncation)))
+
+        def weak_arrays(hs, bc, truncation=None, lam=None):
+            kp, kpr = kappa_arrays(hs, bc, truncation, lam)
+            return weaken(hs, kp), kpr
+
+        monkeypatch.setattr(drag, "kappa_pass", weak_pass)
+        monkeypatch.setattr(drag, "kappa_arrays", weak_arrays)
+        named = dict(CHECKS)
+        for name in (
+            "noslip_time_divergence",
+            "exponential_lower_bound",
+            "quadrature_vs_simulation",
+        ):
+            ok, detail = named[name]()
+            assert not ok, f"{name}: {detail}"
 
     def test_runner_reports_each_check(self, tmp_path, capsys, monkeypatch):
         def broken():

@@ -56,6 +56,7 @@ class TestScenarioValidation:
             {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": 0.5, "lam": 0.0},
             {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": 0.5, "f_p": -1.0},
             {"mode": Mode.PASSIVE_FORCED, "bc": NO_SLIP, "h0": 0.5, "f_ext": 0.0},
+            {"mode": Mode.ACTIVE, "bc": "navier", "h0": 0.5},
         ],
     )
     def test_rejections(self, kwargs):
@@ -460,7 +461,9 @@ class TestQuadrature:
         assert isinstance(rep, QuadratureReport)
         assert rep.time_to_floor == pytest.approx(traj.t_coll, rel=1e-8)
         assert rep.abserr < 1e-6 * rep.time_to_floor
-        assert not rep.diverged
+        assert traj.termination is TerminationKind.COLLISION
+        rate = decay_rate_bound(sc, rep.h_floor)
+        assert rep.time_to_floor >= np.log(sc.h0 / rep.h_floor) / rate
 
     def test_splits_at_the_kinks(self):
         # From h0 = 1.01 beta the kink at beta lies 0.01 in ln h below the
@@ -473,9 +476,14 @@ class TestQuadrature:
         assert rep.time_to_floor == pytest.approx(traj.t_coll, rel=1e-9, abs=0.0)
 
     def test_noslip_tail_diverges(self):
-        rep = collision_time_quadrature(forced(NO_SLIP, h0=0.3))
-        assert rep.diverged
-        assert rep.tail_exponent == pytest.approx(-1.0, abs=0.05)
+        # The time to the floor is at least ln(h0 / floor) / c*, and c* meets
+        # the finite lubrication limit, so the time grows without bound as
+        # the floor is lowered.
+        sc = forced(NO_SLIP, h0=0.3)
+        rep = collision_time_quadrature(sc)
+        rate = decay_rate_bound(sc, rep.h_floor)
+        assert rate * 3.0 * np.pi / (2.0 * sc.f_ext) == pytest.approx(1.0, abs=1e-3)
+        assert rep.time_to_floor >= np.log(sc.h0 / rep.h_floor) / rate
 
     def test_needs_massless_scenario(self):
         with pytest.raises(InvalidRegimeError):

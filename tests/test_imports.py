@@ -1,7 +1,8 @@
 """scipy is loaded only by the code paths that call it: inertial runs, the
 collision-time quadrature and validate. The commands that serve the paper's
-massless results start without it, so a stray top-level import would cost
-every such process the half second scipy takes to load.
+massless results, and the no-collision demo, start without it, so a stray
+top-level import would cost every such process the half second scipy takes
+to load.
 
 The check runs in a fresh interpreter, since the test modules themselves
 import scipy."""
@@ -16,7 +17,7 @@ import swimcollide
 
 SCRIPT = textwrap.dedent(
     """
-    import sys, tempfile
+    import importlib.util, sys, tempfile
     from pathlib import Path
 
     def scipy_modules(after):
@@ -49,6 +50,12 @@ SCRIPT = textwrap.dedent(
         )
         assert cli.main(["sweep", "--config", str(grid), "--out", str(tmp / "sweep")]) == 0
         scipy_modules("a massless sweep")
+
+    spec = importlib.util.spec_from_file_location("demo", sys.argv[1])
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert demo.main(["--h0", "0.05", "--t-max", "100"]) == 0
+    scipy_modules("the no-collision demo")
     print("ok")
     """
 )
@@ -56,10 +63,11 @@ SCRIPT = textwrap.dedent(
 
 def test_massless_commands_load_no_scipy():
     src = str(Path(swimcollide.__file__).resolve().parent.parent)
+    demo = Path(__file__).resolve().parent.parent / "scripts" / "no_collision_demo.py"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", SCRIPT, str(demo)],
         capture_output=True,
         text=True,
         env=env,
