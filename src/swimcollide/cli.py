@@ -233,13 +233,10 @@ def cmd_sweep(args):
         head = [str(idx)] + [_fmt(v) for v in combo]
         try:
             scenario = sweep_scenario(cfg.scenario, dict(zip(axes, combo)))
-            kp = drag.kappa_pass(scenario.h0, scenario.bc, trunc)
             # a passive pair has no propulsion factor, as in its trajectory
-            active = scenario.mode is dynamics.Mode.ACTIVE
-            kpr = drag.kappa_prop(scenario.h0, scenario.lam, scenario.bc, trunc) if active else 0.0
+            lam = scenario.lam if scenario.mode is dynamics.Mode.ACTIVE else None
+            (kp,), (kpr,) = drag.kappa_arrays([scenario.h0], scenario.bc, trunc, lam)
             traj = _simulate(cfg, scenario, trunc)
-        except ConfigError:
-            raise
         except Exception as exc:  # recorded per point, reported at exit
             reason = f"{type(exc).__name__}: {exc}"
             failures.append((idx, reason))

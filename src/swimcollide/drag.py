@@ -21,18 +21,21 @@ A gap's coefficients are tagged EXACT_SERIES iff both come from a converged
 series at that gap, which is iff h >= max(beta, SERIES_GAP_FLOOR).
 
 Every series value is memoized on (gap, offset, truncation); the cache is a
-pure lookup and never changes results.
+pure lookup and never changes results. kappa_arrays is the one reader of
+that cache: it alone turns series values into kappa_pass and kappa_prop,
+and kappa_pass, kappa_prop and coefficients are its values at one gap.
+Massless runs, rhs, the quadrature, the decay-rate bound, the drag command
+and the sweep columns all read the series through it.
 
-kappa_table serves inertial runs, whose Radau steps ask for the coefficients
-thousands of times at gaps that never repeat. It tabulates ln kappa_pass on
-[series edge, TABLE_TOP] and ln kappa_prop on [SERIES_GAP_FLOOR, TABLE_TOP]
-as Chebyshev interpolants in ln h through the memoized series, with a bound
-measured against the series at build time, and gives the h-derivatives the
-Jacobian needs. A table whose bound exceeds tail_tol is not used: the run
-reads the series. Which path a caller takes is fixed by the caller, never
-by cache warmth: only inertial simulate uses the table, while kappa_pass,
-kappa_prop, kappa_arrays and coefficients (and so massless runs, rhs and the
-drag command) always read the series.
+kappa_table is the one other path. It serves inertial runs, whose Radau
+steps ask for the coefficients and their slopes thousands of times at gaps
+that never repeat. It tabulates ln kappa_pass on [series edge, TABLE_TOP]
+and ln kappa_prop on [SERIES_GAP_FLOOR, TABLE_TOP] as Chebyshev
+interpolants in ln h through the memoized series, with a bound measured
+against the series at build time, and gives the h-derivatives the Jacobian
+needs. A table whose bound exceeds tail_tol is not used: the run reads the
+series through kappa_arrays. Which path a caller takes is fixed by the
+caller, never by cache warmth: only inertial simulate uses the table.
 """
 
 import math
@@ -128,13 +131,6 @@ def cache_clear():
     """Drop all memoized coefficient values (results are unaffected)."""
     _series_pass.cache_clear()
     _series_prop.cache_clear()
-
-
-def _require_positive_gap(h):
-    h = float(h)
-    if not np.isfinite(h) or h <= 0.0:
-        raise DomainError(f"half-gap must be finite and positive, got {h}")
-    return h
 
 
 def _series_edge(bc):
@@ -253,36 +249,31 @@ def kappa_table(bc, truncation=None, lam=None):
 
 def kappa_pass(h, bc, truncation=None):
     """Pair drag coefficient at half-gap h under the given wall model."""
-    h = _require_positive_gap(h)
-    n_max, tail_tol = _trunc_key(truncation)
-    edge = _series_edge(bc)
-    if h >= edge:
-        return _series_pass(h, n_max, tail_tol)
-    return float(_below_edge(_series_pass(edge, n_max, tail_tol), h, bc.beta))
+    return kappa_arrays([h], bc, truncation)[0].item()
 
 
 def kappa_prop(h, lam, bc, truncation=None):
     """Propulsion reduction factor at half-gap h: the no-slip series under
     both wall models (slip enters it only at O(beta)), frozen at its value
     at SERIES_GAP_FLOOR below the floor."""
-    h = _require_positive_gap(h)
-    n_max, tail_tol = _trunc_key(truncation)
-    return _series_prop(max(h, SERIES_GAP_FLOOR), float(lam), n_max, tail_tol)
+    return kappa_arrays([h], bc, truncation, lam)[1].item()
 
 
 def kappa_arrays(hs, bc, truncation=None, lam=None):
     """kappa_pass and kappa_prop at every gap of the array hs, in its shape.
 
-    Each value equals the one kappa_pass or kappa_prop returns for that gap:
-    gaps at or above the series edge go one by one through the same memoized
-    series, the gaps below it take the same continuation in one array
-    expression, and the propulsion factor comes from the same memoized series
-    once per gap. lam = None, as for a passive pair, which has no
+    This is the one reader of the memoized series: kappa_pass, kappa_prop and
+    coefficients are views of it at one gap. Gaps at or above the series edge
+    go one by one through the memoized series, the gaps below it take the
+    _below_edge continuation in one array expression, and the propulsion
+    factor comes from the memoized series once per gap, at
+    max(h, SERIES_GAP_FLOOR). lam = None, as for a passive pair, which has no
     propulsion factor, gives kappa_prop = 0 without evaluating anything.
     """
     hs = np.asarray(hs, dtype=float)
-    if not np.all(np.isfinite(hs) & (hs > 0.0)):
-        raise DomainError("half-gaps must be finite and positive")
+    bad = hs[~(np.isfinite(hs) & (hs > 0.0))]
+    if bad.size:
+        raise DomainError(f"half-gap must be finite and positive, got {bad[0]}")
     n_max, tail_tol = _trunc_key(truncation)
     edge = _series_edge(bc)
     above = hs >= edge
@@ -313,11 +304,12 @@ def coefficients(h, lam, bc, truncation=None):
     The tag is EXACT_SERIES only when both came from a converged series
     evaluation at the actual gap, which is at or above the series edge.
     """
-    h = _require_positive_gap(h)
+    (kp,), (kpr,) = kappa_arrays([h], bc, truncation, lam)
+    h = float(h)
     exact = h >= _series_edge(bc)
     return DragCoefficients(
         h=h,
-        kappa_pass=kappa_pass(h, bc, truncation),
-        kappa_prop=kappa_prop(h, lam, bc, truncation),
+        kappa_pass=kp.item(),
+        kappa_prop=kpr.item(),
         provenance=Provenance.EXACT_SERIES if exact else Provenance.ASYMPTOTIC_MODEL,
     )

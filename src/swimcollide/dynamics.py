@@ -112,6 +112,9 @@ class SwimmerScenario:
             raise DomainError(f"mode must be a Mode member, got {self.mode!r}")
         if not isinstance(self.bc, BoundaryCondition):
             raise DomainError(f"bc must be a BoundaryCondition, got {self.bc!r}")
+        for name in ("h0", "s0", "mass", "f_p", "lam", "f_ext"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not np.isfinite(self.h0) or self.h0 <= 0.0:
             raise DomainError(f"initial half-gap must be positive, got {self.h0}")
         if not np.isfinite(self.s0) or self.s0 < 0.0:
@@ -190,12 +193,12 @@ def _force(scenario, kpr):
     return scenario.f_p * (1.0 - kpr) if scenario.mode is Mode.ACTIVE else scenario.f_ext
 
 
-def _force_and_coefficients(scenario, h, truncation):
-    h = float(h)
-    kp = drag.kappa_pass(h, scenario.bc, truncation)
-    lam = _prop_lam(scenario)
-    kpr = 0.0 if lam is None else drag.kappa_prop(h, lam, scenario.bc, truncation)
-    return _force(scenario, kpr), kp, kpr
+def _force_and_coefficients(scenario, hs, truncation):
+    """F, kappa_pass and kappa_prop at every gap of the array hs, each an
+    array in its shape, from one drag.kappa_arrays call: the one place this
+    module reads the series."""
+    kp, kpr = drag.kappa_arrays(hs, scenario.bc, truncation, lam=_prop_lam(scenario))
+    return np.broadcast_to(_force(scenario, kpr), kp.shape), kp, kpr
 
 
 def _table_terms(scenario, table, h):
@@ -223,10 +226,10 @@ def rhs(scenario, y, truncation=None):
 
     State is (h,) for massless scenarios and (h, hdot) otherwise.
     """
-    force, kp, _ = _force_and_coefficients(scenario, max(y[0], _GAP_CLAMP), truncation)
+    force, kp, _ = _force_and_coefficients(scenario, [max(y[0], _GAP_CLAMP)], truncation)
     if scenario.mass == 0.0:
-        return np.array([-force / kp])
-    return _inertial_rate(scenario, y, force, kp)
+        return -force / kp
+    return _inertial_rate(scenario, y, force.item(), kp.item())
 
 
 def _inertial_rate(scenario, y, force, kp):
@@ -358,11 +361,9 @@ def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
     past the last of them. The earliest panel decides: a lost drive ends the
     run unless a panel whose stencil lies before it reached the horizon.
     """
-    lam = _prop_lam(scenario)
-
     def evaluate(hs):
-        kp, kpr = drag.kappa_arrays(hs, scenario.bc, truncation, lam=lam)
-        return -_force(scenario, kpr) / kp, kp, kpr
+        force, kp, kpr = _force_and_coefficients(scenario, hs, truncation)
+        return -force / kp, kp, kpr
 
     def record(*columns):
         return list(map(TrajectoryPoint, *(np.asarray(c).tolist() for c in columns)))
@@ -444,7 +445,9 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps
 
     table = drag.kappa_table(scenario.bc, truncation, lam=_prop_lam(scenario))
     if table is None:
-        coefficients = lambda h: _force_and_coefficients(scenario, max(h, _GAP_CLAMP), truncation)
+        coefficients = lambda h: [
+            c.item() for c in _force_and_coefficients(scenario, [max(h, _GAP_CLAMP)], truncation)
+        ]
         jac = None
     else:
         coefficients = lambda h: _table_terms(scenario, table, h)[:3]
@@ -561,21 +564,23 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
     floor = _massless_floor(scenario, h_floor, "quadrature form of the collision time")
     truncation = truncation or SeriesTruncation()
 
-    def speed(h):
-        force, kp, _ = _force_and_coefficients(scenario, h, truncation)
+    def speed(hs):
+        force, kp, _ = _force_and_coefficients(scenario, hs, truncation)
         return force / kp
 
-    for h in np.geomspace(floor, scenario.h0, 25):
-        if speed(h) <= 0.0:
-            raise InvalidRegimeError(
-                f"approach speed is not positive at h = {h}; no collision course"
-            )
+    probes = np.geomspace(floor, scenario.h0, 25)
+    stalled = probes[speed(probes) <= 0.0]
+    if stalled.size:
+        raise InvalidRegimeError(
+            f"approach speed is not positive at h = {stalled[0]}; no collision course"
+        )
 
     from scipy.integrate import quad
 
     stops = np.log(_segment_stops(scenario, floor))
+    integrand = lambda u: np.exp(u) / speed([np.exp(u)])[0]
     pieces = [
-        quad(lambda u: np.exp(u) / speed(np.exp(u)), lo, hi, limit=400, epsabs=0.0, epsrel=1e-10)
+        quad(integrand, lo, hi, limit=400, epsabs=0.0, epsrel=1e-10)
         for hi, lo in zip(stops, stops[1:])
     ]
     value, abserr = (sum(column) for column in zip(*pieces))
@@ -601,5 +606,5 @@ def decay_rate_bound(scenario, h_floor=None, truncation=None):
     """
     floor = _massless_floor(scenario, h_floor, "the a priori decay rate")
     hs, _ = _panel_edges(_segment_stops(scenario, floor))
-    kp, kpr = drag.kappa_arrays(hs, scenario.bc, truncation, lam=_prop_lam(scenario))
-    return max(0.0, float(np.max(_force(scenario, kpr) / (hs * kp))))
+    force, kp, _ = _force_and_coefficients(scenario, hs, truncation)
+    return max(0.0, float(np.max(force / (hs * kp))))

@@ -465,6 +465,24 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "line 5: sweep.beta: sweeping beta requires" in capsys.readouterr().err
 
+    def test_beta_axis_sets_the_slip_length(self, tmp_path):
+        # h0 = 0.05 lies above one slip length and below the other, so each
+        # row's drag shows which beta its point ran with.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "[scenario]\nmode = passive_forced\nbc = navier\nbeta = 0.5\nf_ext = 1\n"
+            "h0 = 0.05\n[sweep]\nbeta = 0.01, 0.1\n"
+        )
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert rows[0][:2] == ["index", "beta"]
+        assert [(r[0], float(r[1])) for r in rows[1:]] == [("0", 0.01), ("1", 0.1)]
+        assert all(r[-2] == "ok" for r in rows[1:])
+        col = rows[0].index("kappa_pass_h0")
+        want = [drag.kappa_pass(0.05, BoundaryCondition.navier(b)) for b in (0.01, 0.1)]
+        assert want[0] != want[1]
+        assert [float(r[col]) for r in rows[1:]] == want
+
     def test_partial_failure_reporting(self, tmp_path):
         # The second grid point starts below the contact floor and fails;
         # the sweep exits nonzero unless partial results are requested.

@@ -198,8 +198,8 @@ class TestArrays:
         assert kp.shape == kpr.shape == (3, 4)
         want_kp = [kappa_pass(h, bc) for h in self.HS]
         want_kpr = [kappa_prop(h, 0.7, bc) for h in self.HS]
-        np.testing.assert_allclose(kp.ravel(), want_kp, rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(kpr.ravel(), want_kpr, rtol=1e-15, atol=0.0)
+        assert kp.ravel().tolist() == want_kp
+        assert kpr.ravel().tolist() == want_kpr
 
     def test_no_propulsion_factor_without_lam(self):
         _, kpr = kappa_arrays(self.HS, NAVIER)

@@ -57,11 +57,19 @@ class TestScenarioValidation:
             {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": 0.5, "f_p": -1.0},
             {"mode": Mode.PASSIVE_FORCED, "bc": NO_SLIP, "h0": 0.5, "f_ext": 0.0},
             {"mode": Mode.ACTIVE, "bc": "navier", "h0": 0.5},
+            {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": "0.5"},
+            {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": 0.5, "lam": None},
+            {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": 0.5, "mass": "0"},
         ],
     )
     def test_rejections(self, kwargs):
         with pytest.raises(DomainError):
             SwimmerScenario(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [("h0", "0.5"), ("lam", None), ("mass", "0")])
+    def test_non_numbers_are_named(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be a real number"):
+            active(NO_SLIP, **{name: value})
 
     def test_default_floors(self):
         assert default_h_floor(NAVIER) == 1e-9
@@ -423,6 +431,15 @@ class TestSimulateGuards:
             simulate(active(NAVIER), t_max=200.0, max_steps=10)
         assert exc.value.t is not None
 
+    def test_inertial_evaluation_budget_reported(self):
+        # max_steps = 1 allows 25 right-hand-side calls, which Radau spends
+        # within its first steps: the error carries the time and (h, h') there.
+        with pytest.raises(StiffnessError, match="evaluation budget 25") as exc:
+            simulate(active(NAVIER, mass=0.1), t_max=200.0, max_steps=1)
+        h, hdot = exc.value.state
+        assert 0.0 < exc.value.t < 1e-2
+        assert 0.49 < h < 0.5 and hdot < 0.0
+
     def test_massless_speed_reversal(self):
         # Without a net inward drive the massless gap does not close: the run
         # ends at its start.
@@ -442,6 +459,26 @@ class TestSimulateGuards:
         monkeypatch.setattr(drag, "kappa_arrays", fake)
         with pytest.raises(InvalidRegimeError, match=r"at h = 0\.19"):
             simulate(active(NAVIER), t_max=200.0)
+
+    def test_inertial_drive_lost_on_the_way_in(self, monkeypatch):
+        # The same lost drive under inertia: the pair coasts in below h = 0.2,
+        # is pushed back out, and the run ends where the speed turns outward.
+        real = drag.kappa_table
+
+        def fake(bc, truncation=None, lam=None):
+            table = real(bc, truncation, lam)
+
+            def at(h):
+                kp, dkp, kpr, dkpr = table(h)
+                return (kp, dkp, 1.5, 0.0) if h < 0.2 else (kp, dkp, kpr, dkpr)
+
+            return at
+
+        monkeypatch.setattr(drag, "kappa_table", fake)
+        traj = simulate(active(NAVIER, mass=0.1), t_max=200.0)
+        assert traj.termination is TerminationKind.SPEED_REVERSED
+        assert traj.t_coll is None and 0.19 < traj.min_h < 0.2
+        assert traj.points[-1].kappa_prop == 1.5 and traj.points[-1].hdot > 0.0
 
     def test_rounding_can_lose_the_drive(self):
         # At lam = 1e-9 the series gives 1 - kappa_prop = -4.1e-14 at h = 1e-3:
