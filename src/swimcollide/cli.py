@@ -11,8 +11,7 @@ drag, simulate and sweep share --config, --out, --tol and --nmax, where
 --tol and --nmax override the series truncation of the config. drag's --bc,
 --beta and --lam set what the config's [scenario] would, so they are an
 error with --config; without one, drag starts from the empty config.
-validate takes only --out, which also writes validate_report.txt, and
---fault.
+validate takes only --out, which also writes validate_report.txt.
 
 Exit codes: 0 success, 1 validation failure, 2 config or usage error,
 3 numerical failure. All floating point output is written with 17
@@ -22,7 +21,6 @@ another and writes the rows in grid order.
 """
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import itertools
@@ -288,30 +286,22 @@ def cmd_sweep(args):
     return 0
 
 
-_FAULTS = ("gegenbauer",)
-
-
 def cmd_validate(args):
-    if args.fault and args.fault not in _FAULTS:
-        raise ConfigError(f"unknown fault {args.fault!r}; choose from {_FAULTS}")
     out = _out_dir(args) if args.out else None
     lines = []
     failures = 0
-    with checks.scaled_gegenbauer(1.01) if args.fault else contextlib.nullcontext():
-        for name, fn in checks.CHECKS:
-            try:
-                ok, detail = fn()
-            except Exception as exc:
-                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            status = "PASS" if ok else "FAIL"
-            if not ok:
-                failures += 1
-            line = f"{status} {name}: {detail}"
-            lines.append(line)
-            print(line)
+    for name, fn in checks.CHECKS:
+        try:
+            ok, detail = fn()
+        except Exception as exc:
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        status = "PASS" if ok else "FAIL"
+        if not ok:
+            failures += 1
+        line = f"{status} {name}: {detail}"
+        lines.append(line)
+        print(line)
     summary = f"{len(checks.CHECKS) - failures}/{len(checks.CHECKS)} checks passed"
-    if args.fault:
-        summary += f" (fault injected: {args.fault})"
     lines.append(summary)
     print(summary)
     if out:
@@ -365,10 +355,6 @@ def build_parser():
 
     p_val = subs.add_parser("validate", help="run the built-in checks")
     p_val.add_argument("--out", help="also write validate_report.txt to this directory")
-    p_val.add_argument(
-        "--fault",
-        help="inject a known fault (for testing the checks themselves): gegenbauer",
-    )
     p_val.set_defaults(func=cmd_validate)
 
     return parser

@@ -112,19 +112,14 @@ class DragCoefficients:
     provenance: Provenance
 
 
-def _trunc_key(truncation):
-    truncation = truncation or SeriesTruncation()
-    return truncation.n_max, truncation.tail_tol
+@lru_cache(maxsize=262144)
+def _series_pass(h, truncation):
+    return passive_drag(h, truncation)
 
 
 @lru_cache(maxsize=262144)
-def _series_pass(h, n_max, tail_tol):
-    return passive_drag(h, SeriesTruncation(n_max=n_max, tail_tol=tail_tol))
-
-
-@lru_cache(maxsize=262144)
-def _series_prop(h, lam, n_max, tail_tol):
-    return propulsion_drag(h, lam, SeriesTruncation(n_max=n_max, tail_tol=tail_tol))
+def _series_prop(h, lam, truncation):
+    return propulsion_drag(h, lam, truncation)
 
 
 def cache_clear():
@@ -219,17 +214,17 @@ def kappa_table(bc, truncation=None, lam=None):
     lam = None, as for a passive pair, builds no kappa_prop table and gives
     kappa_prop = 0.
     """
-    n_max, tail_tol = _trunc_key(truncation)
+    truncation = truncation or SeriesTruncation()
     edge = _series_edge(bc)
     if edge >= TABLE_TOP:
         return None
-    pass_series = lambda h: _series_pass(h, n_max, tail_tol)
+    pass_series = lambda h: _series_pass(h, truncation)
     pass_table = _ChebyshevTable(pass_series, edge, TABLE_TOP)
     prop_table = None
     if lam is not None:
-        prop_series = lambda h: _series_prop(h, float(lam), n_max, tail_tol)
+        prop_series = lambda h: _series_prop(h, float(lam), truncation)
         prop_table = _ChebyshevTable(prop_series, SERIES_GAP_FLOOR, TABLE_TOP)
-    if max(t.bound for t in (pass_table, prop_table) if t) > tail_tol:
+    if max(t.bound for t in (pass_table, prop_table) if t) > truncation.tail_tol:
         return None
     anchor = pass_series(edge)
 
@@ -274,18 +269,18 @@ def kappa_arrays(hs, bc, truncation=None, lam=None):
     bad = hs[~(np.isfinite(hs) & (hs > 0.0))]
     if bad.size:
         raise DomainError(f"half-gap must be finite and positive, got {bad[0]}")
-    n_max, tail_tol = _trunc_key(truncation)
+    truncation = truncation or SeriesTruncation()
     edge = _series_edge(bc)
     above = hs >= edge
     kp = np.empty_like(hs)
-    kp[above] = [_series_pass(h, n_max, tail_tol) for h in hs[above].tolist()]
+    kp[above] = [_series_pass(h, truncation) for h in hs[above].tolist()]
     if not above.all():
-        anchor = _series_pass(edge, n_max, tail_tol)
+        anchor = _series_pass(edge, truncation)
         kp[~above] = _below_edge(anchor, hs[~above], bc.beta)
     if lam is None:
         return kp, np.zeros_like(hs)
     floored = np.maximum(hs, SERIES_GAP_FLOOR).ravel().tolist()
-    kpr = [_series_prop(h, float(lam), n_max, tail_tol) for h in floored]
+    kpr = [_series_prop(h, float(lam), truncation) for h in floored]
     return kp, np.array(kpr).reshape(hs.shape)
 
 

@@ -49,6 +49,7 @@ Jacobian, as rhs and massless runs always do. rhs and the inertial path
 read the coefficients at max(h, 1e-15), since a solver can step to h <= 0.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -242,33 +243,42 @@ _LN_GAP_CAP = 0.05  # widest panel in ln h, and the inertial point spacing below
 _LN_GAP_ONSET = 0.1
 
 # A massless panel integrates the degree-7 polynomial through 8 consecutive
-# edges of its own segment, which are equispaced in ln h. Row r integrates it
-# over [r, r + 1] in units of the edge spacing, from its values at 0, ..., 7,
-# so a segment needs at least _STENCIL_PANELS panels. The rows are exact
-# rationals over 120960; the middle one serves every panel with three edges
-# on either side.
+# edges of its own segment, which are equispaced in ln h, so a segment needs
+# at least _STENCIL_PANELS panels.
 _STENCIL_PANELS = 7
-_STENCIL_WEIGHTS = np.array([
-    [36799, 139849, -121797, 123133, -88547, 41499, -11351, 1375],
-    [-1375, 47799, 101349, -44797, 26883, -11547, 2999, -351],
-    [351, -4183, 57627, 81693, -20227, 7227, -1719, 191],
-    [-191, 1879, -9531, 68323, 68323, -9531, 1879, -191],
-    [191, -1719, 7227, -20227, 81693, 57627, -4183, 351],
-    [-351, 2999, -11547, 26883, -44797, 101349, 47799, -1375],
-    [1375, -11351, 41499, -88547, 123133, -121797, 139849, 36799],
-]) / 120960.0
-# The same polynomial on the monomials x^0, ..., x^7, exact over 5040, for
-# the horizon point inside a panel.
-_STENCIL_TO_MONOMIAL = np.array([
-    [5040, 0, 0, 0, 0, 0, 0, 0],
-    [-13068, 35280, -52920, 58800, -44100, 21168, -5880, 720],
-    [13132, -56196, 110754, -132860, 103320, -50652, 14266, -1764],
-    [-6769, 35728, -82509, 108920, -89075, 45024, -12943, 1624],
-    [1960, -11655, 29820, -42665, 36960, -19425, 5740, -735],
-    [-322, 2065, -5670, 8645, -7910, 4347, -1330, 175],
-    [28, -189, 546, -875, 840, -483, 154, -21],
-    [-1, 7, -21, 35, -35, 21, -7, 1],
-]) / 5040.0
+
+
+def _stencil_tables():
+    """The Lagrange basis on the edges 0, ..., 7 in units of the edge spacing,
+    built in exact integer arithmetic and rounded once.
+
+    Returns (to_monomial, weights): to_monomial[k, j] is the x^k coefficient
+    of basis polynomial j, for the horizon point inside a panel, and
+    weights[r, j] is its integral over [r, r + 1]. Row 3 of weights serves
+    every panel with three edges on either side. Each entry is one division
+    of two integers, which Python rounds correctly.
+    """
+    nodes = range(_STENCIL_PANELS + 1)
+    lcm = math.lcm(*(k + 1 for k in nodes))  # clears the 1 / (k + 1) of x^k's integral
+    to_monomial = np.empty((len(nodes), len(nodes)))
+    weights = np.empty((_STENCIL_PANELS, len(nodes)))
+    for j in nodes:
+        coef, scale = [1], 1  # basis j is sum_k coef[k] x^k / scale
+        for i in nodes:
+            if i != j:  # times (x - i) / (j - i)
+                coef = [a - i * b for a, b in zip([0] + coef, coef + [0])]
+                scale *= j - i
+        to_monomial[:, j] = [c / scale for c in coef]
+        for r in range(_STENCIL_PANELS):
+            num = sum(
+                c * ((r + 1) ** (k + 1) - r ** (k + 1)) * (lcm // (k + 1))
+                for k, c in enumerate(coef)
+            )
+            weights[r, j] = num / (lcm * scale)
+    return to_monomial, weights
+
+
+_STENCIL_TO_MONOMIAL, _STENCIL_WEIGHTS = _stencil_tables()
 _BLOCK_EDGES = 32  # edges a massless run evaluates with one drag call
 
 

@@ -14,11 +14,13 @@ Velocities follow from the stream function through
 
     u_z = (1 / rho) d(psi)/d(rho),      u_rho = -(1 / rho) d(psi)/d(z),
 
-and the boundary speed w_bc is the signed axial velocity of the upper sphere:
-w_bc > 0 means the spheres recede and the gap 2 h opens at rate 2 w_bc. With
-this orientation every mode profile is positive on the axis segment above the
-upper sphere when w_bc > 0, and the sinh-only profile enforces the mirror
-condition psi = 0 on the midplane zeta = 0.
+and the coefficients are those of unit speed: the upper sphere moves up the
+axis at speed 1 and its mirror image down, so the spheres recede and the gap
+2 h opens at rate 2. Drag and the propulsion factor are both per unit speed,
+and every other speed is a multiple of this flow. With this orientation
+every mode profile is positive on the axis segment above the upper sphere,
+and the sinh-only profile enforces the mirror condition psi = 0 on the
+midplane zeta = 0.
 
 The closed coefficient solution is evaluated through exact rearrangements
 that avoid the catastrophic cancellation the textbook expressions suffer once
@@ -98,7 +100,7 @@ class SeriesTruncation:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Converged coefficient set for one (frame, w_bc) pair.
+    """Converged unit-speed coefficient set for one frame.
 
     b and d hold the mode coefficients for n = 1 .. n_modes. tail_estimate is
     the relative tail bound of the surface profile sum that the adaptive loop
@@ -106,7 +108,6 @@ class SeriesSolution:
     """
 
     frame: BipolarFrame
-    w_bc: float
     b: np.ndarray
     d: np.ndarray
     tail_estimate: float
@@ -145,43 +146,43 @@ def _pair_gap_sum(m, alpha):
     return s, scale, E
 
 
-def _mode_factor(frame, w_bc, n_count):
-    """m, E and the shared factor w c^2 k_n / S_m, k_n = n (n + 1) / sqrt(2)."""
+def _mode_factor(frame, n_count):
+    """m, E and the shared factor c^2 k_n / S_m, k_n = n (n + 1) / sqrt(2)."""
     n, m = _half_orders(n_count)
     s, scale, E = _pair_gap_sum(m, frame.alpha)
-    return m, E, w_bc * frame.c**2 * n * (n + 1.0) / np.sqrt(2.0) * scale / s
+    return m, E, frame.c**2 * n * (n + 1.0) / np.sqrt(2.0) * scale / s
 
 
-def _coefficient_arrays(frame, w_bc, n_count):
+def _coefficient_arrays(frame, n_count):
     """Mode coefficients (b, d) for n = 1 .. n_count, cancellation free.
 
     Exact rearrangement of the closed boundary-condition solution with
     E = exp(-2 m alpha):
 
-        b_n = w c^2 k_n (E + 1 + m (e^(2 alpha) - 1)) / ((m - 1) S_m)
-        d_n = -w c^2 k_n (E + 1 + m (1 - e^(-2 alpha))) / ((m + 1) S_m)
+        b_n = c^2 k_n (E + 1 + m (e^(2 alpha) - 1)) / ((m - 1) S_m)
+        d_n = -c^2 k_n (E + 1 + m (1 - e^(-2 alpha))) / ((m + 1) S_m)
 
     Every factor is evaluated without subtracting nearly equal exponentials.
     """
     al = frame.alpha
-    m, E, q = _mode_factor(frame, w_bc, n_count)
+    m, E, q = _mode_factor(frame, n_count)
     b = q * (E + 1.0 + m * (np.exp(2.0 * al) - 1.0)) / (m - 1.0)
     d = -q * (E + 1.0 + m * (1.0 - np.exp(-2.0 * al))) / (m + 1.0)
     return b, d
 
 
-def _force_terms(frame, w_bc, n_count):
+def _force_terms(frame, n_count):
     """Per-mode terms of the axial force sum, equal to b_n + d_n exactly.
 
     Combined before subtraction:
 
-        b_n + d_n = 2 w c^2 k_n (E + 1 + 2 m^2 sinh^2(alpha) + m sinh(2 alpha))
+        b_n + d_n = 2 c^2 k_n (E + 1 + 2 m^2 sinh^2(alpha) + m sinh(2 alpha))
                     / (S_m (m^2 - 1))
 
-    so every term is positive for w > 0.
+    so every term is positive.
     """
     al = frame.alpha
-    m, E, q = _mode_factor(frame, w_bc, n_count)
+    m, E, q = _mode_factor(frame, n_count)
     num = E + 1.0 + 2.0 * m**2 * np.sinh(al) ** 2 + m * np.sinh(2.0 * al)
     return 2.0 * q * num / (m**2 - 1.0)
 
@@ -255,8 +256,9 @@ def _require_gap(h):
         )
 
 
-def solve_coefficients(frame, w_bc, truncation=None):
-    """Solve the no-slip conditions for the mode coefficients, adaptively.
+def solve_coefficients(frame, truncation=None):
+    """Solve the unit-speed no-slip conditions for the mode coefficients,
+    adaptively.
 
     Starts at truncation.n_max modes and doubles until the relative tail of
     the surface profile sum sum_n |U_n(alpha)| falls below tail_tol. The
@@ -265,20 +267,15 @@ def solve_coefficients(frame, w_bc, truncation=None):
     """
     truncation = truncation or SeriesTruncation()
     _require_gap(frame.h)
-    w_bc = float(w_bc)
-    if not np.isfinite(w_bc):
-        raise DomainError(f"boundary speed must be finite, got {w_bc}")
 
     def evaluate(n_count):
-        b, d = _coefficient_arrays(frame, w_bc, n_count)
+        b, d = _coefficient_arrays(frame, n_count)
         return (b, d), _profiles_at(b, d, frame.alpha)
 
     (b, d), tail = _converge(
         truncation.n_max, truncation.tail_tol, evaluate, "surface profile"
     )
-    return SeriesSolution(
-        frame=frame, w_bc=w_bc, b=b, d=d, tail_estimate=tail, requested=truncation
-    )
+    return SeriesSolution(frame=frame, b=b, d=d, tail_estimate=tail, requested=truncation)
 
 
 def _source_array(frame, n_count):
@@ -287,7 +284,7 @@ def _source_array(frame, n_count):
 
     For each mode the boundary conditions force
 
-        b_n = w_bc G_n - d_n sinh((m + 1) alpha) / sinh((m - 1) alpha)
+        b_n = G_n - d_n sinh((m + 1) alpha) / sinh((m - 1) alpha)
 
     with a strictly positive G_n. Evaluated through the exponential identity
 
@@ -345,7 +342,7 @@ def mode_profile_via_source(solution, n, zeta):
     ratio = float(_sinh_ratio(np.array([m]), frame.alpha)[0])
     d = solution.d[n - 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        u = solution.w_bc * g * np.sinh((m - 1.0) * zeta) + d * (
+        u = g * np.sinh((m - 1.0) * zeta) + d * (
             np.sinh((m + 1.0) * zeta) - ratio * np.sinh((m - 1.0) * zeta)
         )
     return float(u) if np.isfinite(u) else 0.0
@@ -357,38 +354,23 @@ class NonpenetrationReport:
 
     n_modes: int
     max_residual: float
-    max_residual_unscaled: float
 
 
 def nonpenetration_report(solution):
-    """Relative residual of b_n = w_bc G_n - d_n sinh ratio over all modes.
-
-    max_residual uses the boundary-speed-scaled source w_bc G_n, the form the
-    coefficients actually satisfy; max_residual_unscaled drops the w_bc
-    factor and is reported for contrast (it is O(1) whenever w_bc != 1).
-    """
+    """Largest relative residual of b_n = G_n - d_n sinh ratio over all modes,
+    each mode's residual taken relative to the largest of its three terms;
+    modes whose terms have all underflowed to zero are skipped."""
     frame = solution.frame
     n_count = solution.n_modes
     _, m = _half_orders(n_count)
     g = _source_array(frame, n_count)
-    ratio = _sinh_ratio(m, frame.alpha)
-    term = solution.d * ratio
-
-    def max_rel(source_scale):
-        lhs = solution.b
-        rhs = source_scale * g - term
-        scale = np.maximum.reduce(
-            [np.abs(lhs), np.abs(source_scale * g), np.abs(term)]
-        )
-        live = scale > 0.0
-        if not np.any(live):
-            return 0.0
-        return float(np.max(np.abs(lhs - rhs)[live] / scale[live]))
-
+    term = solution.d * _sinh_ratio(m, frame.alpha)
+    lhs = solution.b
+    scale = np.maximum.reduce([np.abs(lhs), np.abs(g), np.abs(term)])
+    live = scale > 0.0
+    residual = np.abs(lhs - (g - term))[live] / scale[live]
     return NonpenetrationReport(
-        n_modes=n_count,
-        max_residual=max_rel(solution.w_bc),
-        max_residual_unscaled=max_rel(1.0),
+        n_modes=n_count, max_residual=float(np.max(residual, initial=0.0))
     )
 
 
@@ -413,7 +395,7 @@ def stream_function(solution, point):
         raise SingularityError("(0, 0) is the point at infinity")
 
     def evaluate(n_count):
-        b, d = _coefficient_arrays(frame, solution.w_bc, n_count)
+        b, d = _coefficient_arrays(frame, n_count)
         terms = _profiles_at(b, d, zeta) * geometry.gegenbauer_minus_half(n_count, np.cos(eta))
         return terms, terms
 
@@ -424,7 +406,7 @@ def stream_function(solution, point):
     return float(den ** (-1.5) * np.sum(terms))
 
 
-def _axis_sum(frame, w_bc, zeta0, tail_tol, n_start):
+def _axis_sum(frame, zeta0, tail_tol, n_start):
     """Adaptive evaluation of sqrt(2) sinh(zeta0/2) / c^2 sum_n U_n(zeta0).
 
     The per-mode terms decay like exp(-m (2 alpha - zeta0)), so the loop is
@@ -434,7 +416,7 @@ def _axis_sum(frame, w_bc, zeta0, tail_tol, n_start):
     """
 
     def evaluate(n_count):
-        u = _profiles_at(*_coefficient_arrays(frame, w_bc, n_count), zeta0)
+        u = _profiles_at(*_coefficient_arrays(frame, n_count), zeta0)
         return u, u
 
     u, _ = _converge(n_start, tail_tol, evaluate, "axis velocity")
@@ -451,8 +433,8 @@ def axis_velocity(solution, z0):
     with zeta0 the axis coordinate of z0. The sum converges for every
     z0 > 1 + h (zeta0 < 2 alpha); physical fluid points have z0 > 2 + h, and
     the band in between is the analytic continuation of the exterior flow
-    through the sphere surface. Positive for w_bc > 0: receding spheres drag
-    the axis fluid upward above them.
+    through the sphere surface. Positive: receding spheres drag the axis
+    fluid upward above them.
     """
     frame = solution.frame
     z0 = float(z0)
@@ -461,16 +443,14 @@ def axis_velocity(solution, z0):
             f"axis series needs z0 > 1 + h = {1.0 + frame.h}, got {z0}"
         )
     zeta0 = axis_zeta(frame, z0)
-    return _axis_sum(
-        frame, solution.w_bc, zeta0, solution.requested.tail_tol, solution.n_modes
-    )
+    return _axis_sum(frame, zeta0, solution.requested.tail_tol, solution.n_modes)
 
 
 def passive_drag(h, truncation=None):
     """Drag coefficient of the mirror pair: axial force magnitude on either
     sphere per unit translation speed, from the force sum
 
-        kappa(h) = (2 sqrt(2) pi / c) sum_n (b_n + d_n)   evaluated at w_bc = 1.
+        kappa(h) = (2 sqrt(2) pi / c) sum_n (b_n + d_n).
 
     The per-mode terms are combined before subtraction so the sum stays
     positive and fully conditioned down to the smallest supported gaps.
@@ -483,7 +463,7 @@ def passive_drag(h, truncation=None):
     frame = frame_from_gap(h)
 
     def evaluate(n_count):
-        t = _force_terms(frame, 1.0, n_count)
+        t = _force_terms(frame, n_count)
         return t, t
 
     n_start = _start_count(_START_K_FORCE, 2.0 * frame.alpha, truncation)
@@ -499,7 +479,7 @@ def propulsion_drag(h, lam, truncation=None):
     presence of the bodies equals the axis velocity of the unit-speed
     translation flow at the force location:
 
-        kappa_prop = u_z(tip; w_bc = 1),   tip = 2 + h + lam.
+        kappa_prop = u_z(tip),   tip = 2 + h + lam.
 
     Approaches 1 as lam -> 0 (the force point merges with the no-slip
     surface) and 0 as lam -> infinity.
@@ -510,5 +490,5 @@ def propulsion_drag(h, lam, truncation=None):
     frame = frame_from_gap(h)
     zeta0 = axis_zeta(frame, tip_height(h, lam))
     n_start = _start_count(_START_K_AXIS, 2.0 * frame.alpha - zeta0, truncation)
-    return _axis_sum(frame, 1.0, zeta0, truncation.tail_tol, n_start)
+    return _axis_sum(frame, zeta0, truncation.tail_tol, n_start)
 

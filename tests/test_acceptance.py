@@ -90,7 +90,7 @@ def test_01_mode_profile_routes_agree():
     with Budget(5.0) as budget:
         worst = 0.0
         for h in (0.01, 0.1, 0.5):
-            sol = solve_coefficients(frame_from_gap(h), 1.0)
+            sol = solve_coefficients(frame_from_gap(h))
             alpha = sol.frame.alpha
             for n in range(1, min(50, sol.n_modes) + 1):
                 for frac in (0.25, 0.5, 0.75, 1.0):
@@ -115,7 +115,7 @@ def test_02_positivity_chain():
         checks = []
         for h in (0.01, 0.1, 1.0):
             fr = frame_from_gap(h)
-            sol = solve_coefficients(fr, 1.0)
+            sol = solve_coefficients(fr)
             alpha = fr.alpha
 
             n_src = min(200, sol.n_modes)
@@ -165,7 +165,7 @@ def test_02_positivity_chain():
 def test_03_axis_velocity_vs_stream_function():
     with Budget(10.0) as budget:
         h = 0.5
-        sol = solve_coefficients(frame_from_gap(h), 1.0)
+        sol = solve_coefficients(frame_from_gap(h))
         rho = 1e-3
         worst = 0.0
         for dz in np.linspace(0.2, 4.0, 10):

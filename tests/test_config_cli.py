@@ -506,6 +506,10 @@ class TestSweepCommand:
         cfg.write_text(BASE_RUN)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_requires_config(self, capsys):
+        assert main(["sweep"]) == 2
+        assert "sweep needs --config" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     @pytest.mark.parametrize(
@@ -565,20 +569,25 @@ class TestValidateCommand:
         assert main(["validate"]) == 0
         assert capsys.readouterr().out == "PASS good: residual 1e-16\n1/1 checks passed\n"
 
-    def test_fault_injection_is_caught(self, capsys):
-        assert main(["validate", "--fault", "gegenbauer"]) == 1
-        # The fault must be caught by the independent cross checks.
-        assert "FAIL gegenbauer_closed_forms: " in capsys.readouterr().out
-
-    def test_fault_injection_is_restored(self):
-        # The series and the closed-form check look up one kernel, by one name.
-        original = geometry.gegenbauer_minus_half
-        main(["validate", "--fault", "gegenbauer"])
-        assert geometry.gegenbauer_minus_half is original
+    def test_scaled_gegenbauer_is_caught(self, monkeypatch):
+        # The series and the closed-form check look up one kernel, by one
+        # name, so scaling it by 1.01 there reaches both, and the independent
+        # cross checks catch it.
         assert not hasattr(series, "gegenbauer_minus_half")
+        kernel = geometry.gegenbauer_minus_half
+        monkeypatch.setattr(
+            geometry, "gegenbauer_minus_half", lambda n_count, x: kernel(n_count, x) * 1.01
+        )
+        failed = {name for name, fn in CHECKS if not fn()[0]}
+        assert failed == {
+            "gegenbauer_closed_forms",
+            "axis_velocity_vs_stream_fd",
+            "surface_noslip_convergence",
+        }
 
     @pytest.mark.parametrize(
-        "argv", [["--tol", "1e-6"], ["--nmax", "5"], ["--config", "run.cfg"]]
+        "argv",
+        [["--tol", "1e-6"], ["--nmax", "5"], ["--config", "run.cfg"], ["--fault", "gegenbauer"]],
     )
     def test_takes_no_series_options(self, argv):
         with pytest.raises(SystemExit) as exc:

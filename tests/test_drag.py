@@ -149,6 +149,10 @@ class TestPropulsionFactor:
             f_p * (1.0 - kappa_prop(h, lam, NO_SLIP)), rel=1e-12
         )
 
+    def test_net_propulsion_rejects_negative_thrust(self):
+        with pytest.raises(DomainError, match="thrust"):
+            net_propulsion(0.5, 1.0, -1.0, NO_SLIP)
+
 
 class TestCoefficients:
     def test_combined_provenance(self):

@@ -10,11 +10,13 @@ from swimcollide import drag
 from swimcollide.drag import BoundaryCondition, _series_prop, cache_clear
 from swimcollide.dynamics import (
     _BLOCK_EDGES,
+    _GAP_CLAMP,
     _STENCIL_TO_MONOMIAL,
     _STENCIL_WEIGHTS,
     _panel_edges,
     _segment_stops,
     _table_jacobian,
+    _table_terms,
     Mode,
     QuadratureReport,
     SwimmerScenario,
@@ -557,6 +559,15 @@ class TestInertialTable:
             [(rhs(sc, y + d) - rhs(sc, y - d)) / (2.0 * s) for s, d in zip(steps, np.diag(steps))]
         )
         np.testing.assert_allclose(jac, difference, rtol=1e-6, atol=0.0)
+
+    def test_flat_below_the_gap_clamp(self):
+        # A Radau step can reach h <= 0; the terms there are those at the
+        # clamp, with zero slopes.
+        sc = active(NAVIER, mass=0.1)
+        table = drag.kappa_table(sc.bc, lam=sc.lam)
+        force, kp, kpr, dforce, dkp = _table_terms(sc, table, -1e-3)
+        assert dforce == 0.0 and dkp == 0.0
+        assert (force, kp, kpr) == _table_terms(sc, table, _GAP_CLAMP)[:3]
 
     def test_passive_run_builds_no_propulsion_table(self):
         cache_clear()

@@ -87,6 +87,18 @@ class TestCoordinateMaps:
         with pytest.raises(DomainError):
             to_bipolar(fr, AxisymPoint(-0.1, 1.0))
 
+    def test_rejects_non_finite_radius(self):
+        fr = frame_from_gap(0.5)
+        with pytest.raises(DomainError, match="non-finite"):
+            to_bipolar(fr, AxisymPoint(math.inf, 1.0))
+
+    @pytest.mark.parametrize(
+        "zeta, eta", [(-0.1, 1.0), (0.5, math.pi + 0.1), (math.nan, 1.0)]
+    )
+    def test_from_bipolar_rejects_points_outside_the_domain(self, zeta, eta):
+        with pytest.raises(DomainError):
+            from_bipolar(frame_from_gap(0.5), BipolarPoint(zeta, eta))
+
     def test_rejects_lower_half_space(self):
         fr = frame_from_gap(0.5)
         with pytest.raises(RegionError):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from swimcollide import drag, series
-from swimcollide.errors import DomainError, RegionError, TruncationError
+from swimcollide.errors import DomainError, RegionError, SingularityError, TruncationError
 from swimcollide.geometry import AxisymPoint, BipolarPoint, frame_from_gap, to_bipolar
 from swimcollide.series import (
     _S_TAYLOR_CUT,
@@ -38,8 +38,8 @@ from swimcollide.series import (
 gaps = st.floats(min_value=1e-4, max_value=20.0)
 
 
-def solved(h, w_bc=1.0):
-    return solve_coefficients(frame_from_gap(h), w_bc)
+def solved(h):
+    return solve_coefficients(frame_from_gap(h))
 
 
 class TestTruncationRequest:
@@ -93,15 +93,6 @@ class TestFrozenValues:
 
 
 class TestCoefficientStructure:
-    @given(gaps, st.floats(min_value=1e-3, max_value=1e3))
-    def test_linear_in_boundary_speed(self, h, w):
-        fr = frame_from_gap(h)
-        unit = solve_coefficients(fr, 1.0)
-        scaled = solve_coefficients(fr, w)
-        n = min(unit.n_modes, scaled.n_modes)
-        np.testing.assert_allclose(scaled.b[:n], w * unit.b[:n], rtol=5e-15)
-        np.testing.assert_allclose(scaled.d[:n], w * unit.d[:n], rtol=5e-15)
-
     @given(gaps)
     def test_sign_pattern_for_receding_spheres(self, h):
         sol = solved(h)
@@ -112,8 +103,8 @@ class TestCoefficientStructure:
 
     def test_extension_preserves_prefix(self):
         fr = frame_from_gap(0.5)
-        short = solve_coefficients(fr, 1.0, SeriesTruncation(n_max=40))
-        long = solve_coefficients(fr, 1.0, SeriesTruncation(n_max=60))
+        short = solve_coefficients(fr, SeriesTruncation(n_max=40))
+        long = solve_coefficients(fr, SeriesTruncation(n_max=60))
         n = short.n_modes
         # Per-mode coefficients are independent of the truncation level.
         assert np.array_equal(short.b, long.b[:n])
@@ -121,14 +112,14 @@ class TestCoefficientStructure:
 
     def test_tail_estimate_meets_request(self):
         tr = SeriesTruncation(n_max=20, tail_tol=1e-12)
-        sol = solve_coefficients(frame_from_gap(0.3), 1.0, tr)
+        sol = solve_coefficients(frame_from_gap(0.3), tr)
         assert sol.tail_estimate <= tr.tail_tol
 
     def test_mode_cap_is_reported(self, monkeypatch):
         # The surface sum at h = 1e-3 needs several hundred modes.
         monkeypatch.setattr(series, "HARD_MODE_CAP", SMALL_CAP)
         with pytest.raises(TruncationError) as exc:
-            solve_coefficients(frame_from_gap(1e-3), 1.0)
+            solve_coefficients(frame_from_gap(1e-3))
         assert exc.value.residual > 0.0
         assert exc.value.n_modes == SMALL_CAP
 
@@ -136,17 +127,6 @@ class TestCoefficientStructure:
         a = solved(0.37)
         b = solved(0.37)
         assert np.array_equal(a.b, b.b) and np.array_equal(a.d, b.d)
-
-    def test_zero_boundary_speed(self):
-        # Every term is exactly zero, so the first mode count already meets
-        # any tolerance and the flow vanishes everywhere.
-        tr = SeriesTruncation(n_max=24)
-        sol = solve_coefficients(frame_from_gap(0.3), 0.0, tr)
-        assert sol.n_modes == tr.n_max and sol.tail_estimate == 0.0
-        assert not np.any(sol.b) and not np.any(sol.d)
-        point = to_bipolar(sol.frame, AxisymPoint(0.5, 0.2))
-        assert stream_function(sol, point) == 0.0
-        assert axis_velocity(sol, 3.0) == 0.0
 
 
 class TestDirectForms:
@@ -173,10 +153,10 @@ class TestDirectForms:
         m = np.arange(1, n_count + 1) + 0.5
         assert np.sum(2.0 * m * fr.alpha < _S_TAYLOR_CUT) == n_taylor
         b_direct, d_direct = self.direct(fr, n_count)
-        b, d = _coefficient_arrays(fr, 1.0, n_count)
+        b, d = _coefficient_arrays(fr, n_count)
         np.testing.assert_allclose(b, b_direct, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(d, d_direct, rtol=1e-12, atol=0.0)
-        force = _force_terms(fr, 1.0, n_count)
+        force = _force_terms(fr, n_count)
         np.testing.assert_allclose(force, b + d, rtol=1e-12, atol=0.0)
 
 
@@ -261,7 +241,7 @@ class TestPredictedStart:
             propulsion_drag(0.01, 1.0), rel=1e-10
         )
         fr = frame_from_gap(0.01)
-        short, default = solve_coefficients(fr, 1.0, one), solve_coefficients(fr, 1.0)
+        short, default = solve_coefficients(fr, one), solve_coefficients(fr)
         assert short.n_modes > 1 and 0.0 < short.tail_estimate <= one.tail_tol
         assert np.sum(short.b + short.d) == pytest.approx(
             np.sum(default.b + default.d), rel=1e-10
@@ -301,10 +281,8 @@ def short_solution_near_contact():
     """Five stored modes at CAP_GAP: the evaluators extend them and hit the
     lowered cap."""
     fr = frame_from_gap(CAP_GAP)
-    b, d = _coefficient_arrays(fr, 1.0, 5)
-    return SeriesSolution(
-        frame=fr, w_bc=1.0, b=b, d=d, tail_estimate=0.0, requested=SeriesTruncation()
-    )
+    b, d = _coefficient_arrays(fr, 5)
+    return SeriesSolution(frame=fr, b=b, d=d, tail_estimate=0.0, requested=SeriesTruncation())
 
 
 # solve_coefficients reaches the cap in test_mode_cap_is_reported.
@@ -331,9 +309,9 @@ def test_every_adaptive_sum_stops_at_the_mode_cap(evaluate, monkeypatch):
 
 
 class TestNonpenetrationIdentity:
-    @given(gaps, st.floats(min_value=0.1, max_value=10.0))
-    def test_identity_holds_at_solver_scale(self, h, w):
-        rep = nonpenetration_report(solve_coefficients(frame_from_gap(h), w))
+    @given(gaps)
+    def test_identity_holds_at_solver_scale(self, h):
+        rep = nonpenetration_report(solved(h))
         assert rep.max_residual < 1e-12
 
     @pytest.mark.parametrize("h", [0.01, 0.5, 5.0])
@@ -389,6 +367,8 @@ class TestModeProfiles:
             mode_profile(sol, 0, 0.1)
         with pytest.raises(DomainError):
             mode_profile(sol, sol.n_modes + 1, 0.1)
+        with pytest.raises(DomainError, match="zeta"):
+            mode_profile(sol, 1, -0.1)
 
 
 class TestStreamFunction:
@@ -405,6 +385,18 @@ class TestStreamFunction:
         sol = solved(0.5)
         with pytest.raises(RegionError):
             self.psi_at(sol, 0.1, 1.5)
+
+    @pytest.mark.parametrize(
+        "zeta, eta, error",
+        [
+            (math.nan, 1.0, DomainError),
+            (0.1, math.pi + 0.1, DomainError),
+            (0.0, 0.0, SingularityError),
+        ],
+    )
+    def test_rejects_points_outside_the_fluid(self, zeta, eta, error):
+        with pytest.raises(error):
+            stream_function(solved(0.5), BipolarPoint(zeta, eta))
 
     def test_axis_velocity_matches_stream_function_derivative(self):
         # Independent route: u_z = 2 psi / rho^2 + O(rho^2) near the axis,
@@ -450,9 +442,9 @@ class TestAxisVelocity:
         counted = []
         solve = series._coefficient_arrays
 
-        def counting(frame, w_bc, n_count):
+        def counting(frame, n_count):
             counted.append(n_count)
-            return solve(frame, w_bc, n_count)
+            return solve(frame, n_count)
 
         monkeypatch.setattr(series, "_coefficient_arrays", counting)
         assert axis_velocity(sol, 3.0 + h) == pytest.approx(want, rel=1e-10)
@@ -490,7 +482,7 @@ class TestPassiveDrag:
         for evaluate in (
             passive_drag,
             lambda h: propulsion_drag(h, 1.0),
-            lambda h: solve_coefficients(frame_from_gap(h), 1.0),
+            lambda h: solve_coefficients(frame_from_gap(h)),
         ):
             evaluate(SERIES_GAP_FLOOR)
             with pytest.raises(DomainError, match="below the series floor"):
