@@ -28,15 +28,22 @@ exp(-2 m alpha) drops below machine precision. The coefficients and the force
 terms share one scaled form of the mode denominator S_m (_pair_gap_sum);
 tests/test_series.py checks both term by term against the direct expressions
 on each side of the Taylor crossover, and the drag against the textbook
-Stimson-Jeffery series. Every adaptive sum doubles its mode count in one loop
-(_converge) and raises TruncationError at HARD_MODE_CAP. The drag sums start
-at a count predicted from their decay rate (_start_count): one pass suffices.
+Stimson-Jeffery series. The term kernel slices read-only tables, built once at
+import, of the mode orders and of the Taylor monomials m^p - m. Its Taylor
+rows are a prefix of the orders, since 2 m alpha rises with m, and it masks
+overflowing profile terms only where a sinh can overflow. Every term equals
+the one the direct expressions give, bit for bit. Every adaptive sum doubles
+its mode count in one loop (_converge) and raises TruncationError at
+HARD_MODE_CAP. The drag sums start at a count predicted from their decay rate
+(_start_count): one pass suffices.
 
 The sums refuse a gap below SERIES_GAP_FLOOR, the package's one gap floor;
 drag continues the coefficients below it.
 """
 
 import math
+import numbers
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +85,16 @@ _S_TAYLOR_CUT = 0.7
 _TAYLOR_P = np.arange(3, 24, 2)
 _TAYLOR_FACT = np.array([math.factorial(p) for p in _TAYLOR_P], dtype=float)
 
+# Below this (m + 1) |zeta| every sinh of a mode profile stays under 1e152, so
+# U_n cannot overflow for coefficients under 1e155; those of a gap the series
+# accepts are many orders smaller.
+_SINH_SAFE = 350.0
+
 _START_K_FORCE, _START_K_AXIS = 1.4, 1.6  # start constants, see _start_count
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -90,12 +106,15 @@ class SeriesTruncation:
     tail_tol: float = 1e-10
 
     def __post_init__(self):
-        if int(self.n_max) != self.n_max or self.n_max < 1:
-            raise DomainError(f"n_max must be a positive integer, got {self.n_max}")
-        if self.n_max > HARD_MODE_CAP:
+        n_max, tail_tol = self.n_max, self.tail_tol
+        if not (_is_real(n_max) and math.isfinite(n_max) and n_max == int(n_max) >= 1):
+            raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
+        if n_max > HARD_MODE_CAP:
             raise DomainError(f"n_max exceeds the hard cap {HARD_MODE_CAP}")
-        if not np.isfinite(self.tail_tol) or not 0.0 < self.tail_tol <= 1e-2:
-            raise DomainError(f"tail_tol must lie in (0, 1e-2], got {self.tail_tol}")
+        # Stored as a Python int: the sums slice the mode tables by it.
+        object.__setattr__(self, "n_max", int(n_max))
+        if not (_is_real(tail_tol) and math.isfinite(tail_tol) and 0.0 < tail_tol <= 1e-2):
+            raise DomainError(f"tail_tol must lie in (0, 1e-2], got {tail_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -118,39 +137,93 @@ class SeriesSolution:
         return len(self.b)
 
 
+def _read_only(table):
+    table.flags.writeable = False
+    return table
+
+
+# Read-only mode tables, sliced by every sum, with the exact values the
+# index-only expressions give per call. _INDEX[j] = j and _ORDERS[j] = j + 1/2
+# for j = 0 .. HARD_MODE_CAP + 1, so modes 1 .. N read n as _INDEX[1:N+1] and
+# n + 1 as _INDEX[2:N+2], and m - 1, m, m + 1 as _ORDERS[:N], _ORDERS[1:N+1],
+# _ORDERS[2:N+2]. _M_SQ and _M_SQ_MINUS_1 hold m^2 and m^2 - 1 from n = 1.
+_INDEX = _read_only(np.arange(HARD_MODE_CAP + 2, dtype=float))
+_ORDERS = _read_only(_INDEX + 0.5)
+_M_SQ = _read_only(_ORDERS[1:-1] ** 2)
+_M_SQ_MINUS_1 = _read_only(_M_SQ - 1.0)
+
+
 def _half_orders(n_count):
-    """Mode index n = 1 .. n_count and the half-integer order m = n + 1/2."""
-    n = np.arange(1, n_count + 1, dtype=float)
-    return n, n + 0.5
+    """Mode index n = 1 .. n_count and the half-integer order m = n + 1/2, as
+    read-only views of the mode tables."""
+    return _INDEX[1 : n_count + 1], _ORDERS[1 : n_count + 1]
 
 
-def _pair_gap_sum(m, alpha):
-    """S_m = 2 [sinh(2 m alpha) - m sinh(2 alpha)] as (s, scale, E), S_m = s / scale.
+def _taylor_monomials(m):
+    """The rows m^p - m, p = 3, 5, .., 23, of the Taylor block of S_m."""
+    m = m[:, None]
+    return m**_TAYLOR_P - m
+
+
+def _taylor_table():
+    """Read-only Taylor rows of SERIES_GAP_FLOOR, where alpha is smallest, so
+    no gap the series accepts has more rows with 2 m alpha < _S_TAYLOR_CUT."""
+    _, m = _half_orders(HARD_MODE_CAP)
+    x = m * (2.0 * frame_from_gap(SERIES_GAP_FLOOR).alpha)
+    return _read_only(_taylor_monomials(m[: np.searchsorted(x, _S_TAYLOR_CUT)]))
+
+
+_TAYLOR_MONOMIALS = _taylor_table()
+
+
+def _pair_gap_sum(n_count, alpha):
+    """S_m = 2 [sinh(2 m alpha) - m sinh(2 alpha)] for the first n_count orders
+    as (s, k, E): S_m = s for the first k orders and S_m = s / E after them.
 
     E = exp(-2 m alpha) is returned because every caller's numerator needs it
-    too. For small 2 m alpha the two sinh terms cancel to O((2 alpha)^3);
+    too. For small x = 2 m alpha the two sinh terms cancel to O((2 alpha)^3);
     there s is the positive Taylor series S_m = 2 sum_p (2 alpha)^p (m^p - m) / p!
-    over p = 3, 5, .., 23 (order 25 adds under 1e-27) and scale = 1. For large
-    2 m alpha, S_m = exp(2 m alpha) s with the reduced factor
-    s = 1 - E^2 - 2 m sinh(2 alpha) E, and scale = E, so a caller multiplies
-    its numerator by scale instead of dividing by a huge S_m.
+    over p = 3, 5, .., 23 (order 25 adds under 1e-27). x rises with m, so these
+    are the first k orders, those with x < _S_TAYLOR_CUT. For large x,
+    S_m = exp(2 m alpha) s with the reduced factor s = 1 - E^2 - 2 m sinh(2 alpha) E,
+    so a caller multiplies its numerator by E instead of dividing by a huge S_m.
     """
-    x = 2.0 * m * alpha
-    E = np.exp(-np.minimum(x, 1500.0))
-    s = 1.0 - E**2 - 2.0 * m * np.sinh(2.0 * alpha) * E
-    taylor = x < _S_TAYLOR_CUT
-    scale = np.where(taylor, 1.0, E)
-    if np.any(taylor):
-        mt, y = m[taylor, None], 2.0 * alpha
-        s[taylor] = (mt**_TAYLOR_P - mt) @ (2.0 * y**_TAYLOR_P / _TAYLOR_FACT)
-    return s, scale, E
+    _, m = _half_orders(n_count)
+    # m (2 alpha) is 2 m alpha bit for bit: doubling is exact. The same holds
+    # for m (2 sinh(2 alpha)) below. E underflows to 0 from x = 746 on, so it
+    # needs no clamp of x.
+    x = m * (2.0 * alpha)
+    k = int(np.searchsorted(x, _S_TAYLOR_CUT))
+    E = np.exp(np.negative(x, out=x), out=x)
+    s = np.empty_like(E)
+    if k:
+        y = 2.0 * alpha
+        rows = (
+            _TAYLOR_MONOMIALS[:k]
+            if k <= len(_TAYLOR_MONOMIALS)
+            else _taylor_monomials(m[:k])  # a gap below the series floor
+        )
+        s[:k] = rows @ (2.0 * y**_TAYLOR_P / _TAYLOR_FACT)
+    s_far, E_far = s[k:], E[k:]
+    np.square(E_far, out=s_far)
+    np.subtract(1.0, s_far, out=s_far)
+    cross = m[k:] * (2.0 * np.sinh(2.0 * alpha))
+    cross *= E_far
+    s_far -= cross
+    return s, k, E
 
 
 def _mode_factor(frame, n_count):
-    """m, E and the shared factor c^2 k_n / S_m, k_n = n (n + 1) / sqrt(2)."""
-    n, m = _half_orders(n_count)
-    s, scale, E = _pair_gap_sum(m, frame.alpha)
-    return m, E, frame.c**2 * n * (n + 1.0) / np.sqrt(2.0) * scale / s
+    """E and the shared factor c^2 k_n / S_m, k_n = n (n + 1) / sqrt(2), both
+    owned by the caller."""
+    n, _ = _half_orders(n_count)
+    s, k, E = _pair_gap_sum(n_count, frame.alpha)
+    q = n * frame.c**2
+    q *= _INDEX[2 : n_count + 2]  # n + 1
+    q /= np.sqrt(2.0)
+    q[k:] *= E[k:]
+    q /= s
+    return E, q
 
 
 def _coefficient_arrays(frame, n_count):
@@ -165,9 +238,18 @@ def _coefficient_arrays(frame, n_count):
     Every factor is evaluated without subtracting nearly equal exponentials.
     """
     al = frame.alpha
-    m, E, q = _mode_factor(frame, n_count)
-    b = q * (E + 1.0 + m * (np.exp(2.0 * al) - 1.0)) / (m - 1.0)
-    d = -q * (E + 1.0 + m * (1.0 - np.exp(-2.0 * al))) / (m + 1.0)
+    _, m = _half_orders(n_count)
+    E, q = _mode_factor(frame, n_count)
+    E += 1.0
+    b = m * (np.exp(2.0 * al) - 1.0)
+    b += E
+    b *= q
+    b /= _ORDERS[:n_count]  # m - 1
+    d = m * (1.0 - np.exp(-2.0 * al))
+    d += E
+    d *= q
+    d /= _ORDERS[2 : n_count + 2]  # m + 1
+    np.negative(d, out=d)
     return b, d
 
 
@@ -182,22 +264,37 @@ def _force_terms(frame, n_count):
     so every term is positive.
     """
     al = frame.alpha
-    m, E, q = _mode_factor(frame, n_count)
-    num = E + 1.0 + 2.0 * m**2 * np.sinh(al) ** 2 + m * np.sinh(2.0 * al)
-    return 2.0 * q * num / (m**2 - 1.0)
+    _, m = _half_orders(n_count)
+    num, q = _mode_factor(frame, n_count)
+    num += 1.0
+    part = _M_SQ[:n_count] * (2.0 * np.sinh(al) ** 2)  # 2 m^2 sinh^2, bit for bit
+    num += part
+    np.multiply(m, np.sinh(2.0 * al), out=part)
+    num += part
+    q *= 2.0
+    q *= num
+    q /= _M_SQ_MINUS_1[:n_count]
+    return q
 
 
 def _profiles_at(b, d, zeta):
     """U_n(zeta) for all stored modes, with overflow-safe tail handling.
 
     Modes deep in the tail underflow to b = d = 0 while sinh overflows; the
-    product is a true zero and is written as such.
+    product is a true zero and is written as such. The guard runs only where
+    a sinh can overflow, (m + 1) |zeta| >= _SINH_SAFE for the last mode.
     """
     n_count = len(b)
-    _, m = _half_orders(n_count)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = b * np.sinh((m - 1.0) * zeta) + d * np.sinh((m + 1.0) * zeta)
-    return np.where(np.isfinite(u), u, 0.0)
+    guard = (n_count + 1.5) * abs(zeta) >= _SINH_SAFE
+    with np.errstate(over="ignore", invalid="ignore") if guard else nullcontext():
+        u = _ORDERS[:n_count] * zeta  # (m - 1) zeta
+        np.sinh(u, out=u)
+        u *= b
+        v = _ORDERS[2 : n_count + 2] * zeta  # (m + 1) zeta
+        np.sinh(v, out=v)
+        v *= d
+        u += v
+    return np.where(np.isfinite(u), u, 0.0) if guard else u
 
 
 def _tail_ratio(terms):

@@ -15,7 +15,14 @@ from hypothesis import assume, given, strategies as st
 
 from swimcollide import drag, series
 from swimcollide.errors import DomainError, RegionError, SingularityError, TruncationError
-from swimcollide.geometry import AxisymPoint, BipolarPoint, frame_from_gap, to_bipolar
+from swimcollide.geometry import (
+    AxisymPoint,
+    BipolarPoint,
+    axis_zeta,
+    frame_from_gap,
+    tip_height,
+    to_bipolar,
+)
 from swimcollide.series import (
     _S_TAYLOR_CUT,
     HARD_MODE_CAP,
@@ -56,11 +63,24 @@ class TestTruncationRequest:
             {"tail_tol": 0.0},
             {"tail_tol": 0.5},
             {"tail_tol": float("nan")},
+            {"n_max": True},
+            {"n_max": "abc"},
+            {"n_max": None},
+            {"n_max": float("inf")},
+            {"n_max": float("nan")},
+            {"tail_tol": "abc"},
+            {"tail_tol": None},
         ],
     )
     def test_rejects_bad_requests(self, kwargs):
-        with pytest.raises(DomainError):
+        (name,) = kwargs
+        with pytest.raises(DomainError, match=f"^{name} "):
             SeriesTruncation(**kwargs)
+
+    @pytest.mark.parametrize("n_max", [20.0, np.float64(30), np.int64(40)])
+    def test_integral_mode_count_is_stored_as_int(self, n_max):
+        stored = SeriesTruncation(n_max=n_max).n_max
+        assert type(stored) is int and stored == n_max
 
 
 class TestFrozenValues:
@@ -257,9 +277,10 @@ class TestTaylorBlock:
     def test_matches_mpmath(self, alpha):
         mpmath = pytest.importorskip("mpmath")
         m = np.arange(1.5, 2.0 * _S_TAYLOR_CUT / (2.0 * alpha), 1.0)
-        s, scale, _ = series._pair_gap_sum(m, alpha)
+        s, k, E = series._pair_gap_sum(len(m), alpha)
         taylor = 2.0 * m * alpha < _S_TAYLOR_CUT
-        assert np.array_equal(scale == 1.0, taylor)
+        assert np.array_equal(np.arange(len(m)) < k, taylor)
+        scale = np.where(taylor, 1.0, E)
         assert np.any(taylor) == (alpha < _S_TAYLOR_CUT / 3.0)
         with mpmath.workdps(40):
             a = mpmath.mpf(float(alpha))
@@ -268,6 +289,91 @@ class TestTaylorBlock:
                 for mk in map(mpmath.mpf, m)
             ]
         np.testing.assert_allclose(s / scale, want, rtol=1e-14, atol=0.0)
+
+
+class TestKernel:
+    """The term kernel reads read-only mode tables, takes the Taylor rows of
+    S_m as a prefix and guards the profiles only where a sinh can overflow;
+    its terms equal the direct expressions below bit for bit."""
+
+    TAYLOR_P = np.arange(3, 24, 2)
+    TAYLOR_FACT = np.array([math.factorial(p) for p in TAYLOR_P], dtype=float)
+
+    @classmethod
+    def reference_terms(cls, fr, n_count):
+        """(b, d, force terms) from the direct expressions: a boolean-mask
+        Taylor block, np.where for the scale, a fresh array per step."""
+        al = fr.alpha
+        n = np.arange(1, n_count + 1, dtype=float)
+        m = n + 0.5
+        x = 2.0 * m * al
+        E = np.exp(-np.minimum(x, 1500.0))
+        s = 1.0 - E**2 - 2.0 * m * np.sinh(2.0 * al) * E
+        taylor = x < _S_TAYLOR_CUT
+        scale = np.where(taylor, 1.0, E)
+        if np.any(taylor):
+            mt, y = m[taylor, None], 2.0 * al
+            s[taylor] = (mt**cls.TAYLOR_P - mt) @ (2.0 * y**cls.TAYLOR_P / cls.TAYLOR_FACT)
+        q = fr.c**2 * n * (n + 1.0) / np.sqrt(2.0) * scale / s
+        b = q * (E + 1.0 + m * (np.exp(2.0 * al) - 1.0)) / (m - 1.0)
+        d = -q * (E + 1.0 + m * (1.0 - np.exp(-2.0 * al))) / (m + 1.0)
+        num = E + 1.0 + 2.0 * m**2 * np.sinh(al) ** 2 + m * np.sinh(2.0 * al)
+        return b, d, 2.0 * q * num / (m**2 - 1.0)
+
+    @staticmethod
+    def reference_profiles(b, d, zeta):
+        """U_n(zeta) with every non-finite product masked to zero."""
+        m = np.arange(1, len(b) + 1, dtype=float) + 0.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = b * np.sinh((m - 1.0) * zeta) + d * np.sinh((m + 1.0) * zeta)
+        return np.where(np.isfinite(u), u, 0.0)
+
+    def test_mode_tables_are_read_only(self):
+        tables = [
+            series._INDEX,
+            series._ORDERS,
+            series._M_SQ,
+            series._M_SQ_MINUS_1,
+            series._TAYLOR_MONOMIALS,
+        ]
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        n, m = series._half_orders(8)
+        with pytest.raises(ValueError):
+            m[0] = 0.0
+        assert np.array_equal(n, np.arange(1.0, 9.0)) and np.array_equal(m, n + 0.5)
+
+    def test_overflowing_profiles_are_zero_without_warning(self):
+        # At h = 10 the sinh of the last modes overflows at the surface while
+        # their coefficients have underflowed to zero. Warnings are errors here.
+        fr = frame_from_gap(10.0)
+        b, d = _coefficient_arrays(fr, 512)
+        u = series._profiles_at(b, d, fr.alpha)
+        m = np.arange(1, 513) + 0.5
+        overflow = (m + 1.0) * fr.alpha > 710.0
+        assert np.any(overflow) and np.all(np.isfinite(u))
+        assert np.all(u[overflow] == 0.0) and np.all(u[:5] > 0.0)
+
+    # One gap per decade over the series range, and one below the floor, whose
+    # Taylor rows outrun the monomial table.
+    @pytest.mark.parametrize("h", DECADE_GAPS + [1e-8])
+    def test_terms_equal_the_direct_expressions(self, h):
+        fr = frame_from_gap(h)
+        tr = SeriesTruncation()
+        zetas = [fr.alpha] + [axis_zeta(fr, tip_height(h, lam)) for lam in (1e-3, 1.0, 100.0)]
+        start = series._start_count
+        counts = {1, 20, HARD_MODE_CAP, start(series._START_K_FORCE, 2.0 * fr.alpha, tr)}
+        counts |= {start(series._START_K_AXIS, 2.0 * fr.alpha - z, tr) for z in zetas[1:]}
+        for n_count in sorted(counts):
+            b_ref, d_ref, force_ref = self.reference_terms(fr, n_count)
+            b, d = _coefficient_arrays(fr, n_count)
+            assert np.array_equal(b, b_ref) and np.array_equal(d, d_ref)
+            assert np.array_equal(_force_terms(fr, n_count), force_ref)
+            for zeta in zetas:
+                assert np.array_equal(
+                    series._profiles_at(b, d, zeta), self.reference_profiles(b, d, zeta)
+                )
 
 
 # The drag sums converge under the real cap at every gap the series accepts
