@@ -7,11 +7,13 @@ Subcommands:
     sweep     run a parameter grid from the [sweep] section of a config
     validate  run the physics and plumbing checks of swimcollide.checks
 
-drag, simulate and sweep share --config, --out, --tol and --nmax, where
---tol and --nmax override the series truncation of the config. drag's --bc,
---beta and --lam set what the config's [scenario] would, so they are an
-error with --config; without one, drag starts from the empty config.
-validate takes only --out, which also writes validate_report.txt.
+simulate and sweep take --config and --out, and every setting of the run
+comes from the config, whose [config] lines and hash in the report are the
+settings the run used. drag reads no config: it starts from the empty
+config's settings, and --bc, --beta, --lam, --tol and --nmax apply to them,
+as its report lists. drag also takes --h-min, --h-max, --points and --out;
+sweep takes --allow-partial. validate takes only --out, which also writes
+validate_report.txt.
 
 Exit codes: 0 success, 1 validation failure, 2 config or usage error,
 3 numerical failure. All floating point output is written with 17
@@ -81,11 +83,6 @@ def _override(obj, args, fields):
     return obj
 
 
-def _resolve_truncation(cfg, args):
-    """cfg's series truncation with the --nmax and --tol overrides applied."""
-    return _override(cfg.truncation, args, {"nmax": "n_max", "tol": "tail_tol"})
-
-
 def _out_dir(args, cfg=None):
     """The output directory, created if missing. One that cannot be created
     is a config error naming where it was set: --out or output.dir."""
@@ -100,22 +97,17 @@ def _out_dir(args, cfg=None):
 
 
 def cmd_drag(args):
-    if args.config:
-        for name in ("bc", "beta", "lam"):
-            if getattr(args, name) is not None:
-                raise ConfigError(f"--{name}: not allowed with --config, which sets it")
-    # Without --config drag starts from the empty config, and --bc, --beta
-    # and --lam apply to its scenario.
-    cfg = parse_config(args.config) if args.config else parse_config_text("")
+    # drag starts from the empty config, and its options apply to that.
+    cfg = parse_config_text("")
     bc = _override(cfg.scenario.bc, args, {"bc": "kind", "beta": "beta"})
     lam = _override(cfg.scenario, args, {"lam": "lam"}).lam
-    trunc = _resolve_truncation(cfg, args)
+    trunc = _override(cfg.truncation, args, {"nmax": "n_max", "tol": "tail_tol"})
     if not 0.0 < args.h_min < args.h_max < np.inf or args.points < 2:
         raise ConfigError(
             f"need 0 < h-min < h-max < inf and points >= 2, "
             f"got {args.h_min}, {args.h_max}, {args.points}"
         )
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
 
     grid = np.geomspace(args.h_min, args.h_max, args.points)
     rows = []
@@ -149,26 +141,26 @@ def cmd_drag(args):
     return 0
 
 
-def _simulate(cfg, scenario, trunc):
-    """dynamics.simulate of scenario under cfg's integrator settings."""
+def _simulate(cfg, scenario):
+    """dynamics.simulate of scenario under cfg's series and integrator settings."""
     return dynamics.simulate(
         scenario,
         cfg.t_max,
         h_floor=cfg.h_floor,
         rtol=cfg.rtol,
         atol=cfg.atol,
-        truncation=trunc,
+        truncation=cfg.truncation,
         max_steps=cfg.max_steps,
     )
 
 
-def _config_pairs(cfg, *extra):
-    """The report's [config] pairs: the resolved settings, extra, the hash."""
+def _config_pairs(cfg):
+    """The report's [config] pairs: the resolved settings, then the hash."""
     pairs = [tuple(line.split(" = ", 1)) for line in cfg.resolved]
-    return pairs + [*extra, ("config_hash", cfg.config_hash())]
+    return pairs + [("config_hash", cfg.config_hash())]
 
 
-def _run_report_sections(cfg, trunc, traj):
+def _run_report_sections(cfg, traj):
     result = [
         ("termination", traj.termination.value),
         ("t_coll", _fmt(traj.t_coll) if traj.t_coll is not None else "none"),
@@ -177,13 +169,8 @@ def _run_report_sections(cfg, trunc, traj):
         ("h_floor", _fmt(traj.h_floor)),
         ("points", str(len(traj.points))),
     ]
-    cfg_pairs = _config_pairs(
-        cfg,
-        ("series.n_max_effective", str(trunc.n_max)),
-        ("series.tail_tol_effective", _fmt(trunc.tail_tol)),
-    )
     return [
-        ("config", cfg_pairs),
+        ("config", _config_pairs(cfg)),
         ("result", result),
         ("package", [("version", __version__)]),
     ]
@@ -193,19 +180,13 @@ def cmd_simulate(args):
     if not args.config:
         raise ConfigError("simulate needs --config")
     cfg = parse_config(args.config)
-    trunc = _resolve_truncation(cfg, args)
     out = _out_dir(args, cfg)
 
-    traj = _simulate(cfg, cfg.scenario, trunc)
-    rows = [
-        [_fmt(p.t), _fmt(p.h), _fmt(p.hdot), _fmt(p.kappa_pass), _fmt(p.kappa_prop)]
-        for p in traj.points
-    ]
+    traj = _simulate(cfg, cfg.scenario)
+    columns = traj.columns()
     table = os.path.join(out, "trajectory.csv")
-    _write_csv(table, ["t", "h", "hdot", "kappa_pass", "kappa_prop"], rows)
-    _write_report(
-        os.path.join(out, "run_report.txt"), _run_report_sections(cfg, trunc, traj)
-    )
+    _write_csv(table, list(columns), zip(*(map(_fmt, c) for c in columns.values())))
+    _write_report(os.path.join(out, "run_report.txt"), _run_report_sections(cfg, traj))
     t_coll = _fmt(traj.t_coll) if traj.t_coll is not None else "none"
     print(
         f"termination = {traj.termination.value}, t_coll = {t_coll}, "
@@ -220,7 +201,6 @@ def cmd_sweep(args):
     cfg = parse_config(args.config)
     if not cfg.sweep:
         raise ConfigError("sweep needs a [sweep] section with at least one axis")
-    trunc = _resolve_truncation(cfg, args)
     out = _out_dir(args, cfg)
 
     axes = list(cfg.sweep)
@@ -233,8 +213,8 @@ def cmd_sweep(args):
             scenario = sweep_scenario(cfg.scenario, dict(zip(axes, combo)))
             # a passive pair has no propulsion factor, as in its trajectory
             lam = scenario.lam if scenario.mode is dynamics.Mode.ACTIVE else None
-            (kp,), (kpr,) = drag.kappa_arrays([scenario.h0], scenario.bc, trunc, lam)
-            traj = _simulate(cfg, scenario, trunc)
+            (kp,), (kpr,) = drag.kappa_arrays([scenario.h0], scenario.bc, cfg.truncation, lam)
+            traj = _simulate(cfg, scenario)
         except Exception as exc:  # recorded per point, reported at exit
             reason = f"{type(exc).__name__}: {exc}"
             failures.append((idx, reason))
@@ -312,13 +292,6 @@ def cmd_validate(args):
     return 1 if failures else 0
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="run configuration file")
-    sub.add_argument("--out", help="output directory (default ./out)")
-    sub.add_argument("--tol", type=float, help="series tail tolerance override")
-    sub.add_argument("--nmax", type=int, help="smallest starting series mode count override")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="swimcollide",
@@ -328,24 +301,29 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_drag = subs.add_parser("drag", help="tabulate drag coefficients over a gap grid")
-    _add_common(p_drag)
-    # These default to None, which marks an option not given; --config forbids
-    # them. The defaults named are the empty config's.
-    d = parse_config_text("").scenario
+    # These default to None, which marks an option not given. The defaults
+    # named are the empty config's.
+    empty = parse_config_text("")
+    d, t = empty.scenario, empty.truncation
     p_drag.add_argument("--bc", choices=["no_slip", "navier"], help=f"wall model (default {d.bc.kind})")
     p_drag.add_argument("--beta", type=float, help=f"slip length (default {d.bc.beta})")
     p_drag.add_argument("--lam", type=float, help=f"propulsion tip offset (default {d.lam})")
+    p_drag.add_argument("--tol", type=float, help=f"series tail tolerance (default {t.tail_tol})")
+    p_drag.add_argument(
+        "--nmax", type=int, help=f"smallest starting series mode count (default {t.n_max})"
+    )
     p_drag.add_argument("--h-min", type=float, default=1e-4)
     p_drag.add_argument("--h-max", type=float, default=10.0)
     p_drag.add_argument("--points", type=int, default=25)
+    p_drag.add_argument("--out", help="output directory (default ./out)")
     p_drag.set_defaults(func=cmd_drag)
 
     p_sim = subs.add_parser("simulate", help="integrate one encounter")
-    _add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
     p_sweep = subs.add_parser("sweep", help="run the [sweep] grid of a config")
-    _add_common(p_sweep)
+    for sub in (p_sim, p_sweep):
+        sub.add_argument("--config", help="run configuration file, the only source of settings")
+        sub.add_argument("--out", help="output directory (default ./out)")
+    p_sim.set_defaults(func=cmd_simulate)
     p_sweep.add_argument(
         "--allow-partial",
         action="store_true",

@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .series import SERIES_GAP_FLOOR, SeriesTruncation, passive_drag, propulsion_drag
+from .series import SERIES_GAP_FLOOR, SeriesTruncation, _is_real, passive_drag, propulsion_drag
 
 __all__ = [
     "SERIES_GAP_FLOOR",
@@ -75,7 +75,8 @@ class BoundaryCondition:
     """Wall model on the sphere surfaces: 'no_slip' or 'navier' with length beta.
 
     beta = 0 under 'navier' is allowed and follows the no-slip code path
-    exactly.
+    exactly. beta must be a finite real number >= 0, not a bool or a string,
+    or a DomainError names it; it is stored as a float.
     """
 
     kind: str
@@ -84,10 +85,11 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in ("no_slip", "navier"):
             raise DomainError(f"unknown boundary condition kind {self.kind!r}")
-        if not np.isfinite(self.beta) or self.beta < 0.0:
-            raise DomainError(f"slip length must be finite and >= 0, got {self.beta}")
+        if not (_is_real(self.beta) and math.isfinite(self.beta) and self.beta >= 0.0):
+            raise DomainError(f"beta, the slip length, must be finite and >= 0, got {self.beta!r}")
+        object.__setattr__(self, "beta", float(self.beta))
         if self.kind == "no_slip" and self.beta != 0.0:
-            raise DomainError("no_slip takes no slip length")
+            raise DomainError(f"no_slip takes no slip length, got beta = {self.beta!r}")
 
     @classmethod
     def no_slip(cls):
@@ -95,7 +97,7 @@ class BoundaryCondition:
 
     @classmethod
     def navier(cls, beta):
-        return cls(kind="navier", beta=float(beta))
+        return cls(kind="navier", beta=beta)
 
     @property
     def slips(self):

@@ -34,7 +34,10 @@ by Gronwall, and reaching the floor takes at least ln(h0 / floor) / c*: the
 paper's no-slip result, since c* tends to the finite lubrication limit
 2 F / (3 pi) as the floor is lowered. A massless run, the quadrature and the
 bound read the drag at the gaps they integrate, all at or above the floor,
-for any floor > 0.
+for any floor > 0. simulate and both results take the floor by one rule:
+h_floor, or default_h_floor when None, must be a finite positive number,
+else a DomainError names it, and a floor at or above h0 is an
+InvalidRegimeError.
 
 Inertial scenarios (m > 0) are stiff: the speed relaxes toward the force
 balance on the fast scale m / kappa_pass, which near contact is orders of
@@ -49,6 +52,7 @@ Jacobian, as rhs and massless runs always do. rhs and the inertial path
 read the coefficients at max(h, 1e-15), since a solver can step to h <= 0.
 """
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -60,7 +64,7 @@ from numpy.polynomial import polynomial as P
 from . import drag
 from .drag import SERIES_GAP_FLOOR, BoundaryCondition
 from .errors import DomainError, InvalidRegimeError, StiffnessError
-from .series import SeriesTruncation
+from .series import SeriesTruncation, _is_real
 
 __all__ = [
     "Mode",
@@ -114,7 +118,7 @@ class SwimmerScenario:
         if not isinstance(self.bc, BoundaryCondition):
             raise DomainError(f"bc must be a BoundaryCondition, got {self.bc!r}")
         for name in ("h0", "s0", "mass", "f_p", "lam", "f_ext"):
-            if not isinstance(getattr(self, name), numbers.Real):
+            if not _is_real(getattr(self, name)):
                 raise DomainError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not np.isfinite(self.h0) or self.h0 <= 0.0:
             raise DomainError(f"initial half-gap must be positive, got {self.h0}")
@@ -166,8 +170,8 @@ class Trajectory:
         return min(p.h for p in self.points)
 
     def columns(self):
-        """Column arrays keyed t, h, hdot, kappa_pass, kappa_prop."""
-        names = ("t", "h", "hdot", "kappa_pass", "kappa_prop")
+        """Column arrays keyed by the TrajectoryPoint fields, in their order."""
+        names = [f.name for f in dataclasses.fields(TrajectoryPoint)]
         return {k: np.array([getattr(p, k) for p in self.points]) for k in names}
 
 
@@ -295,32 +299,45 @@ def simulate(
 
     Returns a Trajectory whose termination reports which happened; reaching
     the floor is a COLLISION under slip and FLOOR_REACHED under no slip.
-    Identical inputs produce bitwise identical trajectories. max_steps, an
-    int >= 1, bounds the number of panels in ln h for massless scenarios,
-    and a floor run ends exactly on the floor. rtol and atol must be finite
-    and positive; they apply to inertial scenarios only, where max_steps
-    bounds the right-hand-side evaluation count at 25 per nominal step and
-    the floor event satisfies |h - h_floor| < 1e-10.
+    Identical inputs produce bitwise identical trajectories. A massless floor
+    run ends exactly on the floor, and a massless run's panel count is fixed
+    by h0, the floor and beta: below 29 200 for any float inputs. rtol, atol and max_steps
+    apply to inertial scenarios only. There max_steps bounds the
+    right-hand-side evaluation count at 25 per nominal step, and the floor
+    event satisfies |h - h_floor| < 1e-10.
+
+    t_max, h_floor, rtol and atol must be finite positive numbers and
+    max_steps an int >= 1, or a DomainError names the setting; a floor at or
+    above h0 is an InvalidRegimeError.
     """
     truncation = truncation or SeriesTruncation()
-    t_max = float(t_max)
-    if not np.isfinite(t_max) or t_max <= 0.0:
-        raise DomainError(f"time horizon must be positive, got {t_max}")
-    floor = default_h_floor(scenario.bc) if h_floor is None else float(h_floor)
-    if not np.isfinite(floor) or floor <= 0.0:
-        raise DomainError(f"gap floor must be positive, got {floor}")
-    for name, tol in (("rtol", rtol), ("atol", atol)):
-        if not np.isfinite(tol) or tol <= 0.0:
-            raise DomainError(f"{name} must be finite and positive, got {tol}")
-    if not isinstance(max_steps, numbers.Integral) or max_steps < 1:
+    t_max = _positive("t_max", t_max)
+    floor = _floor(scenario, h_floor)
+    rtol, atol = _positive("rtol", rtol), _positive("atol", atol)
+    if not (_is_real(max_steps) and isinstance(max_steps, numbers.Integral) and max_steps >= 1):
         raise DomainError(f"max_steps must be an integer >= 1, got {max_steps!r}")
+    if scenario.mass != 0.0:
+        return _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps)
+    return _simulate_massless(scenario, t_max, floor, truncation)
+
+
+def _positive(name, value):
+    """value as a float, checked to be a finite positive real number; a bool,
+    a non-number or any other value is a DomainError naming the setting."""
+    if not (_is_real(value) and math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
+def _floor(scenario, h_floor):
+    """The gap floor of a run or an a priori result: h_floor, or the model's
+    default when None, checked to lie below h0."""
+    floor = default_h_floor(scenario.bc) if h_floor is None else _positive("h_floor", h_floor)
     if scenario.h0 <= floor:
         raise InvalidRegimeError(
             f"initial half-gap {scenario.h0} is not above the floor {floor}"
         )
-    if scenario.mass != 0.0:
-        return _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation, max_steps)
-    return _simulate_massless(scenario, t_max, floor, truncation, max_steps)
+    return floor
 
 
 def _trajectory(scenario, floor, points, termination):
@@ -356,7 +373,7 @@ def _panel_edges(stops):
     return np.array(edges), np.array(stencils)
 
 
-def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
+def _simulate_massless(scenario, t_max, floor, truncation):
     """Massless branch of simulate: the elapsed time is the integral of
     dt/du = -h / h' over u = ln h, with the drag read at the panel edges only.
 
@@ -367,9 +384,8 @@ def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
     from block to block. One point is recorded per edge, and the horizon point
     is where the stencil polynomial of the first panel to pass t_max reaches
     it, so the run stops after the block that completes that panel's stencil.
-    max_steps panels at most are integrated, which may read up to 7 edges
-    past the last of them. The earliest panel decides: a lost drive ends the
-    run unless a panel whose stencil lies before it reached the horizon.
+    The earliest panel decides: a lost drive ends the run unless a panel
+    whose stencil lies before it reached the horizon.
     """
     def evaluate(hs):
         force, kp, kpr = _force_and_coefficients(scenario, hs, truncation)
@@ -385,11 +401,10 @@ def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
     if hdot[0] >= 0.0:
         return _trajectory(scenario, floor, points, TerminationKind.SPEED_REVERSED)
     rate[0] = -edges[0] / hdot[0]
-    n_panels = min(len(stencils), max_steps)
-    stencils = stencils[:n_panels]
+    n_panels = len(stencils)
     rows = np.arange(n_panels) - stencils
     needed = stencils + _STENCIL_PANELS  # the last edge each panel reads
-    width = np.log(edges[:n_panels] / edges[1 : n_panels + 1])
+    width = np.log(edges[:-1] / edges[1:])
     t, done, valid = 0.0, 0, 1
     while done < n_panels:
         block = slice(valid, min(valid + _BLOCK_EDGES, needed[-1] + 1))
@@ -423,9 +438,6 @@ def _simulate_massless(scenario, t_max, floor, truncation, max_steps):
         if lost.size:
             raise InvalidRegimeError(f"approach speed is not positive at h = {edges[lost[0]]}")
         t, done = float(t_edges[-1]), ready
-    if n_panels < len(edges) - 1:
-        msg = f"panel budget {max_steps} exhausted at t = {t}"
-        raise StiffnessError(msg, t=t, state=edges[n_panels : n_panels + 1])
     return _trajectory(scenario, floor, points, TerminationKind.COLLISION)
 
 
@@ -546,13 +558,10 @@ class QuadratureReport:
 
 
 def _massless_floor(scenario, h_floor, what):
-    """The floor of an a priori massless result, checked to lie in (0, h0)."""
+    """The floor of an a priori massless result, as _floor checks it."""
     if scenario.mass != 0.0:
         raise InvalidRegimeError(f"{what} needs mass = 0")
-    floor = default_h_floor(scenario.bc) if h_floor is None else float(h_floor)
-    if not np.isfinite(floor) or floor <= 0.0 or floor >= scenario.h0:
-        raise DomainError(f"gap floor must lie in (0, h0), got {floor}")
-    return floor
+    return _floor(scenario, h_floor)
 
 
 def collision_time_quadrature(scenario, h_floor=None, truncation=None):

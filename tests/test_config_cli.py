@@ -281,34 +281,12 @@ class TestDragCommand:
             (["drag", "--lam", "nan"], "--lam"),
             (["drag", "--lam", "-1"], "--lam"),
             (["drag", "--tol", "nan"], "--tol"),
-            (["simulate", "--tol", "nan"], "--tol"),
-            (["sweep", "--tol", "nan"], "--tol"),
         ],
     )
     def test_bad_option_is_a_config_error(self, tmp_path, capsys, argv, option):
         # Rejected before any output, naming the option, not as a numerical failure.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_RUN + "\n[sweep]\nh0 = 0.4, 0.5\n")
-        if argv[0] != "drag":
-            argv = argv + ["--config", str(cfg)]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {option}: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "option,value", [("--bc", "no_slip"), ("--beta", "0.2"), ("--lam", "5")]
-    )
-    def test_scenario_option_with_config_is_a_config_error(
-        self, tmp_path, capsys, option, value
-    ):
-        # The config sets the wall model and tip offset; an option that would
-        # be ignored is rejected before any output.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_RUN)
-        out = tmp_path / "out"
-        argv = ["drag", "--config", str(cfg), option, value, "--out", str(out)]
-        assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {option}: ")
         assert not out.exists()
 
@@ -374,12 +352,20 @@ class TestSimulateCommand:
         assert err.startswith("config error: run.cfg: line 3: scenario.mass: ")
         assert not Path("out").exists()
 
-    def test_step_budget_maps_to_numerical_failure(self, tmp_path):
+    def test_step_budget_maps_to_numerical_failure(self, tmp_path, capsys):
+        # max_steps bounds the Radau evaluation count of an inertial run.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_RUN + "\n[integrator]\nmax_steps = 10\n")
-        # t_max duplicated across sections is fine; max_steps lives in the
-        # integrator section of BASE_RUN's text only once.
+        cfg.write_text(BASE_RUN + "max_steps = 1\n[scenario]\nmass = 0.1\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "StiffnessError: evaluation budget 25" in capsys.readouterr().err
+
+    def test_report_lists_the_settings_used(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_RUN)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "run_report.txt").read_text()
+        assert "series.tail_tol = 1e-10\n" in report and "series.n_max = 20\n" in report
+        assert "_effective" not in report
 
 
 class TestSweepCommand:
@@ -401,6 +387,23 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
         for name in ("sweep.csv", "sweep_report.txt"):
             assert read_bytes(out1 / name) == read_bytes(out2 / name)
+
+    def test_series_settings_come_from_the_config(self, tmp_path):
+        # The run uses the config's tail_tol, and its report and hash say so.
+        outs = {}
+        for name, extra in (("default", ""), ("tight", "[series]\ntail_tol = 1e-12\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(BASE_RUN + extra + "[sweep]\nlambda = 1.0\n")
+            outs[name] = tmp_path / name
+            assert main(["sweep", "--config", str(cfg), "--out", str(outs[name])]) == 0
+        reports = {k: (v / "sweep_report.txt").read_text() for k, v in outs.items()}
+        assert "series.tail_tol = 1e-10\n" in reports["default"]
+        assert f"series.tail_tol = {1e-12:.17g}\n" in reports["tight"]
+        hashes = {k: r.split("config_hash = ")[1].split()[0] for k, r in reports.items()}
+        assert hashes["default"] != hashes["tight"]
+        rows = {k: read_csv(v / "sweep.csv")[1] for k, v in outs.items()}
+        assert rows["default"][-2:] == rows["tight"][-2:] == ["ok", ""]
+        assert rows["default"] != rows["tight"]
 
     def test_inertial_rerun_is_identical(self, tmp_path):
         # Inertial points read the Chebyshev tables built for each run.
@@ -623,6 +626,25 @@ class TestOutputDirectory:
 
 
 class TestParserBasics:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["drag", "--config", "run.cfg"],
+            ["simulate", "--config", "run.cfg", "--tol", "1e-12"],
+            ["sweep", "--config", "run.cfg", "--nmax", "64"],
+        ],
+        ids=["drag-config", "simulate-tol", "sweep-nmax"],
+    )
+    def test_each_setting_has_one_route(self, tmp_path, monkeypatch, argv):
+        # drag takes its settings from its options only, simulate and sweep
+        # from the config only: any other route is a usage error.
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text(BASE_RUN + "[sweep]\nh0 = 0.4\n")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", "out"])
+        assert exc.value.code == 2
+        assert not Path("out").exists()
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -42,11 +42,19 @@ class TestBoundaryCondition:
             {"kind": "navier", "beta": -0.1},
             {"kind": "navier", "beta": float("inf")},
             {"kind": "no_slip", "beta": 0.2},
+            {"kind": "navier", "beta": "0.1"},
+            {"kind": "navier", "beta": None},
+            {"kind": "navier", "beta": True},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="beta" if "beta" in kwargs else None):
             BoundaryCondition(**kwargs)
+
+    @pytest.mark.parametrize("beta", ["0.1", None, True])
+    def test_navier_does_not_coerce(self, beta):
+        with pytest.raises(DomainError, match="^beta"):
+            BoundaryCondition.navier(beta)
 
 
 class TestPassiveBlend:

@@ -1,6 +1,7 @@
 """Encounter dynamics: integrators, terminations, quadrature, bounds, inertial tables."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,6 +63,8 @@ class TestScenarioValidation:
             {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": "0.5"},
             {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": 0.5, "lam": None},
             {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": 0.5, "mass": "0"},
+            {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": True},
+            {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": 0.5, "lam": True},
         ],
     )
     def test_rejections(self, kwargs):
@@ -211,8 +214,11 @@ class TestNoSlipStall:
     def test_decay_rate_guards(self):
         with pytest.raises(InvalidRegimeError):
             decay_rate_bound(forced(NO_SLIP, mass=0.1, s0=1.0))
-        for floor in (0.5, 0.6, 0.0, -1e-7, float("nan")):
-            with pytest.raises(DomainError):
+        for floor in (0.5, 0.6):
+            with pytest.raises(InvalidRegimeError):
+                decay_rate_bound(forced(NO_SLIP), h_floor=floor)
+        for floor in (0.0, -1e-7, float("nan")):
+            with pytest.raises(DomainError, match="h_floor"):
                 decay_rate_bound(forced(NO_SLIP), h_floor=floor)
 
 
@@ -428,10 +434,55 @@ class TestSimulateGuards:
         with pytest.raises(DomainError, match="max_steps"):
             simulate(active(NAVIER, mass=mass), t_max=10.0, max_steps=bad)
 
-    def test_step_budget_reported(self):
-        with pytest.raises(StiffnessError) as exc:
-            simulate(active(NAVIER), t_max=200.0, max_steps=10)
-        assert exc.value.t is not None
+    def test_massless_run_has_no_step_budget(self):
+        # A massless run's panel count is fixed by h0, the floor and beta.
+        sc = active(NAVIER)
+        assert simulate(sc, t_max=200.0, max_steps=1) == simulate(sc, t_max=200.0)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            (name, bad)
+            for name in ("t_max", "h_floor", "rtol", "atol", "max_steps")
+            for bad in (True, "1e-8", None, float("nan"), float("inf"))
+            if (name, bad) != ("h_floor", None)  # None selects the default floor
+        ],
+    )
+    def test_bad_setting_is_named(self, name, bad):
+        settings = {"t_max": 10.0, name: bad}
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            simulate(active(NAVIER, mass=0.1), **settings)
+
+    @pytest.mark.parametrize("bad", [True, "abc", float("inf")])
+    @pytest.mark.parametrize("entry", [collision_time_quadrature, decay_rate_bound])
+    def test_bad_floor_is_named(self, entry, bad):
+        with pytest.raises(DomainError, match="^h_floor must be"):
+            entry(active(NAVIER), h_floor=bad)
+
+    @pytest.mark.parametrize("floor", [0.5, 0.6])
+    @pytest.mark.parametrize(
+        "entry",
+        [lambda sc, f: simulate(sc, 1.0, h_floor=f), collision_time_quadrature, decay_rate_bound],
+        ids=["simulate", "quadrature", "decay_rate"],
+    )
+    def test_floor_at_or_above_start(self, entry, floor):
+        # One floor rule: a floor at or above h0 = 0.5 leaves no run to make.
+        with pytest.raises(InvalidRegimeError, match="not above the floor"):
+            entry(active(NAVIER), floor)
+
+    def test_radau_failure_carries_the_last_step(self, monkeypatch):
+        import scipy.integrate
+
+        failed = SimpleNamespace(
+            status=-1,
+            message="Required step size is less than spacing between numbers.",
+            t=np.array([0.0, 0.25]),
+            y=np.array([[0.5, 0.4], [-0.1, -0.2]]),
+        )
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: failed)
+        with pytest.raises(StiffnessError, match="^implicit integration failed: Required") as exc:
+            simulate(active(NAVIER, mass=0.1), t_max=200.0)
+        assert exc.value.t == 0.25 and exc.value.state == (0.4, -0.2)
 
     def test_inertial_evaluation_budget_reported(self):
         # max_steps = 1 allows 25 right-hand-side calls, which Radau spends
@@ -529,7 +580,7 @@ class TestQuadrature:
             collision_time_quadrature(forced(NAVIER, mass=0.1))
 
     def test_floor_must_be_below_start(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidRegimeError):
             collision_time_quadrature(active(NAVIER), h_floor=1.0)
 
     def test_rejects_outward_drive(self):
