@@ -15,7 +15,6 @@ from .drag import BoundaryCondition
 from .dynamics import Mode, SwimmerScenario, TerminationKind
 from .errors import ConfigError, DomainError
 from .geometry import AxisymPoint, BipolarPoint, frame_from_gap
-from .series import SeriesTruncation
 
 __all__ = ["CHECKS"]
 
@@ -84,7 +83,7 @@ def _check_nonpenetration():
 
 
 def _check_mode_profile_routes():
-    sol = series.solve_coefficients(frame_from_gap(0.1), SeriesTruncation(n_max=64))
+    sol = series.solve_coefficients(frame_from_gap(0.1))
     al = sol.frame.alpha
     worst = 0.0
     for n in (1, 5, 20, 45):
@@ -132,7 +131,7 @@ def _check_axis_velocity_fd():
 
 def _check_surface_noslip():
     fr = frame_from_gap(0.3)
-    sol = series.solve_coefficients(fr, SeriesTruncation(n_max=128))
+    sol = series.solve_coefficients(fr)
     devs = []
     for frac in (0.99, 0.999):
         worst = 0.0

@@ -10,10 +10,10 @@ Subcommands:
 simulate and sweep take --config and --out, and every setting of the run
 comes from the config, whose [config] lines and hash in the report are the
 settings the run used. drag reads no config: it starts from the empty
-config's settings, and --bc, --beta, --lam, --tol and --nmax apply to them,
-as its report lists. drag also takes --h-min, --h-max, --points and --out;
-sweep takes --allow-partial. validate takes only --out, which also writes
-validate_report.txt.
+config's settings, and --bc, --beta, --lam and --tol apply to them, as its
+report lists. drag also takes --h-min, --h-max, --points and --out; sweep
+takes --allow-partial. validate takes only --out, which also writes
+validate_report.txt. --out is the one way to name the output directory.
 
 Exit codes: 0 success, 1 validation failure, 2 config or usage error,
 3 numerical failure. All floating point output is written with 17
@@ -83,16 +83,14 @@ def _override(obj, args, fields):
     return obj
 
 
-def _out_dir(args, cfg=None):
-    """The output directory, created if missing. One that cannot be created
-    is a config error naming where it was set: --out or output.dir."""
-    from_cfg = not args.out and cfg is not None and cfg.out_dir
-    out = cfg.out_dir if from_cfg else args.out or "out"
+def _out_dir(args):
+    """The --out directory, ./out by default, created if missing. One that
+    cannot be created is a config error naming --out."""
+    out = args.out or "out"
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
-        where = "output.dir" if from_cfg else "--out"
-        raise ConfigError(f"{where}: cannot create directory {out!r}: {exc.strerror}") from None
+        raise ConfigError(f"--out: cannot create directory {out!r}: {exc.strerror}") from None
     return out
 
 
@@ -101,7 +99,7 @@ def cmd_drag(args):
     cfg = parse_config_text("")
     bc = _override(cfg.scenario.bc, args, {"bc": "kind", "beta": "beta"})
     lam = _override(cfg.scenario, args, {"lam": "lam"}).lam
-    trunc = _override(cfg.truncation, args, {"nmax": "n_max", "tol": "tail_tol"})
+    trunc = _override(cfg.truncation, args, {"tol": "tail_tol"})
     if not 0.0 < args.h_min < args.h_max < np.inf or args.points < 2:
         raise ConfigError(
             f"need 0 < h-min < h-max < inf and points >= 2, "
@@ -130,7 +128,6 @@ def cmd_drag(args):
                     ("h_min", _fmt(args.h_min)),
                     ("h_max", _fmt(args.h_max)),
                     ("points", str(args.points)),
-                    ("n_max", str(trunc.n_max)),
                     ("tail_tol", _fmt(trunc.tail_tol)),
                 ],
             ),
@@ -150,7 +147,6 @@ def _simulate(cfg, scenario):
         rtol=cfg.rtol,
         atol=cfg.atol,
         truncation=cfg.truncation,
-        max_steps=cfg.max_steps,
     )
 
 
@@ -180,7 +176,7 @@ def cmd_simulate(args):
     if not args.config:
         raise ConfigError("simulate needs --config")
     cfg = parse_config(args.config)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
 
     traj = _simulate(cfg, cfg.scenario)
     columns = traj.columns()
@@ -201,7 +197,7 @@ def cmd_sweep(args):
     cfg = parse_config(args.config)
     if not cfg.sweep:
         raise ConfigError("sweep needs a [sweep] section with at least one axis")
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
 
     axes = list(cfg.sweep)
     grid = itertools.product(*[cfg.sweep[axis] for axis in axes])
@@ -309,9 +305,6 @@ def build_parser():
     p_drag.add_argument("--beta", type=float, help=f"slip length (default {d.bc.beta})")
     p_drag.add_argument("--lam", type=float, help=f"propulsion tip offset (default {d.lam})")
     p_drag.add_argument("--tol", type=float, help=f"series tail tolerance (default {t.tail_tol})")
-    p_drag.add_argument(
-        "--nmax", type=int, help=f"smallest starting series mode count (default {t.n_max})"
-    )
     p_drag.add_argument("--h-min", type=float, default=1e-4)
     p_drag.add_argument("--h-max", type=float, default=10.0)
     p_drag.add_argument("--points", type=int, default=25)

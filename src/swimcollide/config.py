@@ -7,15 +7,18 @@ elements of a list and unparsable values, non-finite floats included, all
 raise ConfigError naming the offending key and line, after the file's path
 when parse_config read it. So does a value the scenario rejects, a sweep
 axis value included: each one is checked on its own as it is parsed, not
-when its grid point runs. The parser is deliberately hand-rolled; it is one
-function of under fifty lines and in exchange every error carries an exact
-location, which the stdlib parser does not track per key.
+when its grid point runs. So does an integrator value simulate would
+reject, a set floor at or above h0 included, checked against each sweep.h0
+value when the sweep has an h0 axis. The parser is deliberately
+hand-rolled; it is one function of under fifty lines and in exchange every
+error carries an exact location, which the stdlib parser does not track
+per key.
 
 Each setting is declared once, in _KEYS, with its type and default. A key
-the config leaves out takes its default: the config's own for mode, bc, h0,
-t_max and the output dir, and otherwise the default of the library class or
-function it is passed to. RunConfig.resolved lists every setting with a
-value, defaults included.
+the config leaves out takes its default: the config's own for mode, bc, h0
+and t_max, and otherwise the default of the library class or function it
+is passed to. RunConfig.resolved lists every setting with a value,
+defaults included.
 
 Example:
 
@@ -42,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 
 from .drag import BoundaryCondition
-from .dynamics import Mode, SwimmerScenario, simulate
+from .dynamics import Mode, SwimmerScenario, _floor, _positive, simulate
 from .errors import ConfigError, DomainError
 from .series import SeriesTruncation
 
@@ -63,9 +66,9 @@ _SIMULATE = inspect.signature(simulate).parameters
 
 # (section, key) -> (type, default), the one declaration of each setting. The
 # config owns the defaults of the settings the library leaves to its caller
-# (mode, bc, h0, t_max and the output dir); every other default is the one of
-# the class or function the setting goes to. A None default is left out of
-# the resolved lines.
+# (mode, bc, h0 and t_max); every other default is the one of the class or
+# function the setting goes to. A None default is left out of the resolved
+# lines.
 _KEYS = {
     ("scenario", "mode"): (str, "active"),
     ("scenario", "bc"): (str, "no_slip"),
@@ -76,15 +79,12 @@ _KEYS = {
     ("scenario", "f_p"): (float, SwimmerScenario.f_p),
     ("scenario", "f_ext"): (float, SwimmerScenario.f_ext),
     ("scenario", "lambda"): (float, SwimmerScenario.lam),
-    ("series", "n_max"): (int, SeriesTruncation.n_max),
     ("series", "tail_tol"): (float, SeriesTruncation.tail_tol),
     ("integrator", "t_max"): (float, 100.0),
     ("integrator", "rtol"): (float, _SIMULATE["rtol"].default),
     ("integrator", "atol"): (float, _SIMULATE["atol"].default),
     ("integrator", "h_floor"): (float, _SIMULATE["h_floor"].default),
-    ("integrator", "max_steps"): (int, _SIMULATE["max_steps"].default),
     **{("sweep", axis): ("floats", None) for axis in SWEEP_AXES},
-    ("output", "dir"): (str, None),
 }
 _SECTIONS = {section for section, _ in _KEYS}
 
@@ -99,9 +99,7 @@ class RunConfig:
     rtol: float
     atol: float
     h_floor: float  # None selects the model default
-    max_steps: int
     sweep: dict = field(default_factory=dict)  # axis -> values, in SWEEP_AXES order
-    out_dir: str = None
     resolved: tuple = ()  # sorted canonical key = value lines, hashed by config_hash
 
     def config_hash(self):
@@ -114,13 +112,13 @@ def _parse_scalar(raw, want, section, key, line_no):
     if not raw:
         raise ConfigError(f"line {line_no}: {name} has no value", key=name, line=line_no)
 
-    def number(kind, text, what):
+    def number(text, what):
         try:
-            value = kind(text)
+            value = float(text)
         except ValueError:
-            problem = f"not a valid {kind.__name__}"
+            problem = "not a valid float"
         else:
-            if kind is int or math.isfinite(value):
+            if math.isfinite(value):
                 return value
             problem = "not a finite float"
         raise ConfigError(f"line {line_no}: {what} is {problem}", key=name, line=line_no)
@@ -130,9 +128,9 @@ def _parse_scalar(raw, want, section, key, line_no):
         if "" in parts:
             problem = f"line {line_no}: {name} has an empty element in {raw!r}"
             raise ConfigError(problem, key=name, line=line_no)
-        return tuple(number(float, p, f"element {p!r} of {name}") for p in parts)
-    if want in (int, float):
-        return number(want, raw, f"value {raw!r} for {name}")
+        return tuple(number(p, f"element {p!r} of {name}") for p in parts)
+    if want is float:
+        return number(raw, f"value {raw!r} for {name}")
     return raw
 
 
@@ -211,13 +209,6 @@ def _mode(raw):
         raise DomainError(f"mode must be one of {[m.value for m in Mode]}, got {raw!r}") from None
 
 
-def _positive(key, value):
-    # Every integrator setting must be positive; h_floor may stay unset
-    # (None), which selects the model default.
-    if value is not None and value <= 0:
-        raise DomainError(f"{key} must be positive, got {value}")
-
-
 def _sweep_axis(scenario, axis, pts):
     # The scenario checks each field on its own, so one scenario per axis
     # value covers every grid point. The parser leaves no axis empty.
@@ -271,9 +262,18 @@ def _build(values, lines_of):
     for axis, pts in sweep.items():
         checked("sweep", [axis], _sweep_axis, scenario, axis, pts)
 
+    # simulate's own rules: every value positive, and a floor the config
+    # sets below each h0 it runs from. Unset (None), h_floor selects the
+    # model default, which each run checks when it starts, so a grid point
+    # below it fails alone.
     integrator = _section(values, "integrator")
     for key, value in integrator.items():
-        checked("integrator", [key], _positive, key, value)
+        if value is not None:
+            checked("integrator", [key], _positive, key, value)
+    if integrator["h_floor"] is not None:
+        for h0 in sweep.get("h0", [scenario.h0]):
+            start = dataclasses.replace(scenario, h0=h0)
+            checked("integrator", ["h_floor"], _floor, start, integrator["h_floor"])
 
     resolved = []
     for section, key in sorted(_KEYS):
@@ -286,7 +286,6 @@ def _build(values, lines_of):
         truncation=truncation,
         **integrator,
         sweep=sweep,
-        out_dir=_section(values, "output")["dir"],
         resolved=tuple(resolved),
     )
 

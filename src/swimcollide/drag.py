@@ -217,6 +217,7 @@ def kappa_table(bc, truncation=None, lam=None):
     kappa_prop = 0.
     """
     truncation = truncation or SeriesTruncation()
+    lam = None if lam is None else _tip_offset(lam)
     edge = _series_edge(bc)
     if edge >= TABLE_TOP:
         return None
@@ -224,7 +225,7 @@ def kappa_table(bc, truncation=None, lam=None):
     pass_table = _ChebyshevTable(pass_series, edge, TABLE_TOP)
     prop_table = None
     if lam is not None:
-        prop_series = lambda h: _series_prop(h, float(lam), truncation)
+        prop_series = lambda h: _series_prop(h, lam, truncation)
         prop_table = _ChebyshevTable(prop_series, SERIES_GAP_FLOOR, TABLE_TOP)
     if max(t.bound for t in (pass_table, prop_table) if t) > truncation.tail_tol:
         return None
@@ -244,6 +245,14 @@ def kappa_table(bc, truncation=None, lam=None):
     return at
 
 
+def _tip_offset(lam):
+    """lam as a float, checked to be a finite real number > 0; a bool, a
+    non-number or any other value is a DomainError naming it."""
+    if not (_is_real(lam) and math.isfinite(lam) and lam > 0.0):
+        raise DomainError(f"lam, the tip offset, must be a finite real number > 0, got {lam!r}")
+    return float(lam)
+
+
 def kappa_pass(h, bc, truncation=None):
     """Pair drag coefficient at half-gap h under the given wall model."""
     return kappa_arrays([h], bc, truncation)[0].item()
@@ -252,8 +261,8 @@ def kappa_pass(h, bc, truncation=None):
 def kappa_prop(h, lam, bc, truncation=None):
     """Propulsion reduction factor at half-gap h: the no-slip series under
     both wall models (slip enters it only at O(beta)), frozen at its value
-    at SERIES_GAP_FLOOR below the floor."""
-    return kappa_arrays([h], bc, truncation, lam)[1].item()
+    at SERIES_GAP_FLOOR below the floor. lam is required."""
+    return kappa_arrays([h], bc, truncation, _tip_offset(lam))[1].item()
 
 
 def kappa_arrays(hs, bc, truncation=None, lam=None):
@@ -266,8 +275,14 @@ def kappa_arrays(hs, bc, truncation=None, lam=None):
     factor comes from the memoized series once per gap, at
     max(h, SERIES_GAP_FLOOR). lam = None, as for a passive pair, which has no
     propulsion factor, gives kappa_prop = 0 without evaluating anything.
+    Bool, string and other non-number gaps are a DomainError, as is a lam
+    that is not a finite real number > 0.
     """
-    hs = np.asarray(hs, dtype=float)
+    hs = np.asarray(hs)
+    if hs.dtype.kind not in "iuf":
+        raise DomainError(f"half-gap h must be a real number, got {hs.tolist()!r}")
+    hs = hs.astype(float, copy=False)
+    lam = None if lam is None else _tip_offset(lam)
     bad = hs[~(np.isfinite(hs) & (hs > 0.0))]
     if bad.size:
         raise DomainError(f"half-gap must be finite and positive, got {bad[0]}")
@@ -282,17 +297,16 @@ def kappa_arrays(hs, bc, truncation=None, lam=None):
     if lam is None:
         return kp, np.zeros_like(hs)
     floored = np.maximum(hs, SERIES_GAP_FLOOR).ravel().tolist()
-    kpr = [_series_prop(h, float(lam), truncation) for h in floored]
+    kpr = [_series_prop(h, lam, truncation) for h in floored]
     return kp, np.array(kpr).reshape(hs.shape)
 
 
 def net_propulsion(h, lam, f_p, bc, truncation=None):
     """Net inward thrust f_p (1 - kappa_prop), the drive left after the
     backflow each swimmer's forcing induces at its partner is paid for."""
-    f_p = float(f_p)
-    if not np.isfinite(f_p) or f_p < 0.0:
-        raise DomainError(f"thrust magnitude must be >= 0, got {f_p}")
-    return f_p * (1.0 - kappa_prop(h, lam, bc, truncation))
+    if not (_is_real(f_p) and math.isfinite(f_p) and f_p >= 0.0):
+        raise DomainError(f"f_p, the thrust magnitude, must be finite and >= 0, got {f_p!r}")
+    return float(f_p) * (1.0 - kappa_prop(h, lam, bc, truncation))
 
 
 def coefficients(h, lam, bc, truncation=None):

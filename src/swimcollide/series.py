@@ -91,6 +91,9 @@ _TAYLOR_FACT = np.array([math.factorial(p) for p in _TAYLOR_P], dtype=float)
 _SINH_SAFE = 350.0
 
 _START_K_FORCE, _START_K_AXIS = 1.4, 1.6  # start constants, see _start_count
+# The least first mode count of any sum: solve_coefficients starts here, and
+# a drag sum at its predicted count when that is larger.
+_N_START = 20
 
 
 def _is_real(value):
@@ -99,20 +102,14 @@ def _is_real(value):
 
 @dataclass(frozen=True)
 class SeriesTruncation:
-    """Truncation request: the smallest first mode count (the drag sums start
-    at their predicted count when larger) and the relative tail tolerance."""
+    """Truncation request: the relative tail tolerance every sum meets. The
+    first mode count is not a request: each sum starts at _N_START or, for a
+    drag sum, at its predicted count when that is larger."""
 
-    n_max: int = 20
     tail_tol: float = 1e-10
 
     def __post_init__(self):
-        n_max, tail_tol = self.n_max, self.tail_tol
-        if not (_is_real(n_max) and math.isfinite(n_max) and n_max == int(n_max) >= 1):
-            raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
-        if n_max > HARD_MODE_CAP:
-            raise DomainError(f"n_max exceeds the hard cap {HARD_MODE_CAP}")
-        # Stored as a Python int: the sums slice the mode tables by it.
-        object.__setattr__(self, "n_max", int(n_max))
+        tail_tol = self.tail_tol
         if not (_is_real(tail_tol) and math.isfinite(tail_tol) and 0.0 < tail_tol <= 1e-2):
             raise DomainError(f"tail_tol must lie in (0, 1e-2], got {tail_tol!r}")
 
@@ -334,13 +331,13 @@ def _converge(n_start, tail_tol, evaluate, what):
 
 
 def _start_count(k, rate, truncation):
-    """First mode count ceil(k ln(1 / tail_tol) / rate), clamped to [n_max,
+    """First mode count ceil(k ln(1 / tail_tol) / rate), clamped to [_N_START,
     HARD_MODE_CAP], of a drag sum whose terms decay like exp(-rate n). Each k
     is the least whose first pass meets the default tail test and lies within
     5e-13 of the converged sum for gaps 2e-6 .. 10 and tip offsets to 100
     (1.36 force, 1.58 axis), rounded up."""
     n = math.ceil(k * math.log(1.0 / truncation.tail_tol) / rate)
-    return min(max(n, truncation.n_max), HARD_MODE_CAP)
+    return min(max(n, _N_START), HARD_MODE_CAP)
 
 
 def _require_gap(h):
@@ -357,10 +354,10 @@ def solve_coefficients(frame, truncation=None):
     """Solve the unit-speed no-slip conditions for the mode coefficients,
     adaptively.
 
-    Starts at truncation.n_max modes and doubles until the relative tail of
-    the surface profile sum sum_n |U_n(alpha)| falls below tail_tol. The
-    surface is the slowest-converging evaluation curve in the closed fluid
-    domain, so the same coefficient set is adequate everywhere else.
+    Starts at _N_START modes and doubles until the relative tail of the
+    surface profile sum sum_n |U_n(alpha)| falls below tail_tol. The surface
+    is the slowest-converging evaluation curve in the closed fluid domain,
+    so the same coefficient set is adequate everywhere else.
     """
     truncation = truncation or SeriesTruncation()
     _require_gap(frame.h)
@@ -369,9 +366,7 @@ def solve_coefficients(frame, truncation=None):
         b, d = _coefficient_arrays(frame, n_count)
         return (b, d), _profiles_at(b, d, frame.alpha)
 
-    (b, d), tail = _converge(
-        truncation.n_max, truncation.tail_tol, evaluate, "surface profile"
-    )
+    (b, d), tail = _converge(_N_START, truncation.tail_tol, evaluate, "surface profile")
     return SeriesSolution(frame=frame, b=b, d=d, tail_estimate=tail, requested=truncation)
 
 

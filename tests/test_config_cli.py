@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import swimcollide
-from swimcollide import checks, drag, geometry, series
+from swimcollide import checks, drag, dynamics, geometry, series
 from swimcollide.checks import CHECKS
 from swimcollide.cli import main
 from swimcollide.config import SWEEP_AXES, parse_config, parse_config_text
@@ -61,7 +61,6 @@ class TestConfigParsing:
         cfg = parse_config_text("")
         assert cfg.resolved == (
             "integrator.atol = 9.9999999999999998e-13",
-            "integrator.max_steps = 400000",
             "integrator.rtol = 1e-08",
             "integrator.t_max = 100",
             "scenario.bc = no_slip",
@@ -73,11 +72,10 @@ class TestConfigParsing:
             "scenario.mass = 0",
             "scenario.mode = active",
             "scenario.s0 = 0",
-            "series.n_max = 20",
             "series.tail_tol = 1e-10",
         )
         assert cfg.config_hash() == (
-            "346ab34daa9836b7a56051f704e09759b2f3e4c796743ea912df4f063bd65722"
+            "8247a0ed74ee3f149ca6377be4e915bf5ee2f541f6d11e379de9525aa624fb09"
         )
 
     def test_full_round(self):
@@ -186,7 +184,7 @@ class TestConfigParsing:
         assert (exc.value.key, exc.value.line) == (f"scenario.{key}", line)
         assert str(exc.value).startswith(f"line {line}: scenario.{key}: ")
 
-    @pytest.mark.parametrize("section,key", [("output", "dir"), ("scenario", "bc")])
+    @pytest.mark.parametrize("section,key", [("integrator", "t_max"), ("scenario", "bc")])
     def test_empty_value_is_rejected(self, section, key):
         with pytest.raises(ConfigError) as exc:
             parse_config_text(f"[{section}]\n{key} =\n")
@@ -321,7 +319,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
     @pytest.mark.parametrize(
-        "setting", ["rtol = -1", "atol = -1", "h_floor = -1", "max_steps = 0"]
+        "setting", ["rtol = -1", "atol = -1", "h_floor = -1", "h_floor = 0.6"]
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_bad_integrator_value_is_a_config_error(
@@ -339,6 +337,49 @@ class TestSimulateCommand:
         assert f"line {line}: integrator.{key}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("floor", ["0.5", "0.6"])
+    def test_floor_at_or_above_h0_is_a_config_error(self, tmp_path, capsys, floor):
+        # The run's own floor rule, applied at parse: exit 2 before any output.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_RUN + f"h_floor = {floor}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        line = len(BASE_RUN.splitlines()) + 1
+        err = capsys.readouterr().err
+        assert f"line {line}: integrator.h_floor: initial half-gap 0.5 is not above" in err
+        assert not out.exists()
+
+    def test_sweep_floor_is_checked_against_each_h0(self, tmp_path, capsys):
+        # With an h0 axis, each swept h0 is a start the floor must lie below,
+        # and the scenario's own h0 is not.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_RUN + "h_floor = 0.6\n[sweep]\nh0 = 1.0, 2.0\n")
+        assert parse_config(cfg).h_floor == 0.6
+        cfg.write_text(BASE_RUN + "h_floor = 0.6\n[sweep]\nh0 = 1.0, 0.55\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        line = len(BASE_RUN.splitlines()) + 1
+        err = capsys.readouterr().err
+        assert f"line {line}: integrator.h_floor: initial half-gap 0.55 is not above" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("[series]\nn_max = 20\n", "n_max", 2),
+            ("[integrator]\nmax_steps = 400000\n", "max_steps", 2),
+        ],
+        ids=["series-n_max", "integrator-max_steps"],
+    )
+    def test_removed_setting_is_a_config_error(self, tmp_path, capsys, text, key, line):
+        # The first mode count and the step budget are fixed, not settings.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"line {line}: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_names_the_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("run.cfg").write_text(BASE_RUN + "[sweep]\nlambda = 0.5,,1.0\n")
@@ -352,10 +393,11 @@ class TestSimulateCommand:
         assert err.startswith("config error: run.cfg: line 3: scenario.mass: ")
         assert not Path("out").exists()
 
-    def test_step_budget_maps_to_numerical_failure(self, tmp_path, capsys):
-        # max_steps bounds the Radau evaluation count of an inertial run.
+    def test_step_budget_maps_to_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # A budget bounds the Radau evaluation count of an inertial run.
+        monkeypatch.setattr(dynamics, "_RHS_BUDGET", 25)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_RUN + "max_steps = 1\n[scenario]\nmass = 0.1\n")
+        cfg.write_text(BASE_RUN + "[scenario]\nmass = 0.1\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "StiffnessError: evaluation budget 25" in capsys.readouterr().err
 
@@ -364,8 +406,8 @@ class TestSimulateCommand:
         cfg.write_text(BASE_RUN)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         report = (tmp_path / "run_report.txt").read_text()
-        assert "series.tail_tol = 1e-10\n" in report and "series.n_max = 20\n" in report
-        assert "_effective" not in report
+        assert "series.tail_tol = 1e-10\n" in report
+        assert "_effective" not in report and "n_max" not in report and "max_steps" not in report
 
 
 class TestSweepCommand:
@@ -598,9 +640,48 @@ class TestValidateCommand:
         assert exc.value.code == 2
 
 
+def _accepts_all(text):
+    return None
+
+
+def _mislocates_all(text):
+    raise ConfigError("stand-in", key="scenario.mode", line=1)
+
+
+def _locates_bad_float_only(text):
+    return parse_config_text(text) if "oops" in text else None
+
+
+def _mislocates_unknown_key(text):
+    return parse_config_text(text) if "oops" in text else _mislocates_all(text)
+
+
+class TestConfigErrorCheck:
+    """Each failure the config_error_locations check reports, from a lenient
+    or mislocating stand-in for the parser or the scenario."""
+
+    @pytest.mark.parametrize(
+        "parse, scenario, detail",
+        [
+            (_accepts_all, None, "bad float was accepted"),
+            (_mislocates_all, None, "wrong location: key scenario.mode, line 1"),
+            (_locates_bad_float_only, None, "unknown key was accepted"),
+            (_mislocates_unknown_key, None, "wrong line for unknown key: 1"),
+            (None, lambda **fields: None, "negative gap was accepted"),
+        ],
+        ids=["bad-float", "bad-location", "unknown-key", "unknown-key-line", "negative-gap"],
+    )
+    def test_failure_is_reported(self, monkeypatch, parse, scenario, detail):
+        if parse is not None:
+            monkeypatch.setattr(checks, "parse_config_text", parse)
+        if scenario is not None:
+            monkeypatch.setattr(checks, "SwimmerScenario", scenario)
+        assert dict(CHECKS)["config_error_locations"]() == (False, detail)
+
+
 class TestOutputDirectory:
-    """An output directory that cannot be created is a config error (exit 2)
-    naming where it was set, raised before any work is done."""
+    """--out names the output directory; one that cannot be created is a
+    config error (exit 2) naming --out, raised before any work is done."""
 
     def test_drag_out_is_a_file(self, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -616,13 +697,16 @@ class TestOutputDirectory:
         assert captured.err.startswith("config error: --out: cannot create directory")
         assert captured.out == ""  # no check ran
 
-    def test_config_output_dir_is_named(self, tmp_path, capsys):
-        taken = tmp_path / "taken"
-        taken.write_text("")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(BASE_RUN + f"\n[output]\ndir = {taken}\n")
-        assert main(["simulate", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith("config error: output.dir: ")
+    def test_config_output_dir_is_named(self, tmp_path, capsys, monkeypatch):
+        # --out is the one route: an [output] section is a config error that
+        # names its line, and no directory is made.
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text(BASE_RUN + "\n[output]\ndir = elsewhere\n")
+        line = len(BASE_RUN.splitlines()) + 2
+        assert main(["simulate", "--config", "run.cfg"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: run.cfg: line {line}: unknown section [output]")
+        assert not Path("elsewhere").exists() and not Path("out").exists()
 
 
 class TestParserBasics:
@@ -630,10 +714,11 @@ class TestParserBasics:
         "argv",
         [
             ["drag", "--config", "run.cfg"],
+            ["drag", "--nmax", "5"],
             ["simulate", "--config", "run.cfg", "--tol", "1e-12"],
             ["sweep", "--config", "run.cfg", "--nmax", "64"],
         ],
-        ids=["drag-config", "simulate-tol", "sweep-nmax"],
+        ids=["drag-config", "drag-nmax", "simulate-tol", "sweep-nmax"],
     )
     def test_each_setting_has_one_route(self, tmp_path, monkeypatch, argv):
         # drag takes its settings from its options only, simulate and sweep

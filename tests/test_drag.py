@@ -162,6 +162,58 @@ class TestPropulsionFactor:
             net_propulsion(0.5, 1.0, -1.0, NO_SLIP)
 
 
+class TestInputTypes:
+    """The public drag functions take real numbers only, as SwimmerScenario
+    does: a bool, a string or a missing value is a DomainError naming the
+    argument, never coerced."""
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: kappa_pass(h, NO_SLIP),
+            lambda h: kappa_prop(h, 1.0, NO_SLIP),
+            lambda h: net_propulsion(h, 1.0, 1.0, NO_SLIP),
+            lambda h: coefficients(h, 1.0, NO_SLIP),
+            lambda h: kappa_arrays([h], NO_SLIP),
+        ],
+        ids=["kappa_pass", "kappa_prop", "net_propulsion", "coefficients", "kappa_arrays"],
+    )
+    def test_gap(self, call, bad):
+        with pytest.raises(DomainError, match="^half-gap h must be a real number"):
+            call(bad)
+
+    @pytest.mark.parametrize("bad", [None, True, "1", float("nan"), float("inf"), 0.0, -1.0])
+    def test_kappa_prop_requires_a_tip_offset(self, bad):
+        with pytest.raises(DomainError, match="^lam, the tip offset, must be"):
+            kappa_prop(0.5, bad, NO_SLIP)
+
+    @pytest.mark.parametrize("bad", [True, "1", float("nan")])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda lam: kappa_arrays([0.5], NO_SLIP, lam=lam),
+            lambda lam: coefficients(0.5, lam, NO_SLIP),
+            lambda lam: kappa_table(NO_SLIP, lam=lam),
+        ],
+        ids=["kappa_arrays", "coefficients", "kappa_table"],
+    )
+    def test_tip_offset_when_given(self, call, bad):
+        with pytest.raises(DomainError, match="^lam, the tip offset, must be"):
+            call(bad)
+
+    @pytest.mark.parametrize("bad", [True, "2", None, float("nan"), float("inf"), -1.0])
+    def test_thrust(self, bad):
+        with pytest.raises(DomainError, match="^f_p, the thrust magnitude, must be"):
+            net_propulsion(0.5, 1.0, bad, NO_SLIP)
+
+    def test_numpy_and_integer_values_are_real(self):
+        assert kappa_pass(np.float64(0.5), NO_SLIP) == kappa_pass(0.5, NO_SLIP)
+        assert kappa_pass(1, NO_SLIP) == kappa_pass(1.0, NO_SLIP)
+        assert kappa_prop(0.5, np.int64(1), NO_SLIP) == kappa_prop(0.5, 1.0, NO_SLIP)
+        assert net_propulsion(0.5, 1.0, 2, NO_SLIP) == net_propulsion(0.5, 1.0, 2.0, NO_SLIP)
+
+
 class TestCoefficients:
     def test_combined_provenance(self):
         assert coefficients(0.5, 1.0, NAVIER).provenance is Provenance.EXACT_SERIES

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from swimcollide import drag
+from swimcollide import drag, dynamics
 from swimcollide.drag import BoundaryCondition, _series_prop, cache_clear
 from swimcollide.dynamics import (
     _BLOCK_EDGES,
@@ -426,24 +426,18 @@ class TestSimulateGuards:
         with pytest.raises(DomainError, match=name):
             simulate(forced(NAVIER, mass=0.1), t_max=1.0, **{name: bad})
 
-    @pytest.mark.parametrize("mass", [0.0, 0.1], ids=["massless", "inertial"])
-    @pytest.mark.parametrize("bad", [2.5, 10.0, 0, -3, float("nan"), float("inf"), "10"])
-    def test_bad_step_budget(self, bad, mass):
-        # Neither path may coerce a bad budget: a float is not a panel count,
-        # and a count below one would report a budget exhausted at t = 0.
-        with pytest.raises(DomainError, match="max_steps"):
-            simulate(active(NAVIER, mass=mass), t_max=10.0, max_steps=bad)
-
-    def test_massless_run_has_no_step_budget(self):
+    def test_massless_run_has_no_step_budget(self, monkeypatch):
         # A massless run's panel count is fixed by h0, the floor and beta.
         sc = active(NAVIER)
-        assert simulate(sc, t_max=200.0, max_steps=1) == simulate(sc, t_max=200.0)
+        full = simulate(sc, t_max=200.0)
+        monkeypatch.setattr(dynamics, "_RHS_BUDGET", 1)
+        assert simulate(sc, t_max=200.0) == full
 
     @pytest.mark.parametrize(
         "name, bad",
         [
             (name, bad)
-            for name in ("t_max", "h_floor", "rtol", "atol", "max_steps")
+            for name in ("t_max", "h_floor", "rtol", "atol")
             for bad in (True, "1e-8", None, float("nan"), float("inf"))
             if (name, bad) != ("h_floor", None)  # None selects the default floor
         ],
@@ -484,11 +478,12 @@ class TestSimulateGuards:
             simulate(active(NAVIER, mass=0.1), t_max=200.0)
         assert exc.value.t == 0.25 and exc.value.state == (0.4, -0.2)
 
-    def test_inertial_evaluation_budget_reported(self):
-        # max_steps = 1 allows 25 right-hand-side calls, which Radau spends
-        # within its first steps: the error carries the time and (h, h') there.
+    def test_inertial_evaluation_budget_reported(self, monkeypatch):
+        # A budget of 25 right-hand-side calls is spent within Radau's first
+        # steps: the error carries the time and (h, h') there.
+        monkeypatch.setattr(dynamics, "_RHS_BUDGET", 25)
         with pytest.raises(StiffnessError, match="evaluation budget 25") as exc:
-            simulate(active(NAVIER, mass=0.1), t_max=200.0, max_steps=1)
+            simulate(active(NAVIER, mass=0.1), t_max=200.0)
         h, hdot = exc.value.state
         assert 0.0 < exc.value.t < 1e-2
         assert 0.49 < h < 0.5 and hdot < 0.0
