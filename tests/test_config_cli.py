@@ -319,13 +319,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
     @pytest.mark.parametrize(
-        "setting", ["rtol = -1", "atol = -1", "h_floor = -1", "h_floor = 0.6"]
+        "setting",
+        ["rtol = -1", "atol = -1", "h_floor = -1", "h_floor = 0.6", "max_steps = 0"],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_bad_integrator_value_is_a_config_error(
         self, tmp_path, capsys, setting, command
     ):
         # Rejected at parse with its key and line, not by the integrator.
+        # max_steps is no longer a key: an old config that sets it fails loudly.
         cfg = tmp_path / "run.cfg"
         line = len(BASE_RUN.splitlines()) + 1
         cfg.write_text(
@@ -334,7 +336,12 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         key = setting.split()[0]
-        assert f"line {line}: integrator.{key}: " in capsys.readouterr().err
+        expected = (
+            f"line {line}: unknown key {key!r} in [integrator]"
+            if key == "max_steps"
+            else f"line {line}: integrator.{key}: "
+        )
+        assert expected in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("floor", ["0.5", "0.6"])
