@@ -176,6 +176,9 @@ def cmd_simulate(args):
     if not args.config:
         raise ConfigError("simulate needs --config")
     cfg = parse_config(args.config)
+    # The floor rule raises before --out is made, so a run that cannot start
+    # leaves no directory behind.
+    dynamics._floor(cfg.scenario, cfg.h_floor)
     out = _out_dir(args)
 
     traj = _simulate(cfg, cfg.scenario)

@@ -275,13 +275,17 @@ def kappa_arrays(hs, bc, truncation=None, lam=None):
     factor comes from the memoized series once per gap, at
     max(h, SERIES_GAP_FLOOR). lam = None, as for a passive pair, which has no
     propulsion factor, gives kappa_prop = 0 without evaluating anything.
-    Bool, string and other non-number gaps are a DomainError, as is a lam
-    that is not a finite real number > 0.
+    Bool, string and other non-number gaps, anywhere in a list, are a
+    DomainError, as is a lam that is not a finite real number > 0.
     """
-    hs = np.asarray(hs)
-    if hs.dtype.kind not in "iuf":
-        raise DomainError(f"half-gap h must be a real number, got {hs.tolist()!r}")
-    hs = hs.astype(float, copy=False)
+    array = np.asarray(hs)
+    # numpy turns a bool among numbers into a number, so the elements of a
+    # list are checked one by one; an ndarray's dtype speaks for them all.
+    given = None if isinstance(hs, np.ndarray) else np.asarray(hs, dtype=object)
+    if array.dtype.kind not in "iuf" or (given is not None and not all(map(_is_real, given.flat))):
+        shown = array.tolist() if given is None else given.tolist()
+        raise DomainError(f"half-gap h must be a real number, got {shown!r}")
+    hs = array.astype(float, copy=False)
     lam = None if lam is None else _tip_offset(lam)
     bad = hs[~(np.isfinite(hs) & (hs > 0.0))]
     if bad.size:

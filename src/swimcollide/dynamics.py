@@ -50,9 +50,15 @@ and sit within its stated bound of the series. When the table's bound
 exceeds tail_tol the whole run reads the series with a finite-difference
 Jacobian, as rhs and massless runs always do. rhs and the inertial path
 read the coefficients at max(h, 1e-15), since a solver can step to h <= 0.
+Each Newton iteration of a Radau step solves two linear systems whose
+matrices are 2 x 2, since the state is (h, h'); both go through the
+explicit inverse (_radau_2x2), because scipy's LU wrappers cost far more
+than that arithmetic, on the table path and the series path alike.
 """
 
+import cmath
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -500,7 +506,7 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
         fun,
         (0.0, t_max),
         [scenario.h0, -scenario.s0],
-        method="Radau",
+        method=_radau_2x2(),
         rtol=rtol,
         atol=atol,
         jac=jac,
@@ -539,6 +545,43 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
             points.append(point_at(tj, hj, hdj))
         points.append(point_at(t1, sol.y[0, i], sol.y[1, i]))
     return _trajectory(scenario, floor, points, termination)
+
+
+@functools.cache
+def _radau_2x2():
+    """scipy's Radau IIA with its 2 x 2 Newton systems solved in closed form.
+
+    Each Newton iteration of a Radau IIA step solves one real and one complex
+    system whose matrix is c I - J (Hairer & Wanner, Solving ODEs II, IV.8).
+    Radau factors and solves them through the hooks self.lu and
+    self.solve_lu, which this subclass points at the explicit inverse
+    [[d, -b], [-c, a]] / (ad - bc) and a matrix-vector product. A matrix
+    that is singular or not finite is a StiffnessError at the current step.
+    Built on first use, so that scipy loads only with an inertial run.
+    """
+    from scipy.integrate import Radau
+
+    class Radau2x2(Radau):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.lu, self.solve_lu = self._inverse, self._apply
+
+        def _inverse(self, matrix):
+            self.nlu += 1
+            (a, b), (c, d) = matrix.tolist()
+            det = a * d - b * c
+            if not (det != 0.0 and cmath.isfinite(det)):
+                raise StiffnessError(
+                    f"Newton matrix of the implicit step is singular or not finite at t = {self.t}",
+                    t=self.t,
+                    state=self.y,
+                )
+            return np.array([[d, -b], [-c, a]]) / det
+
+        def _apply(self, inverse, vector):
+            return inverse.dot(vector)
+
+    return Radau2x2
 
 
 @dataclass(frozen=True)

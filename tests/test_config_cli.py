@@ -371,6 +371,26 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            (BASE_RUN.replace("h0 = 0.5", "h0 = 1e-10"), "1e-10 is not above the floor 1e-09"),
+            (BASE_RUN + "h_floor = 0.6\n[sweep]\nh0 = 1.0, 2\n", "0.5 is not above the floor 0.6"),
+        ],
+        ids=["default-floor", "floor-above-unswept-h0"],
+    )
+    def test_simulate_checks_the_floor_before_making_out(self, tmp_path, capsys, text, message):
+        # Both configs parse, since the floor rule at parse sees neither the
+        # model's default floor nor, with an h0 axis, scenario.h0; simulate
+        # starts from scenario.h0 and fails before making --out.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: InvalidRegimeError: initial half-gap {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "text, key, line",
         [
             ("[series]\nn_max = 20\n", "n_max", 2),

@@ -183,6 +183,12 @@ class TestInputTypes:
         with pytest.raises(DomainError, match="^half-gap h must be a real number"):
             call(bad)
 
+    @pytest.mark.parametrize("hs", [[0.5, True], (True,), [[0.5, False]], [1, True]])
+    def test_bool_among_gaps(self, hs):
+        # numpy would turn these lists into numbers: [0.5, True] into [0.5, 1.0].
+        with pytest.raises(DomainError, match="^half-gap h must be a real number"):
+            kappa_arrays(hs, NO_SLIP)
+
     @pytest.mark.parametrize("bad", [None, True, "1", float("nan"), float("inf"), 0.0, -1.0])
     def test_kappa_prop_requires_a_tip_offset(self, bad):
         with pytest.raises(DomainError, match="^lam, the tip offset, must be"):

@@ -652,3 +652,82 @@ class TestInertialTable:
         cold = simulate(sc, t_max=20.0)
         warm = simulate(sc, t_max=20.0)
         assert cold.points == warm.points and len(cold.points) > 10
+
+
+# The eigenvalues of Radau IIA's inverse coefficient matrix (Hairer & Wanner,
+# Solving ODEs II, IV.8): a Newton iteration of a step of size dt solves
+# (MU / dt) I - J for the real one and for the complex one.
+_CBRT3 = 3.0 ** (1.0 / 3.0)
+MU_REAL = 3.0 + _CBRT3**2 - _CBRT3
+MU_COMPLEX = 3.0 + 0.5 * (_CBRT3 - _CBRT3**2) - 0.5j * (3.0 ** (5.0 / 6.0) + 3.0 ** (7.0 / 6.0))
+
+
+class TestClosedFormNewton:
+    """Inertial runs solve Radau's 2 x 2 Newton systems with the explicit
+    inverse, through the hooks scipy's Radau reads."""
+
+    @staticmethod
+    def solver():
+        return dynamics._radau_2x2()(lambda t, y: -y, 0.0, np.array([1.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("mu", [MU_REAL, MU_COMPLEX], ids=["real", "complex"])
+    @pytest.mark.parametrize("h", [0.5, 3e-3, 1e-6])
+    def test_matches_a_pivoted_solve(self, h, mu):
+        solver = self.solver()
+        rng = np.random.default_rng(7)
+        for sc in (active(NAVIER, mass=0.1), forced(NAVIER, mass=0.1), active(NO_SLIP, mass=0.1)):
+            table = drag.kappa_table(sc.bc, lam=sc.lam if sc.mode is Mode.ACTIVE else None)
+            jac = _table_jacobian(sc, table, np.array([h, -0.5]))
+            for dt in (1e-9, 1e-5, 1e-1, 10.0):
+                matrix = mu / dt * np.eye(2) - jac
+                inverse = solver.lu(matrix)
+                for _ in range(4):
+                    b = rng.standard_normal(2)
+                    if mu != MU_REAL:
+                        b = b + 1j * rng.standard_normal(2)
+                    want = np.linalg.solve(matrix, b)
+                    got = solver.solve_lu(inverse, b)
+                    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_radau_reads_the_hooks(self, monkeypatch):
+        # A scipy whose Radau stopped reading self.lu and self.solve_lu would
+        # still give correct runs, only slower: this catches it.
+        cls = dynamics._radau_2x2()
+        calls = {"_inverse": 0, "_apply": 0}
+        for name in calls:
+            original = getattr(cls, name)
+
+            def counted(self, *args, name=name, original=original):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        traj = simulate(active(NAVIER, mass=0.1), t_max=1.0)
+        assert traj.termination is TerminationKind.HORIZON_REACHED
+        assert calls["_inverse"] > 0 and calls["_apply"] > calls["_inverse"]
+
+    @pytest.mark.parametrize(
+        "sc",
+        [active(NAVIER, mass=0.1, s0=1.0), active(NAVIER, mass=0.1)],
+        ids=["test_06", "nominal"],
+    )
+    def test_agrees_with_stock_radau(self, sc, monkeypatch):
+        import scipy.integrate
+
+        closed_form = simulate(sc, t_max=200.0)
+        monkeypatch.setattr(dynamics, "_radau_2x2", lambda: scipy.integrate.Radau)
+        lapack = simulate(sc, t_max=200.0)
+        assert closed_form.termination is lapack.termination is TerminationKind.COLLISION
+        assert closed_form.t_coll == pytest.approx(lapack.t_coll, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1.0, 2.0], [2.0, 4.0]], [[1j, 1.0], [-1.0, 1j]], [[np.nan, 0.0], [0.0, 1.0]]],
+        ids=["real", "complex", "nan"],
+    )
+    def test_singular_matrix_is_a_stiffness_error(self, matrix):
+        # Where LAPACK warned of a zero pivot and went on with infinities,
+        # the closed form stops the run with the step's time and state.
+        with pytest.raises(StiffnessError, match="^Newton matrix of the implicit step") as exc:
+            self.solver().lu(np.array(matrix))
+        assert exc.value.t == 0.0 and exc.value.state == (1.0, 0.0)
