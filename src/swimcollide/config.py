@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 
 from .drag import BoundaryCondition
-from .dynamics import Mode, SwimmerScenario, _floor, _positive, simulate
+from .dynamics import Mode, SwimmerScenario, _floor, _positive, _rtol, simulate
 from .errors import ConfigError, DomainError
 from .series import SeriesTruncation
 
@@ -262,14 +262,15 @@ def _build(values, lines_of):
     for axis, pts in sweep.items():
         checked("sweep", [axis], _sweep_axis, scenario, axis, pts)
 
-    # simulate's own rules: every value positive, and a floor the config
-    # sets below each h0 it runs from. Unset (None), h_floor selects the
-    # model default, which each run checks when it starts, so a grid point
-    # below it fails alone.
+    # simulate's own rules: every value positive, rtol at least 100 eps, and
+    # a floor the config sets below each h0 it runs from. Unset (None),
+    # h_floor selects the model default, which each run checks when it
+    # starts, so a grid point below it fails alone.
     integrator = _section(values, "integrator")
     for key, value in integrator.items():
         if value is not None:
             checked("integrator", [key], _positive, key, value)
+    checked("integrator", ["rtol"], _rtol, integrator["rtol"])
     if integrator["h_floor"] is not None:
         for h0 in sweep.get("h0", [scenario.h0]):
             start = dataclasses.replace(scenario, h0=h0)

@@ -186,14 +186,15 @@ class _ChebyshevTable:
         self.bound = float(max(measured, np.sum(np.abs(c[-_TABLE_TAIL:]))))
 
     def __call__(self, h):
-        """kappa and dkappa/dh at one gap h >= lo: the table's strictly inside
-        it; the series at lo (with the table's end slope) and at hi and above
-        (with a central difference of the series)."""
+        """kappa and dkappa/dh at one gap h >= lo, as Python floats: the
+        table's strictly inside it; the series at lo (with the table's end
+        slope) and at hi and above (with a central difference of the
+        series)."""
         if h >= self.hi:
             step = 1e-4 * h
             return self.series(h), (self.series(h + step) - self.series(h - step)) / (2.0 * step)
         x = max((math.log(h) - self.mid) / self.half, -1.0)
-        g, dg = np.cos(_TABLE_K * math.acos(x)) @ self.matrix
+        g, dg = (np.cos(_TABLE_K * math.acos(x)) @ self.matrix).tolist()
         kappa = self.series(h) if h == self.lo else math.exp(g)
         return kappa, kappa * dg / (self.half * h)
 
@@ -275,10 +276,14 @@ def kappa_arrays(hs, bc, truncation=None, lam=None):
     factor comes from the memoized series once per gap, at
     max(h, SERIES_GAP_FLOOR). lam = None, as for a passive pair, which has no
     propulsion factor, gives kappa_prop = 0 without evaluating anything.
-    Bool, string and other non-number gaps, anywhere in a list, are a
-    DomainError, as is a lam that is not a finite real number > 0.
+    Bool, string and other non-number gaps, anywhere in a list, and ragged
+    nestings of lists are a DomainError, as is a lam that is not a finite
+    real number > 0.
     """
-    array = np.asarray(hs)
+    try:
+        array = np.asarray(hs)
+    except ValueError:  # a ragged nesting, such as [0.5, [1.0]]
+        raise DomainError(f"half-gap h must be a real number, got {hs!r}") from None
     # numpy turns a bool among numbers into a number, so the elements of a
     # list are checked one by one; an ndarray's dtype speaks for them all.
     given = None if isinstance(hs, np.ndarray) else np.asarray(hs, dtype=object)

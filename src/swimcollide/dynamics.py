@@ -24,8 +24,8 @@ drag call per block, one weighted sum per panel whose 8 edges are in, and
 one running sum of the panel times. One point is recorded per edge, a
 floor run ends exactly on the floor, and the horizon point comes from a
 bisection on the first panel to pass the horizon, after which no block is
-evaluated. scipy is imported only inside the inertial path and the
-quadrature, so a process that runs massless scenarios never loads it.
+evaluated. scipy is imported only inside the quadrature, so a process that
+runs scenarios, massless or inertial, never loads it.
 
 Two massless results need no run at all. collision_time_quadrature gives
 the time to the floor as a direct integral. decay_rate_bound gives the rate
@@ -41,22 +41,22 @@ InvalidRegimeError.
 
 Inertial scenarios (m > 0) are stiff: the speed relaxes toward the force
 balance on the fast scale m / kappa_pass, which near contact is orders of
-magnitude below the approach time. They integrate with an L-stable implicit
-Radau method, and the trajectory is densified from the dense interpolant so
-the same recording guarantees hold as for the massless path. Each run reads
-its coefficients from one drag.kappa_table, whose derivatives give Radau the
-Jacobian in closed form; the recorded kappa values come from the same table
-and sit within its stated bound of the series. When the table's bound
-exceeds tail_tol the whole run reads the series with a finite-difference
-Jacobian, as rhs and massless runs always do. rhs and the inertial path
-read the coefficients at max(h, 1e-15), since a solver can step to h <= 0.
-Each Newton iteration of a Radau step solves two linear systems whose
-matrices are 2 x 2, since the state is (h, h'); both go through the
-explicit inverse (_radau_2x2), because scipy's LU wrappers cost far more
-than that arithmetic, on the table path and the series path alike.
+magnitude below the approach time. They integrate with the L-stable
+implicit Radau IIA method of order 5, in the private _radau module: a port
+of scipy's Radau to the state (h, h') as a pair of Python floats, whose
+Newton systems are 2 x 2 and solved with their explicit inverses. The
+trajectory is densified from each step's collocation polynomial so the same
+recording guarantees hold as for the massless path. Each run reads its
+coefficients from one drag.kappa_table, whose derivatives give the Jacobian
+in closed form; the recorded kappa values come from the same table and sit
+within its stated bound of the series. When the table's bound exceeds
+tail_tol the whole run reads the series, as rhs and massless runs always
+do, with the Jacobian's slopes from a difference of the series. rhs and the
+inertial path read the coefficients at max(h, 1e-15), since a step can
+reach h <= 0. rtol must be at least 100 eps, the smallest relative
+tolerance Radau's error control is meant for.
 """
 
-import cmath
 import dataclasses
 import functools
 import math
@@ -66,7 +66,7 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from . import drag
+from . import _radau, drag
 from .drag import SERIES_GAP_FLOOR, BoundaryCondition
 from .errors import DomainError, InvalidRegimeError, StiffnessError
 from .series import SeriesTruncation, _is_real
@@ -224,11 +224,30 @@ def _table_terms(scenario, table, h):
     return _force(scenario, kpr), kp, kpr, dforce, dkp
 
 
-def _table_jacobian(scenario, table, y):
-    """d(rhs)/dy of an inertial scenario in closed form, from a drag.kappa_table."""
-    _, kp, _, dforce, dkp = _table_terms(scenario, table, y[0])
+_SLOPE_STEP = 2.0**-26  # about sqrt(eps), the first step of a forward-difference Jacobian
+
+
+def _series_terms(scenario, truncation, h):
+    """The terms of _table_terms from the series, for a run that has no
+    table: the slopes are a one-sided difference over a relative step of
+    _SLOPE_STEP toward contact, which costs one series evaluation beyond the
+    one at h."""
+    h_eval = max(float(h), _GAP_CLAMP)
+    lo = h_eval * (1.0 - _SLOPE_STEP)
+    (force, force_lo), (kp, kp_lo), (kpr, _) = (
+        c.tolist() for c in _force_and_coefficients(scenario, [h_eval, lo], truncation)
+    )
+    if h_eval != h:
+        return force, kp, kpr, 0.0, 0.0
+    return force, kp, kpr, (force - force_lo) / (h_eval - lo), (kp - kp_lo) / (h_eval - lo)
+
+
+def _jacobian(scenario, terms, y):
+    """d(rhs)/dy of an inertial scenario from the run's terms function:
+    _table_terms in closed form, or _series_terms."""
+    _, kp, _, dforce, dkp = terms(y[0])
     m = scenario.mass
-    return np.array([[0.0, 1.0], [-(dkp * y[1] + dforce) / m, -kp / m]])
+    return (0.0, 1.0), (-(dkp * y[1] + dforce) / m, -kp / m)
 
 
 def rhs(scenario, y, truncation=None):
@@ -239,13 +258,13 @@ def rhs(scenario, y, truncation=None):
     force, kp, _ = _force_and_coefficients(scenario, [max(y[0], _GAP_CLAMP)], truncation)
     if scenario.mass == 0.0:
         return -force / kp
-    return _inertial_rate(scenario, y, force.item(), kp.item())
+    return np.array(_inertial_rate(scenario, y, force.item(), kp.item()))
 
 
 def _inertial_rate(scenario, y, force, kp):
     """The equation of motion m h'' = -kappa_pass h' - F as a first-order
-    system in (h, h')."""
-    return np.array([y[1], (-kp * y[1] - force) / scenario.mass])
+    system in (h, h'), a pair of floats."""
+    return y[1], (-kp * y[1] - force) / scenario.mass
 
 
 _LN_GAP_CAP = 0.05  # widest panel in ln h, and the inertial point spacing below h = 0.1
@@ -294,6 +313,10 @@ _BLOCK_EDGES = 32  # edges a massless run evaluates with one drag call
 # Right-hand-side calls an inertial run may make before it fails with a
 # StiffnessError instead of stepping on without end.
 _RHS_BUDGET = 10_000_000
+# The smallest rtol of an inertial run, 100 eps = 2.2e-14, where scipy's Radau
+# also draws the line: a tighter one asks for local errors that rounding in
+# the step itself already exceeds.
+_RTOL_MIN = 100 * _radau.EPS
 
 
 def simulate(scenario, t_max, h_floor=None, rtol=1e-8, atol=1e-12, truncation=None):
@@ -308,14 +331,14 @@ def simulate(scenario, t_max, h_floor=None, rtol=1e-8, atol=1e-12, truncation=No
     called _RHS_BUDGET times, and the floor event satisfies
     |h - h_floor| < 1e-10.
 
-    t_max, h_floor, rtol and atol must be finite positive numbers, or a
-    DomainError names the setting; a floor at or above h0 is an
-    InvalidRegimeError.
+    t_max, h_floor, rtol and atol must be finite positive numbers and rtol
+    at least 100 eps = 2.2e-14, or a DomainError names the setting; a floor
+    at or above h0 is an InvalidRegimeError.
     """
     truncation = truncation or SeriesTruncation()
     t_max = _positive("t_max", t_max)
     floor = _floor(scenario, h_floor)
-    rtol, atol = _positive("rtol", rtol), _positive("atol", atol)
+    rtol, atol = _rtol(rtol), _positive("atol", atol)
     if scenario.mass != 0.0:
         return _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation)
     return _simulate_massless(scenario, t_max, floor, truncation)
@@ -327,6 +350,14 @@ def _positive(name, value):
     if not (_is_real(value) and math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be a finite positive number, got {value!r}")
     return float(value)
+
+
+def _rtol(value):
+    """rtol as _positive checks it, and at least _RTOL_MIN."""
+    rtol = _positive("rtol", value)
+    if rtol < _RTOL_MIN:
+        raise DomainError(f"rtol must be at least 100 eps = {_RTOL_MIN!r}, got {value!r}")
+    return rtol
 
 
 def _floor(scenario, h_floor):
@@ -451,29 +482,29 @@ def _bisect(f):
 
 
 def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
-    """Stiff branch of simulate for m > 0, on an implicit Radau method.
+    """Stiff branch of simulate for m > 0, on the implicit Radau IIA method.
 
     The speed equation has the fast eigenvalue -kappa_pass / m, which an
     explicit method must resolve for the whole run even though the solution
     hugs the quasi-steady balance; the L-stable method steps on the slow
-    manifold instead. The floor and reversal are terminal events, and recorded
-    points are densified from the interpolant so consecutive points satisfy
-    the same log-gap spacing bound as the massless path.
+    manifold instead. The floor and reversal are terminal events, checked at
+    each accepted step with solve_ivp's sign rule and located on the step's
+    collocation polynomial, from which the recorded points are also
+    densified, so consecutive points satisfy the same log-gap spacing bound
+    as the massless path.
 
     The right-hand side, the recorded kappa values and the Jacobian all read
     the run's drag.kappa_table, or the series when it returns None.
     """
-    from scipy.integrate import solve_ivp
-
     table = drag.kappa_table(scenario.bc, truncation, lam=_prop_lam(scenario))
     if table is None:
+        terms = functools.partial(_series_terms, scenario, truncation)
         coefficients = lambda h: [
             c.item() for c in _force_and_coefficients(scenario, [max(h, _GAP_CLAMP)], truncation)
         ]
-        jac = None
     else:
-        coefficients = lambda h: _table_terms(scenario, table, h)[:3]
-        jac = lambda t, y: _table_jacobian(scenario, table, y)
+        terms = functools.partial(_table_terms, scenario, table)
+        coefficients = lambda h: terms(h)[:3]
 
     evals = 0
 
@@ -482,106 +513,47 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
         evals += 1
         if evals > _RHS_BUDGET:
             raise StiffnessError(
-                f"evaluation budget {_RHS_BUDGET} exhausted at t = {t}",
-                t=float(t),
-                state=np.asarray(y, dtype=float),
+                f"evaluation budget {_RHS_BUDGET} exhausted at t = {t}", t=t, state=y
             )
         force, kp, _ = coefficients(y[0])
         return _inertial_rate(scenario, y, force, kp)
 
-    def contact(t, y):
-        return y[0] - floor
+    def point_at(t, y):
+        _, kp, kpr = coefficients(y[0])
+        return TrajectoryPoint(t, y[0], y[1], kp, kpr)
 
-    contact.terminal = True
-    contact.direction = -1.0
-
-    def reversal(t, y):
-        # Outward motion clearly above the noise floor of the tolerance.
-        return y[1] - atol
-
-    reversal.terminal = True
-    reversal.direction = 1.0
-
-    sol = solve_ivp(
-        fun,
-        (0.0, t_max),
-        [scenario.h0, -scenario.s0],
-        method=_radau_2x2(),
-        rtol=rtol,
-        atol=atol,
-        jac=jac,
-        dense_output=True,
-        events=(contact, reversal),
+    # solve_ivp's two terminal events, each signed to fire on a step that
+    # takes it from <= 0 to >= 0: the gap falls through the floor, or the
+    # speed turns outward clearly above the noise floor of the tolerance.
+    events = (
+        (TerminationKind.COLLISION, lambda y: floor - y[0]),
+        (TerminationKind.SPEED_REVERSED, lambda y: y[1] - atol),
     )
-    if sol.status == -1:
-        raise StiffnessError(
-            f"implicit integration failed: {sol.message}",
-            t=float(sol.t[-1]),
-            state=sol.y[:, -1],
-        )
-
-    if sol.status == 1 and len(sol.t_events[0]):
-        termination = TerminationKind.COLLISION
-    elif sol.status == 1:
-        termination = TerminationKind.SPEED_REVERSED
-    else:
-        termination = TerminationKind.HORIZON_REACHED
-
-    def point_at(t, h, hd):
-        _, kp, kpr = coefficients(h)
-        return TrajectoryPoint(float(t), float(h), float(hd), kp, kpr)
-
-    points = [point_at(sol.t[0], sol.y[0, 0], sol.y[1, 0])]
-    for i in range(1, len(sol.t)):
-        t0, t1 = sol.t[i - 1], sol.t[i]
-        h0v, h1v = sol.y[0, i - 1], sol.y[0, i]
+    y = (float(scenario.h0), -float(scenario.s0))
+    points = [point_at(0.0, y)]
+    termination = TerminationKind.HORIZON_REACHED
+    jac = lambda t, y: _jacobian(scenario, terms, y)
+    for step in _radau.steps(fun, jac, 0.0, y, t_max, rtol, atol):
+        t0, t1, y1 = step.t_old, step.t, step.y
+        roots = []
+        for kind, event in events:
+            if event(step.y_old) <= 0.0 <= event(y1):
+                s = _bisect(lambda s: event(step(t0 + s * (t1 - t0))))
+                roots.append((t0 + s * (t1 - t0), kind))
+        if roots:
+            t1, termination = min(roots, key=lambda root: root[0])
+            y1 = step(t1)
+        h0v, h1v = step.y_old[0], y1[0]
+        n_sub = 1
         if min(h0v, h1v) < _LN_GAP_ONSET and h0v > 0.0 and h1v > 0.0:
-            n_sub = int(np.ceil(abs(np.log(h0v / h1v)) / _LN_GAP_CAP))
-        else:
-            n_sub = 1
+            n_sub = math.ceil(abs(math.log(h0v / h1v)) / _LN_GAP_CAP)
         for j in range(1, n_sub):
             tj = t0 + (t1 - t0) * j / n_sub
-            hj, hdj = sol.sol(tj)
-            points.append(point_at(tj, hj, hdj))
-        points.append(point_at(t1, sol.y[0, i], sol.y[1, i]))
+            points.append(point_at(tj, step(tj)))
+        points.append(point_at(t1, y1))
+        if roots:
+            break
     return _trajectory(scenario, floor, points, termination)
-
-
-@functools.cache
-def _radau_2x2():
-    """scipy's Radau IIA with its 2 x 2 Newton systems solved in closed form.
-
-    Each Newton iteration of a Radau IIA step solves one real and one complex
-    system whose matrix is c I - J (Hairer & Wanner, Solving ODEs II, IV.8).
-    Radau factors and solves them through the hooks self.lu and
-    self.solve_lu, which this subclass points at the explicit inverse
-    [[d, -b], [-c, a]] / (ad - bc) and a matrix-vector product. A matrix
-    that is singular or not finite is a StiffnessError at the current step.
-    Built on first use, so that scipy loads only with an inertial run.
-    """
-    from scipy.integrate import Radau
-
-    class Radau2x2(Radau):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.lu, self.solve_lu = self._inverse, self._apply
-
-        def _inverse(self, matrix):
-            self.nlu += 1
-            (a, b), (c, d) = matrix.tolist()
-            det = a * d - b * c
-            if not (det != 0.0 and cmath.isfinite(det)):
-                raise StiffnessError(
-                    f"Newton matrix of the implicit step is singular or not finite at t = {self.t}",
-                    t=self.t,
-                    state=self.y,
-                )
-            return np.array([[d, -b], [-c, a]]) / det
-
-        def _apply(self, inverse, vector):
-            return inverse.dot(vector)
-
-    return Radau2x2
 
 
 @dataclass(frozen=True)

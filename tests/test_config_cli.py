@@ -320,7 +320,14 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "setting",
-        ["rtol = -1", "atol = -1", "h_floor = -1", "h_floor = 0.6", "max_steps = 0"],
+        [
+            "rtol = -1",
+            "rtol = 1e-16",
+            "atol = -1",
+            "h_floor = -1",
+            "h_floor = 0.6",
+            "max_steps = 0",
+        ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_bad_integrator_value_is_a_config_error(

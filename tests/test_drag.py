@@ -189,6 +189,12 @@ class TestInputTypes:
         with pytest.raises(DomainError, match="^half-gap h must be a real number"):
             kappa_arrays(hs, NO_SLIP)
 
+    @pytest.mark.parametrize("hs", [[0.5, [1.0]], [[0.5], [1.0, 2.0]], ([0.5, 1.0], 2.0)])
+    def test_ragged_gaps(self, hs):
+        # numpy refuses these lists with a ValueError of its own.
+        with pytest.raises(DomainError, match="^half-gap h must be a real number"):
+            kappa_arrays(hs, NO_SLIP)
+
     @pytest.mark.parametrize("bad", [None, True, "1", float("nan"), float("inf"), 0.0, -1.0])
     def test_kappa_prop_requires_a_tip_offset(self, bad):
         with pytest.raises(DomainError, match="^lam, the tip offset, must be"):

@@ -1,22 +1,23 @@
 """Encounter dynamics: integrators, terminations, quadrature, bounds, inertial tables."""
 
+import functools
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from swimcollide import drag, dynamics
+from swimcollide import _radau, drag, dynamics
 from swimcollide.drag import BoundaryCondition, _series_prop, cache_clear
 from swimcollide.dynamics import (
     _BLOCK_EDGES,
     _GAP_CLAMP,
     _STENCIL_TO_MONOMIAL,
     _STENCIL_WEIGHTS,
+    _jacobian,
     _panel_edges,
     _segment_stops,
-    _table_jacobian,
+    _series_terms,
     _table_terms,
     Mode,
     QuadratureReport,
@@ -29,6 +30,7 @@ from swimcollide.dynamics import (
     simulate,
 )
 from swimcollide.errors import DomainError, InvalidRegimeError, StiffnessError
+from swimcollide.series import SeriesTruncation
 
 NO_SLIP = BoundaryCondition.no_slip()
 NAVIER = BoundaryCondition.navier(0.1)
@@ -426,6 +428,13 @@ class TestSimulateGuards:
         with pytest.raises(DomainError, match=name):
             simulate(forced(NAVIER, mass=0.1), t_max=1.0, **{name: bad})
 
+    @pytest.mark.parametrize("rtol", [1e-16, 2.2e-14])
+    def test_rtol_below_100_eps(self, rtol):
+        # Radau's error control is not meant for a tighter rtol, and scipy
+        # raised such an rtol to 100 eps with only a warning.
+        with pytest.raises(DomainError, match="^rtol must be at least 100 eps"):
+            simulate(forced(NAVIER, mass=0.1), t_max=1.0, rtol=rtol)
+
     def test_massless_run_has_no_step_budget(self, monkeypatch):
         # A massless run's panel count is fixed by h0, the floor and beta.
         sc = active(NAVIER)
@@ -465,18 +474,28 @@ class TestSimulateGuards:
             entry(active(NAVIER), floor)
 
     def test_radau_failure_carries_the_last_step(self, monkeypatch):
-        import scipy.integrate
+        # Drag that turns to NaN below h = 0.2 fails every Newton iteration
+        # whose stages reach it, so the steps halve until they fall below
+        # the spacing of floats; the error carries the last accepted step.
+        real = drag.kappa_table
 
-        failed = SimpleNamespace(
-            status=-1,
-            message="Required step size is less than spacing between numbers.",
-            t=np.array([0.0, 0.25]),
-            y=np.array([[0.5, 0.4], [-0.1, -0.2]]),
-        )
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *args, **kwargs: failed)
+        def fake(bc, truncation=None, lam=None):
+            table = real(bc, truncation, lam)
+            return lambda h: table(h) if h >= 0.2 else (np.nan,) * 4
+
+        steps, real_steps = [], _radau.steps
+
+        def recorded(*args):
+            for step in real_steps(*args):
+                steps.append(step)
+                yield step
+
+        monkeypatch.setattr(drag, "kappa_table", fake)
+        monkeypatch.setattr(_radau, "steps", recorded)
         with pytest.raises(StiffnessError, match="^implicit integration failed: Required") as exc:
             simulate(active(NAVIER, mass=0.1), t_max=200.0)
-        assert exc.value.t == 0.25 and exc.value.state == (0.4, -0.2)
+        assert exc.value.t == steps[-1].t and exc.value.state == steps[-1].y
+        assert 0.2 <= exc.value.state[0] < 0.2 + 1e-9
 
     def test_inertial_evaluation_budget_reported(self, monkeypatch):
         # A budget of 25 right-hand-side calls is spent within Radau's first
@@ -585,7 +604,8 @@ class TestQuadrature:
 
 class TestInertialTable:
     """Inertial runs read a Chebyshev drag.kappa_table and give Radau its
-    closed-form Jacobian; both are checked against the public series rhs."""
+    closed-form Jacobian, or a difference of the series where no table
+    serves; both are checked against the public series rhs."""
 
     @pytest.mark.parametrize(
         "sc",
@@ -598,13 +618,29 @@ class TestInertialTable:
         # series for no slip), 1e-6 below SERIES_GAP_FLOOR.
         active_pair = sc.mode is Mode.ACTIVE
         table = drag.kappa_table(sc.bc, lam=sc.lam if active_pair else None)
+        jac = _jacobian(sc, functools.partial(_table_terms, sc, table), (h, -0.5))
+        np.testing.assert_allclose(jac, self.difference(sc, h), rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "sc",
+        [active(NAVIER, mass=0.1), forced(NAVIER, mass=0.1), active(NO_SLIP, mass=0.1, lam=5.0)],
+        ids=["active", "passive", "active_no_slip"],
+    )
+    @pytest.mark.parametrize("h", [0.5, 3e-3, 1e-6])
+    def test_series_jacobian_matches_the_series(self, sc, h):
+        # A run without a table takes its slopes from a one-sided difference.
+        terms = functools.partial(_series_terms, sc, SeriesTruncation())
+        jac = _jacobian(sc, terms, (h, -0.5))
+        np.testing.assert_allclose(jac, self.difference(sc, h), rtol=1e-6, atol=0.0)
+        assert terms(-1e-3)[3:] == (0.0, 0.0)
+
+    @staticmethod
+    def difference(sc, h):
         y = np.array([h, -0.5])
-        jac = _table_jacobian(sc, table, y)
         steps = (1e-5 * h, 1e-5)
-        difference = np.column_stack(
+        return np.column_stack(
             [(rhs(sc, y + d) - rhs(sc, y - d)) / (2.0 * s) for s, d in zip(steps, np.diag(steps))]
         )
-        np.testing.assert_allclose(jac, difference, rtol=1e-6, atol=0.0)
 
     def test_flat_below_the_gap_clamp(self):
         # A Radau step can reach h <= 0; the terms there are those at the
@@ -654,71 +690,112 @@ class TestInertialTable:
         assert cold.points == warm.points and len(cold.points) > 10
 
 
-# The eigenvalues of Radau IIA's inverse coefficient matrix (Hairer & Wanner,
-# Solving ODEs II, IV.8): a Newton iteration of a step of size dt solves
-# (MU / dt) I - J for the real one and for the complex one.
-_CBRT3 = 3.0 ** (1.0 / 3.0)
-MU_REAL = 3.0 + _CBRT3**2 - _CBRT3
-MU_COMPLEX = 3.0 + 0.5 * (_CBRT3 - _CBRT3**2) - 0.5j * (3.0 ** (5.0 / 6.0) + 3.0 ** (7.0 / 6.0))
-
-
 class TestClosedFormNewton:
-    """Inertial runs solve Radau's 2 x 2 Newton systems with the explicit
-    inverse, through the hooks scipy's Radau reads."""
+    """Inertial runs step on _radau, a port of scipy's Radau to a pair of
+    floats that solves its 2 x 2 Newton systems with the explicit inverse;
+    stock Radau through solve_ivp is the reference."""
 
-    @staticmethod
-    def solver():
-        return dynamics._radau_2x2()(lambda t, y: -y, 0.0, np.array([1.0, 0.0]), 1.0)
-
-    @pytest.mark.parametrize("mu", [MU_REAL, MU_COMPLEX], ids=["real", "complex"])
+    @pytest.mark.parametrize("mu", [_radau.MU_REAL, _radau.MU_COMPLEX], ids=["real", "complex"])
     @pytest.mark.parametrize("h", [0.5, 3e-3, 1e-6])
     def test_matches_a_pivoted_solve(self, h, mu):
-        solver = self.solver()
         rng = np.random.default_rng(7)
         for sc in (active(NAVIER, mass=0.1), forced(NAVIER, mass=0.1), active(NO_SLIP, mass=0.1)):
             table = drag.kappa_table(sc.bc, lam=sc.lam if sc.mode is Mode.ACTIVE else None)
-            jac = _table_jacobian(sc, table, np.array([h, -0.5]))
+            jac = _jacobian(sc, functools.partial(_table_terms, sc, table), (h, -0.5))
             for dt in (1e-9, 1e-5, 1e-1, 10.0):
-                matrix = mu / dt * np.eye(2) - jac
-                inverse = solver.lu(matrix)
+                matrix = mu / dt * np.eye(2) - np.array(jac)
+                inverse = _radau.inverse(matrix.tolist(), 0.0, (1.0, 0.0))
                 for _ in range(4):
                     b = rng.standard_normal(2)
-                    if mu != MU_REAL:
+                    if mu != _radau.MU_REAL:
                         b = b + 1j * rng.standard_normal(2)
                     want = np.linalg.solve(matrix, b)
-                    got = solver.solve_lu(inverse, b)
+                    got = np.array(_radau.solve(inverse, b.tolist()))
                     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
-    def test_radau_reads_the_hooks(self, monkeypatch):
-        # A scipy whose Radau stopped reading self.lu and self.solve_lu would
-        # still give correct runs, only slower: this catches it.
-        cls = dynamics._radau_2x2()
-        calls = {"_inverse": 0, "_apply": 0}
-        for name in calls:
-            original = getattr(cls, name)
-
-            def counted(self, *args, name=name, original=original):
-                calls[name] += 1
-                return original(self, *args)
-
-            monkeypatch.setattr(cls, name, counted)
-        traj = simulate(active(NAVIER, mass=0.1), t_max=1.0)
-        assert traj.termination is TerminationKind.HORIZON_REACHED
-        assert calls["_inverse"] > 0 and calls["_apply"] > calls["_inverse"]
-
+    # (scenario, bound on the relative difference of t_end from stock Radau):
+    # 1e-12 on the reference starts, 10 rtol on the others. Measured with
+    # scipy 1.17: 4.3e-14, 1.5e-14, 1.2e-14 and 1.0e-11. The no-slip run
+    # with lam = 5 starts at rest, so its first error norm is scaled by atol
+    # alone and amplifies rounding. Steps and rhs calls differ by at most
+    # 0.7%.
     @pytest.mark.parametrize(
-        "sc",
-        [active(NAVIER, mass=0.1, s0=1.0), active(NAVIER, mass=0.1)],
-        ids=["test_06", "nominal"],
+        "sc, bound",
+        [
+            (active(NAVIER, mass=0.1, s0=1.0), 1e-12),
+            (active(NAVIER, mass=0.1), 1e-12),
+            (forced(NAVIER, mass=0.1), 1e-7),
+            (active(NO_SLIP, mass=0.1, lam=5.0), 1e-7),
+        ],
+        ids=["test_06", "nominal", "passive", "no_slip_lam5"],
     )
-    def test_agrees_with_stock_radau(self, sc, monkeypatch):
-        import scipy.integrate
+    def test_agrees_with_stock_radau(self, sc, bound, monkeypatch):
+        counts, real_steps = {"steps": 0, "nfev": 0}, _radau.steps
 
-        closed_form = simulate(sc, t_max=200.0)
-        monkeypatch.setattr(dynamics, "_radau_2x2", lambda: scipy.integrate.Radau)
-        lapack = simulate(sc, t_max=200.0)
-        assert closed_form.termination is lapack.termination is TerminationKind.COLLISION
-        assert closed_form.t_coll == pytest.approx(lapack.t_coll, rel=1e-12, abs=0.0)
+        def counted(fun, *args):
+            def fun_counted(t, y):
+                counts["nfev"] += 1
+                return fun(t, y)
+
+            for step in real_steps(fun_counted, *args):
+                counts["steps"] += 1
+                yield step
+
+        monkeypatch.setattr(_radau, "steps", counted)
+        traj = simulate(sc, t_max=200.0)
+
+        # The same table rhs, Jacobian and events, on stock Radau.
+        table = drag.kappa_table(sc.bc, lam=sc.lam if sc.mode is Mode.ACTIVE else None)
+        terms = functools.partial(_table_terms, sc, table)
+        contact = lambda t, y: y[0] - traj.h_floor
+        reversal = lambda t, y: y[1] - 1e-12
+        contact.terminal, contact.direction = True, -1.0
+        reversal.terminal, reversal.direction = True, 1.0
+        ref = solve_ivp(
+            lambda t, y: np.array(dynamics._inertial_rate(sc, y, *terms(y[0])[:2])),
+            (0.0, 200.0),
+            [sc.h0, -sc.s0],
+            method="Radau",
+            rtol=1e-8,
+            atol=1e-12,
+            jac=lambda t, y: np.array(_jacobian(sc, terms, y)),
+            events=(contact, reversal),
+        )
+        assert ref.status == 1 and len(ref.t_events[0]) == 1
+        assert traj.termination in (TerminationKind.COLLISION, TerminationKind.FLOOR_REACHED)
+        assert traj.t_end == pytest.approx(ref.t[-1], rel=bound, abs=0.0)
+        assert counts["steps"] == pytest.approx(len(ref.t) - 1, rel=0.01)
+        assert counts["nfev"] == pytest.approx(ref.nfev, rel=0.01)
+
+    def test_steps_match_stock_radau_on_van_der_pol(self):
+        # A stiff problem that shares nothing with the drag: the port takes
+        # scipy's steps and calls, and ends where scipy ends. The step times
+        # agree to the last bit for 14 steps; then rounding in the error
+        # estimate, a difference of nearly equal numbers, moves them apart
+        # by up to 1.2e-7, while the end states agree to 2e-16.
+        mu = 1000.0
+        rate = lambda t, y: (y[1], mu * (1.0 - y[0] ** 2) * y[1] - y[0])
+        jac = lambda t, y: ((0.0, 1.0), (-2.0 * mu * y[0] * y[1] - 1.0, mu * (1.0 - y[0] ** 2)))
+        calls = []
+        counted = lambda t, y: calls.append(t) or rate(t, y)
+        steps = list(_radau.steps(counted, jac, 0.0, (2.0, 0.0), 3.0, 1e-8, 1e-10))
+        ref = solve_ivp(
+            lambda t, y: np.array(rate(t, y)),
+            (0.0, 3.0),
+            [2.0, 0.0],
+            method="Radau",
+            rtol=1e-8,
+            atol=1e-10,
+            jac=lambda t, y: np.array(jac(t, y)),
+            dense_output=True,
+        )
+        assert (len(steps), len(calls)) == (len(ref.t) - 1, ref.nfev)
+        assert steps[-1].t == 3.0
+        np.testing.assert_allclose([s.t for s in steps], ref.t[1:], rtol=1e-6)
+        np.testing.assert_allclose(steps[-1].y, ref.y[:, -1], rtol=1e-12)
+        middle = steps[len(steps) // 2]
+        at = 0.5 * (middle.t_old + middle.t)
+        np.testing.assert_allclose(middle(at), ref.sol(at), rtol=1e-6)
 
     @pytest.mark.parametrize(
         "matrix",
@@ -726,8 +803,8 @@ class TestClosedFormNewton:
         ids=["real", "complex", "nan"],
     )
     def test_singular_matrix_is_a_stiffness_error(self, matrix):
-        # Where LAPACK warned of a zero pivot and went on with infinities,
-        # the closed form stops the run with the step's time and state.
+        # Where LAPACK warns of a zero pivot and goes on with infinities, the
+        # closed form stops the run with the step's time and state.
         with pytest.raises(StiffnessError, match="^Newton matrix of the implicit step") as exc:
-            self.solver().lu(np.array(matrix))
+            _radau.inverse(matrix, 0.0, (1.0, 0.0))
         assert exc.value.t == 0.0 and exc.value.state == (1.0, 0.0)

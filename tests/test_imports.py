@@ -1,8 +1,7 @@
-"""scipy is loaded only by the code paths that call it: inertial runs, the
-collision-time quadrature and validate. The commands that serve the paper's
-massless results, and the no-collision demo, start without it, so a stray
-top-level import would cost every such process the half second scipy takes
-to load.
+"""scipy is loaded only by the code paths that call it: the collision-time
+quadrature and validate. The commands that run scenarios, massless or
+inertial, and the no-collision demo start without it, so a stray top-level
+import would cost every such process the half second scipy takes to load.
 
 The check runs in a fresh interpreter, since the test modules themselves
 import scipy."""
@@ -42,6 +41,12 @@ SCRIPT = textwrap.dedent(
         report = (tmp / "sim" / "run_report.txt").read_text()
         assert "termination = horizon_reached" in report, report
         scipy_modules("a massless horizon simulate")
+
+        run.write_text(run.read_text().replace("[integrator]", "mass = 0.1\\n[integrator]"))
+        assert cli.main(["simulate", "--config", str(run), "--out", str(tmp / "inertial")]) == 0
+        report = (tmp / "inertial" / "run_report.txt").read_text()
+        assert "scenario.mass = 0.1" in report, report
+        scipy_modules("an inertial simulate")
 
         grid = tmp / "sweep.cfg"
         grid.write_text(
