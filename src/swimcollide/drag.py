@@ -28,14 +28,15 @@ Massless runs, rhs, the quadrature, the decay-rate bound, the drag command
 and the sweep columns all read the series through it.
 
 kappa_table is the one other path. It serves inertial runs, whose Radau
-steps ask for the coefficients and their slopes thousands of times at gaps
-that never repeat. It tabulates ln kappa_pass on [series edge, TABLE_TOP]
-and ln kappa_prop on [SERIES_GAP_FLOOR, TABLE_TOP] as Chebyshev
-interpolants in ln h through the memoized series, with a bound measured
-against the series at build time, and gives the h-derivatives the Jacobian
-needs. A table whose bound exceeds tail_tol is not used: the run reads the
-series through kappa_arrays. Which path a caller takes is fixed by the
-caller, never by cache warmth: only inertial simulate uses the table.
+steps ask for the coefficients thousands of times at gaps that never
+repeat, and for their slopes at each Jacobian. It tabulates ln kappa_pass on
+[series edge, TABLE_TOP] and ln kappa_prop on [SERIES_GAP_FLOOR, TABLE_TOP]
+as Chebyshev interpolants in ln h through the memoized series, with a bound
+measured against the series at build time, and gives the h-derivatives the
+Jacobian needs. A table whose bound exceeds tail_tol, or whose range is
+empty, gives the memoized series instead, as every table does above
+TABLE_TOP, with slopes from a difference of the series that only the
+Jacobian pays for. Only inertial simulate uses the tables.
 """
 
 import math
@@ -131,7 +132,11 @@ def cache_clear():
 
 
 def _series_edge(bc):
-    """The gap below which kappa_pass leaves the exact series."""
+    """The gap below which kappa_pass leaves the exact series. Every public
+    function here reaches this, so a bc that is not a BoundaryCondition is a
+    DomainError naming it."""
+    if not isinstance(bc, BoundaryCondition):
+        raise DomainError(f"bc must be a BoundaryCondition, got {bc!r}")
     return max(bc.beta, SERIES_GAP_FLOOR)
 
 
@@ -172,47 +177,62 @@ class _ChebyshevTable:
     side by side in one (n x 2) matrix, so an evaluation is one row of
     T_k(x) = cos(k acos x) times it. bound is the larger of the measured
     relative error at the interleaved check points and the summed size of
-    the last _TABLE_TAIL coefficients.
+    the last _TABLE_TAIL coefficients, or inf for an empty range (lo >= hi).
+    A table whose bound exceeds tail_tol serves the series at every gap
+    >= lo, as every table does from hi up.
     """
 
-    def __init__(self, series, lo, hi):
+    def __init__(self, series, lo, hi, tail_tol):
         self.series, self.lo, self.hi = series, lo, hi
-        self.mid, self.half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
-        at = lambda x: np.log([series(h) for h in np.exp(self.mid + self.half * x).tolist()])
-        c = _TABLE_DCT @ at(np.cos(_TABLE_THETA))
-        self.matrix = np.column_stack([c, np.append(np.polynomial.chebyshev.chebder(c), 0.0)])
-        fit = np.cos(np.outer(_TABLE_CHECK, _TABLE_K)) @ c
-        measured = np.max(np.abs(np.expm1(fit - at(np.cos(_TABLE_CHECK)))))
-        self.bound = float(max(measured, np.sum(np.abs(c[-_TABLE_TAIL:]))))
+        self.bound = math.inf
+        if lo < hi:
+            self.mid, self.half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
+            at = lambda x: np.log([series(h) for h in np.exp(self.mid + self.half * x).tolist()])
+            c = _TABLE_DCT @ at(np.cos(_TABLE_THETA))
+            self.matrix = np.column_stack([c, np.append(np.polynomial.chebyshev.chebder(c), 0.0)])
+            fit = np.cos(np.outer(_TABLE_CHECK, _TABLE_K)) @ c
+            measured = np.max(np.abs(np.expm1(fit - at(np.cos(_TABLE_CHECK)))))
+            self.bound = float(max(measured, np.sum(np.abs(c[-_TABLE_TAIL:]))))
+        if self.bound > tail_tol:
+            self.hi = lo
 
-    def __call__(self, h):
-        """kappa and dkappa/dh at one gap h >= lo, as Python floats: the
-        table's strictly inside it; the series at lo (with the table's end
-        slope) and at hi and above (with a central difference of the
-        series)."""
+    def __call__(self, h, slope=False):
+        """(kappa,) at one gap h >= lo, or (kappa, dkappa/dh) with slope, as
+        Python floats: the table's strictly inside it; the series at lo (with
+        the table's end slope) and from hi up (with a difference of the
+        series, paid only when slope is asked for)."""
         if h >= self.hi:
-            step = 1e-4 * h
-            return self.series(h), (self.series(h + step) - self.series(h - step)) / (2.0 * step)
+            kappa = self.series(h)
+            return (kappa, self._series_slope(h)) if slope else (kappa,)
         x = max((math.log(h) - self.mid) / self.half, -1.0)
         g, dg = (np.cos(_TABLE_K * math.acos(x)) @ self.matrix).tolist()
         kappa = self.series(h) if h == self.lo else math.exp(g)
-        return kappa, kappa * dg / (self.half * h)
+        return (kappa, kappa * dg / (self.half * h)) if slope else (kappa,)
+
+    def _series_slope(self, h):
+        """dkappa/dh at h >= lo from the series: a central difference over
+        1e-4 h, one-sided where it would read below lo."""
+        step = 1e-4 * h
+        if h - step >= self.lo:
+            return (self.series(h + step) - self.series(h - step)) / (2.0 * step)
+        return (self.series(h + step) - self.series(self.lo)) / (h + step - self.lo)
 
 
 def kappa_table(bc, truncation=None, lam=None):
-    """kappa_pass and kappa_prop with their h-derivatives at one gap, from
-    Chebyshev tables of the series built for one run, or None when the
-    tables cannot certify the series tolerance.
+    """kappa_pass and kappa_prop at one gap, with their h-derivatives on
+    request, from Chebyshev tables of the series built for one run.
 
     ln kappa_pass is tabulated on [series edge, TABLE_TOP] and ln kappa_prop
     on [SERIES_GAP_FLOOR, TABLE_TOP], each by _ChebyshevTable from the
-    memoized series. When either table's bound exceeds tail_tol, or the edge
-    leaves no range to tabulate, this returns None and the caller stays on
-    the series; the choice depends on the inputs alone. Otherwise it returns
-    a function of h giving (kappa_pass, dkappa_pass/dh, kappa_prop,
-    dkappa_prop/dh). Strictly inside a table the values are the table's and
-    within its bound of the series; at the table ends and above TABLE_TOP
-    they are the series. Below the edge kappa_pass takes the _below_edge
+    memoized series. Each table decides alone whether its interpolant
+    serves: one whose bound exceeds tail_tol, or whose range is empty (an
+    edge at or above TABLE_TOP), gives the series from its low end up; the
+    choice depends on the inputs alone. This returns at(h, slope=False),
+    giving (kappa_pass, kappa_prop), or with slope (kappa_pass,
+    dkappa_pass/dh, kappa_prop, dkappa_prop/dh). Strictly inside a serving
+    table the values are the table's, within its bound of the series; at
+    its ends, above TABLE_TOP and in a table that does not serve they are
+    the series. Below the edge kappa_pass takes the _below_edge
     continuation, and below SERIES_GAP_FLOOR kappa_prop stays frozen.
     lam = None, as for a passive pair, builds no kappa_prop table and gives
     kappa_prop = 0.
@@ -220,28 +240,25 @@ def kappa_table(bc, truncation=None, lam=None):
     truncation = truncation or SeriesTruncation()
     lam = None if lam is None else _tip_offset(lam)
     edge = _series_edge(bc)
-    if edge >= TABLE_TOP:
-        return None
     pass_series = lambda h: _series_pass(h, truncation)
-    pass_table = _ChebyshevTable(pass_series, edge, TABLE_TOP)
+    pass_table = _ChebyshevTable(pass_series, edge, TABLE_TOP, truncation.tail_tol)
     prop_table = None
     if lam is not None:
         prop_series = lambda h: _series_prop(h, lam, truncation)
-        prop_table = _ChebyshevTable(prop_series, SERIES_GAP_FLOOR, TABLE_TOP)
-    if max(t.bound for t in (pass_table, prop_table) if t) > truncation.tail_tol:
-        return None
+        prop_table = _ChebyshevTable(prop_series, SERIES_GAP_FLOOR, TABLE_TOP, truncation.tail_tol)
     anchor = pass_series(edge)
 
-    def at(h):
-        if h < edge:
-            kp = float(_below_edge(anchor, h, bc.beta)), _below_edge_slope(anchor, h, bc.beta)
+    def at(h, slope=False):
+        if h >= edge:
+            kp = pass_table(h, slope)
         else:
-            kp = pass_table(h)
+            kp = (float(_below_edge(anchor, h, bc.beta)),)
+            kp += (_below_edge_slope(anchor, h, bc.beta),) if slope else ()
         if prop_table is None:
-            return kp + (0.0, 0.0)
+            return kp + (0.0, 0.0)[: 1 + slope]
         if h < SERIES_GAP_FLOOR:
-            return kp + (prop_series(SERIES_GAP_FLOOR), 0.0)
-        return kp + prop_table(h)
+            return kp + (prop_series(SERIES_GAP_FLOOR), 0.0)[: 1 + slope]
+        return kp + prop_table(h, slope)
 
     return at
 

@@ -47,14 +47,15 @@ of scipy's Radau to the state (h, h') as a pair of Python floats, whose
 Newton systems are 2 x 2 and solved with their explicit inverses. The
 trajectory is densified from each step's collocation polynomial so the same
 recording guarantees hold as for the massless path. Each run reads its
-coefficients from one drag.kappa_table, whose derivatives give the Jacobian
-in closed form; the recorded kappa values come from the same table and sit
-within its stated bound of the series. When the table's bound exceeds
-tail_tol the whole run reads the series, as rhs and massless runs always
-do, with the Jacobian's slopes from a difference of the series. rhs and the
-inertial path read the coefficients at max(h, 1e-15), since a step can
-reach h <= 0. rtol must be at least 100 eps, the smallest relative
-tolerance Radau's error control is meant for.
+coefficients from one drag.kappa_table, and the recorded kappa values come
+from it too. Where a table's interpolant serves, the values sit within its
+stated bound of the series and its derivatives give the Jacobian in closed
+form. Where a table cannot certify tail_tol (or has no range, as kappa_pass
+at beta >= 100) it gives the series bit for bit, and the Jacobian's slopes
+come from a difference of the series. rhs and the inertial path read the
+coefficients at max(h, 1e-15), since a step can reach h <= 0. rtol must be
+at least 100 eps, the smallest relative tolerance Radau's error control is
+meant for.
 """
 
 import dataclasses
@@ -211,41 +212,27 @@ def _force_and_coefficients(scenario, hs, truncation):
     return np.broadcast_to(_force(scenario, kpr), kp.shape), kp, kpr
 
 
-def _table_terms(scenario, table, h):
-    """Force, kappa_pass and kappa_prop at h from a drag.kappa_table, with the
-    h-derivatives of the force and of kappa_pass. The gap is clamped at
-    _GAP_CLAMP, and the terms are flat below the clamp. A passive pair's
-    table gives kappa_prop = 0 with zero slope."""
+def _table_terms(scenario, table, h, slope=False):
+    """Force, kappa_pass and kappa_prop at h from a drag.kappa_table, and
+    with slope also the h-derivatives of the force and of kappa_pass, which
+    only the Jacobian asks for. The gap is clamped at _GAP_CLAMP, and the
+    terms are flat below the clamp. A passive pair's table gives kappa_prop
+    = 0 with zero slope."""
     h_eval = max(float(h), _GAP_CLAMP)
-    kp, dkp, kpr, dkpr = table(h_eval)
+    if not slope:
+        kp, kpr = table(h_eval)
+        return _force(scenario, kpr), kp, kpr
+    kp, dkp, kpr, dkpr = table(h_eval, slope=True)
     if h_eval != h:
         dkp = dkpr = 0.0
     dforce = -scenario.f_p * dkpr if scenario.mode is Mode.ACTIVE else 0.0
     return _force(scenario, kpr), kp, kpr, dforce, dkp
 
 
-_SLOPE_STEP = 2.0**-26  # about sqrt(eps), the first step of a forward-difference Jacobian
-
-
-def _series_terms(scenario, truncation, h):
-    """The terms of _table_terms from the series, for a run that has no
-    table: the slopes are a one-sided difference over a relative step of
-    _SLOPE_STEP toward contact, which costs one series evaluation beyond the
-    one at h."""
-    h_eval = max(float(h), _GAP_CLAMP)
-    lo = h_eval * (1.0 - _SLOPE_STEP)
-    (force, force_lo), (kp, kp_lo), (kpr, _) = (
-        c.tolist() for c in _force_and_coefficients(scenario, [h_eval, lo], truncation)
-    )
-    if h_eval != h:
-        return force, kp, kpr, 0.0, 0.0
-    return force, kp, kpr, (force - force_lo) / (h_eval - lo), (kp - kp_lo) / (h_eval - lo)
-
-
 def _jacobian(scenario, terms, y):
-    """d(rhs)/dy of an inertial scenario from the run's terms function:
-    _table_terms in closed form, or _series_terms."""
-    _, kp, _, dforce, dkp = terms(y[0])
+    """d(rhs)/dy of an inertial scenario from the run's terms function,
+    _table_terms, with its slopes."""
+    _, kp, _, dforce, dkp = terms(y[0], slope=True)
     m = scenario.mass
     return (0.0, 1.0), (-(dkp * y[1] + dforce) / m, -kp / m)
 
@@ -494,17 +481,10 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
     as the massless path.
 
     The right-hand side, the recorded kappa values and the Jacobian all read
-    the run's drag.kappa_table, or the series when it returns None.
+    the run's drag.kappa_table; only the Jacobian asks it for slopes.
     """
     table = drag.kappa_table(scenario.bc, truncation, lam=_prop_lam(scenario))
-    if table is None:
-        terms = functools.partial(_series_terms, scenario, truncation)
-        coefficients = lambda h: [
-            c.item() for c in _force_and_coefficients(scenario, [max(h, _GAP_CLAMP)], truncation)
-        ]
-    else:
-        terms = functools.partial(_table_terms, scenario, table)
-        coefficients = lambda h: terms(h)[:3]
+    terms = functools.partial(_table_terms, scenario, table)
 
     evals = 0
 
@@ -515,11 +495,11 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
             raise StiffnessError(
                 f"evaluation budget {_RHS_BUDGET} exhausted at t = {t}", t=t, state=y
             )
-        force, kp, _ = coefficients(y[0])
+        force, kp, _ = terms(y[0])
         return _inertial_rate(scenario, y, force, kp)
 
     def point_at(t, y):
-        _, kp, kpr = coefficients(y[0])
+        _, kp, kpr = terms(y[0])
         return TrajectoryPoint(t, y[0], y[1], kp, kpr)
 
     # solve_ivp's two terminal events, each signed to fire on a step that

@@ -13,6 +13,8 @@ from swimcollide.drag import (
     Provenance,
     cache_clear,
     TABLE_TOP,
+    _series_pass,
+    _series_prop,
     coefficients,
     kappa_arrays,
     kappa_pass,
@@ -214,6 +216,30 @@ class TestInputTypes:
         with pytest.raises(DomainError, match="^lam, the tip offset, must be"):
             call(bad)
 
+    @pytest.mark.parametrize("bad", ["no_slip", None, 0.1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda bc: kappa_pass(0.5, bc),
+            lambda bc: kappa_prop(0.5, 1.0, bc),
+            lambda bc: net_propulsion(0.5, 1.0, 1.0, bc),
+            lambda bc: coefficients(0.5, 1.0, bc),
+            lambda bc: kappa_arrays([0.5], bc),
+            lambda bc: kappa_table(bc),
+        ],
+        ids=[
+            "kappa_pass",
+            "kappa_prop",
+            "net_propulsion",
+            "coefficients",
+            "kappa_arrays",
+            "kappa_table",
+        ],
+    )
+    def test_boundary_condition(self, call, bad):
+        with pytest.raises(DomainError, match="^bc must be a BoundaryCondition, got"):
+            call(bad)
+
     @pytest.mark.parametrize("bad", [True, "2", None, float("nan"), float("inf"), -1.0])
     def test_thrust(self, bad):
         with pytest.raises(DomainError, match="^f_p, the thrust magnitude, must be"):
@@ -336,7 +362,7 @@ class TestKappaTable:
         bc = BoundaryCondition.navier(beta)
         at = kappa_table(bc)
         hs = self.interior(max(beta, SERIES_GAP_FLOOR))
-        kp, dkp, kpr, dkpr = np.array([at(h) for h in hs]).T
+        kp, dkp, kpr, dkpr = np.array([at(h, slope=True) for h in hs]).T
         assert np.all(kpr == 0.0) and np.all(dkpr == 0.0)
         self.check_against_series(passive_drag, kp, dkp, hs)
 
@@ -344,7 +370,7 @@ class TestKappaTable:
     def test_kappa_prop_matches_the_series(self, lam):
         at = kappa_table(NO_SLIP, lam=lam)
         hs = self.interior(SERIES_GAP_FLOOR)
-        _, _, kpr, dkpr = np.array([at(h) for h in hs]).T
+        _, _, kpr, dkpr = np.array([at(h, slope=True) for h in hs]).T
         self.check_against_series(lambda h: propulsion_drag(h, lam), kpr, dkpr, hs)
 
     def test_tight_tolerance_takes_the_series(self):
@@ -353,7 +379,6 @@ class TestKappaTable:
         from swimcollide.dynamics import Mode, SwimmerScenario, simulate
 
         tight = SeriesTruncation(tail_tol=1e-13)
-        assert kappa_table(NAVIER, tight, lam=1.0) is None
         sc = SwimmerScenario(mode=Mode.ACTIVE, bc=NAVIER, h0=0.5, mass=0.1)
         traj = simulate(sc, t_max=1.0, truncation=tight)
         assert len(traj.points) > 2
@@ -367,9 +392,32 @@ class TestKappaTable:
         edge = max(bc.beta, SERIES_GAP_FLOOR)
         outside = [TABLE_TOP, 150.0, SERIES_GAP_FLOOR / 7.0]
         for h in [edge, edge / 3.0] + outside:
-            assert at(h)[0] == kappa_pass(h, bc)
+            assert at(h)[0] == at(h, slope=True)[0] == kappa_pass(h, bc)
         for h in [SERIES_GAP_FLOOR] + outside:
-            assert at(h)[2] == kappa_prop(h, 1.0, bc)
+            assert at(h)[1] == at(h, slope=True)[2] == kappa_prop(h, 1.0, bc)
 
     def test_no_range_above_the_top(self):
-        assert kappa_table(BoundaryCondition.navier(TABLE_TOP)) is None
+        # A slip length at TABLE_TOP leaves kappa_pass no range to tabulate:
+        # the table gives the series from the edge up and the continuation
+        # below it.
+        bc = BoundaryCondition.navier(TABLE_TOP)
+        at = kappa_table(bc)
+        for h in [TABLE_TOP, 150.0, 50.0, 1.0, SERIES_GAP_FLOOR / 7.0]:
+            assert at(h) == at(h, slope=True)[::2] == (kappa_pass(h, bc), 0.0)
+
+    @pytest.mark.parametrize("tail_tol", [None, 1e-13], ids=["above_the_top", "fallback"])
+    def test_values_read_the_series_once(self, tail_tol):
+        # Where a table gives the series, a read without slopes costs one
+        # series evaluation per coefficient, at h; only a slope request
+        # pays for the difference, which never reads below the table.
+        truncation = SeriesTruncation(tail_tol=tail_tol) if tail_tol else SeriesTruncation()
+        at = kappa_table(NO_SLIP, truncation, lam=1.0)
+        h = 150.0 if tail_tol is None else 0.37
+        cache_clear()
+        values = at(h)
+        assert _series_pass.cache_info().misses == _series_prop.cache_info().misses == 1
+        series = kappa_pass(h, NO_SLIP, truncation), kappa_prop(h, 1.0, NO_SLIP, truncation)
+        assert values == series
+        if tail_tol:
+            for h in [SERIES_GAP_FLOOR, SERIES_GAP_FLOOR * (1.0 + 1e-6)]:
+                assert all(np.isfinite(at(h, slope=True)))

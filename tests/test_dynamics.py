@@ -17,7 +17,6 @@ from swimcollide.dynamics import (
     _jacobian,
     _panel_edges,
     _segment_stops,
-    _series_terms,
     _table_terms,
     Mode,
     QuadratureReport,
@@ -481,7 +480,8 @@ class TestSimulateGuards:
 
         def fake(bc, truncation=None, lam=None):
             table = real(bc, truncation, lam)
-            return lambda h: table(h) if h >= 0.2 else (np.nan,) * 4
+            nan = lambda slope: (np.nan,) * (2 + 2 * slope)
+            return lambda h, slope=False: table(h, slope) if h >= 0.2 else nan(slope)
 
         steps, real_steps = [], _radau.steps
 
@@ -535,9 +535,9 @@ class TestSimulateGuards:
         def fake(bc, truncation=None, lam=None):
             table = real(bc, truncation, lam)
 
-            def at(h):
-                kp, dkp, kpr, dkpr = table(h)
-                return (kp, dkp, 1.5, 0.0) if h < 0.2 else (kp, dkp, kpr, dkpr)
+            def at(h, slope=False):
+                values = table(h, slope)
+                return values[: 1 + slope] + (1.5, 0.0)[: 1 + slope] if h < 0.2 else values
 
             return at
 
@@ -603,9 +603,10 @@ class TestQuadrature:
 
 
 class TestInertialTable:
-    """Inertial runs read a Chebyshev drag.kappa_table and give Radau its
-    closed-form Jacobian, or a difference of the series where no table
-    serves; both are checked against the public series rhs."""
+    """Inertial runs read one drag.kappa_table and give Radau its Jacobian:
+    in closed form where a table's interpolant serves, and from a
+    difference of the series where a table cannot certify tail_tol; both
+    are checked against the public series rhs."""
 
     @pytest.mark.parametrize(
         "sc",
@@ -628,11 +629,14 @@ class TestInertialTable:
     )
     @pytest.mark.parametrize("h", [0.5, 3e-3, 1e-6])
     def test_series_jacobian_matches_the_series(self, sc, h):
-        # A run without a table takes its slopes from a one-sided difference.
-        terms = functools.partial(_series_terms, sc, SeriesTruncation())
+        # At tail_tol = 1e-13 no table certifies the tolerance, so the terms
+        # are the series' and their slopes a difference of it.
+        tight = SeriesTruncation(tail_tol=1e-13)
+        table = drag.kappa_table(sc.bc, tight, lam=sc.lam if sc.mode is Mode.ACTIVE else None)
+        terms = functools.partial(_table_terms, sc, table)
         jac = _jacobian(sc, terms, (h, -0.5))
         np.testing.assert_allclose(jac, self.difference(sc, h), rtol=1e-6, atol=0.0)
-        assert terms(-1e-3)[3:] == (0.0, 0.0)
+        assert terms(-1e-3, slope=True)[3:] == (0.0, 0.0)
 
     @staticmethod
     def difference(sc, h):
@@ -647,9 +651,10 @@ class TestInertialTable:
         # clamp, with zero slopes.
         sc = active(NAVIER, mass=0.1)
         table = drag.kappa_table(sc.bc, lam=sc.lam)
-        force, kp, kpr, dforce, dkp = _table_terms(sc, table, -1e-3)
+        force, kp, kpr, dforce, dkp = _table_terms(sc, table, -1e-3, slope=True)
         assert dforce == 0.0 and dkp == 0.0
-        assert (force, kp, kpr) == _table_terms(sc, table, _GAP_CLAMP)[:3]
+        at_clamp = _table_terms(sc, table, _GAP_CLAMP)
+        assert (force, kp, kpr) == _table_terms(sc, table, -1e-3) == at_clamp
 
     def test_passive_run_builds_no_propulsion_table(self):
         cache_clear()
@@ -683,11 +688,14 @@ class TestInertialTable:
         assert traj.t_coll == pytest.approx(t_ref, rel=1e-8, abs=0.0)
 
     def test_reruns_are_identical(self):
+        # At tail_tol = 1e-12 the kappa_prop table gives the series: cold
+        # and warm caches must still give the same run there too.
         sc = active(NAVIER, mass=0.1, lam=0.7)
-        cache_clear()
-        cold = simulate(sc, t_max=20.0)
-        warm = simulate(sc, t_max=20.0)
-        assert cold.points == warm.points and len(cold.points) > 10
+        for truncation in (None, SeriesTruncation(tail_tol=1e-12)):
+            cache_clear()
+            cold = simulate(sc, t_max=20.0, truncation=truncation)
+            warm = simulate(sc, t_max=20.0, truncation=truncation)
+            assert cold.points == warm.points and len(cold.points) > 10
 
 
 class TestClosedFormNewton:

@@ -48,6 +48,12 @@ SCRIPT = textwrap.dedent(
         assert "scenario.mass = 0.1" in report, report
         scipy_modules("an inertial simulate")
 
+        run.write_text(run.read_text() + "[series]\\ntail_tol = 1e-12\\n")
+        assert cli.main(["simulate", "--config", str(run), "--out", str(tmp / "tight")]) == 0
+        report = (tmp / "tight" / "run_report.txt").read_text()
+        assert "series.tail_tol = 9.9999999999999998e-13" in report, report
+        scipy_modules("an inertial simulate at tail_tol = 1e-12")
+
         grid = tmp / "sweep.cfg"
         grid.write_text(
             "[scenario]\\nmode = active\\nbc = navier\\nbeta = 0.1\\nh0 = 0.5\\n"
