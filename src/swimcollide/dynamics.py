@@ -9,9 +9,8 @@ active pusher pair, or a constant f_ext for a passive externally pushed
 pair. Both coefficients come from drag, which holds the one drag and
 propulsion law. The massless limit m = 0 reduces to the algebraic speed law
 h' = -F / kappa_pass. kappa_prop < 1 holds in exact arithmetic, but at a
-tiny tip offset it can round to one or above, so a massless run checks the
-sign of the drive at every evaluated gap, and the quadrature at 25 gaps
-first.
+tiny tip offset it can round to one or above, so a massless run and the
+quadrature check the sign of the drive at every gap they evaluate.
 
 Massless scenarios need no time stepping: h' is a function of h alone, so
 the elapsed time is the integral of dt/du = -h / h' over u = ln h, and the
@@ -24,8 +23,7 @@ drag call per block, one weighted sum per panel whose 8 edges are in, and
 one running sum of the panel times. One point is recorded per edge, a
 floor run ends exactly on the floor, and the horizon point comes from a
 bisection on the first panel to pass the horizon, after which no block is
-evaluated. scipy is imported only inside the quadrature, so a process that
-runs scenarios, massless or inertial, never loads it.
+evaluated.
 
 Two massless results need no run at all. collision_time_quadrature gives
 the time to the floor as a direct integral. decay_rate_bound gives the rate
@@ -48,14 +46,14 @@ Newton systems are 2 x 2 and solved with their explicit inverses. The
 trajectory is densified from each step's collocation polynomial so the same
 recording guarantees hold as for the massless path. Each run reads its
 coefficients from one drag.kappa_table, and the recorded kappa values come
-from it too. Where a table's interpolant serves, the values sit within its
-stated bound of the series and its derivatives give the Jacobian in closed
-form. Where a table cannot certify tail_tol (or has no range, as kappa_pass
-at beta >= 100) it gives the series bit for bit, and the Jacobian's slopes
-come from a difference of the series. rhs and the inertial path read the
-coefficients at max(h, 1e-15), since a step can reach h <= 0. rtol must be
-at least 100 eps, the smallest relative tolerance Radau's error control is
-meant for.
+from it too. Where a table's interpolant serves, its derivatives give the
+Jacobian in closed form; its stated bound rests on the error measured at 95
+check points, and the error between them can exceed it. Where a table
+cannot certify tail_tol (or has no range, as kappa_pass at beta >= 100) it
+gives the series bit for bit, and the Jacobian's slopes come from a
+difference of the series. rhs and the inertial path read the coefficients
+at max(h, 1e-15), since a step can reach h <= 0. rtol must be at least 100
+eps, the smallest relative tolerance Radau's error control is meant for.
 """
 
 import dataclasses
@@ -66,6 +64,7 @@ from enum import Enum
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+from numpy.polynomial.legendre import leggauss
 
 from . import _radau, drag
 from .drag import SERIES_GAP_FLOOR, BoundaryCondition
@@ -538,7 +537,9 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
 
 @dataclass(frozen=True)
 class QuadratureReport:
-    """Collision-time integral from h0 down to h_floor, with quad's error."""
+    """Collision-time integral from h0 down to h_floor by the 8-node rule.
+    abserr sums over the panels the size of its difference from the 6-node
+    rule: an error estimate, not a bound, that also shows drive noise."""
 
     time_to_floor: float
     abserr: float
@@ -560,38 +561,37 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
 
         T = integral over h in [floor, h0] of dh / U(h).
 
-    The integrand is evaluated on the log-gap substitution, which removes
-    most of the near-floor mass, with one quad per segment between the kinks
-    of the drag model, where a massless run's segments also end. kappa values
-    come from the same model as the dynamics, so the report matches what
-    simulate would do. The time to one floor cannot tell a stall from a slow
-    collision; decay_rate_bound can, since T >= ln(h0 / floor) / c* and c*
-    stays finite as the floor is lowered only when the gap never closes.
+    The integrand is taken in u = ln h, which removes most of the near-floor
+    mass. Each segment between the kinks of the drag model, where a massless
+    run's segments also end, is cut into equal panels at most 1 wide in u,
+    each integrated by the 8-node Gauss-Legendre rule and, for abserr, by
+    the 6-node rule. All nodes go through one drag call. They lie inside the
+    panels, off a massless run's edges, so the two share only the drag model
+    and the kinks. A node where the speed is not positive is an
+    InvalidRegimeError naming the largest such gap. The time to one floor
+    cannot tell a stall from a slow collision; decay_rate_bound can, since
+    T >= ln(h0 / floor) / c* and c* stays finite as the floor is lowered
+    only when the gap never closes.
     """
     floor = _massless_floor(scenario, h_floor, "quadrature form of the collision time")
-    truncation = truncation or SeriesTruncation()
-
-    def speed(hs):
-        force, kp, _ = _force_and_coefficients(scenario, hs, truncation)
-        return force / kp
-
-    probes = np.geomspace(floor, scenario.h0, 25)
-    stalled = probes[speed(probes) <= 0.0]
+    stops = np.log(_segment_stops(scenario, floor))
+    edges = np.concatenate(
+        [np.linspace(hi, lo, math.ceil(hi - lo) + 1)[:-1] for hi, lo in zip(stops, stops[1:])]
+        + [stops[-1:]]
+    )
+    mid, half = (edges[:-1] + edges[1:]) / 2, (edges[:-1] - edges[1:]) / 2
+    (x8, w8), (x6, w6) = leggauss(8), leggauss(6)
+    hs = np.exp(mid[:, None] + half[:, None] * np.concatenate([x8, x6]))
+    force, kp, _ = _force_and_coefficients(scenario, hs, truncation or SeriesTruncation())
+    speed = force / kp
+    stalled = hs[speed <= 0.0]
     if stalled.size:
         raise InvalidRegimeError(
-            f"approach speed is not positive at h = {stalled[0]}; no collision course"
+            f"approach speed is not positive at h = {stalled.max()}; no collision course"
         )
-
-    from scipy.integrate import quad
-
-    stops = np.log(_segment_stops(scenario, floor))
-    integrand = lambda u: np.exp(u) / speed([np.exp(u)])[0]
-    pieces = [
-        quad(integrand, lo, hi, limit=400, epsabs=0.0, epsrel=1e-10)
-        for hi, lo in zip(stops, stops[1:])
-    ]
-    value, abserr = (sum(column) for column in zip(*pieces))
-    return QuadratureReport(time_to_floor=float(value), abserr=float(abserr), h_floor=floor)
+    dt = half[:, None] * hs / speed
+    fine, coarse = dt[:, :8] @ w8, dt[:, 8:] @ w6  # each panel by both rules
+    return QuadratureReport(float(fine.sum()), float(np.abs(fine - coarse).sum()), floor)
 
 
 def decay_rate_bound(scenario, h_floor=None, truncation=None):

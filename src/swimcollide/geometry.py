@@ -18,6 +18,8 @@ sphere, the Legendre recurrence, and the one Gegenbauer(-1/2) kernel, which
 gives the angular factors of every stream-function mode as one array.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,19 @@ __all__ = [
     "legendre_values",
     "gegenbauer_minus_half",
 ]
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _count(name, value, least):
+    """value as an int, checked to be a whole number >= least; a bool, a
+    non-number, NaN or an infinity is a DomainError naming it."""
+    if not (_is_real(value) and math.isfinite(value) and value == int(value) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class BipolarFrame:
@@ -146,13 +161,10 @@ def tip_height(h, lam):
     The upper body occupies c z in [h, 2 + h] on the axis, so its rear pole is
     at z = 2 + h and the point force sits outside both spheres for any lam > 0.
     """
-    h = float(h)
-    lam = float(lam)
-    if h <= 0.0:
-        raise DomainError(f"half-gap must be positive, got {h}")
-    if lam <= 0.0:
-        raise DomainError(f"tip offset must be positive, got {lam}")
-    return 2.0 + h + lam
+    for name, value in (("h, the half-gap", h), ("lam, the tip offset", lam)):
+        if not (_is_real(value) and math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{name} must be a finite real number > 0, got {value!r}")
+    return 2.0 + float(h) + float(lam)
 
 
 def legendre_values(n_max, x):
@@ -160,9 +172,7 @@ def legendre_values(n_max, x):
 
     Returns an array of length n_max + 1. Requires |x| <= 1.
     """
-    if int(n_max) != n_max or n_max < 0:
-        raise DomainError(f"n_max must be a nonnegative integer, got {n_max}")
-    n_max = int(n_max)
+    n_max = _count("n_max", n_max, 0)
     x = float(x)
     if not np.isfinite(x) or abs(x) > 1.0:
         raise DomainError(f"argument must lie in [-1, 1], got {x}")
@@ -183,9 +193,7 @@ def gegenbauer_minus_half(n_count, x):
     C_{n+1}^{(-1/2)}(x) = (P_{n-1}(x) - P_{n+1}(x)) / (2 n + 1),
     which vanishes at x = +-1 for every n.
     """
-    if int(n_count) != n_count or n_count < 1:
-        raise DomainError(f"mode count must be an integer >= 1, got {n_count}")
-    n_count = int(n_count)
+    n_count = _count("n_count, the mode count,", n_count, 1)
     p = legendre_values(n_count + 1, x)
     n = np.arange(1, n_count + 1)
     return (p[:n_count] - p[2:]) / (2 * n + 1)

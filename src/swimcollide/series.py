@@ -42,7 +42,6 @@ drag continues the coefficients below it.
 """
 
 import math
-import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -50,7 +49,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, RegionError, SingularityError, TruncationError
-from .geometry import BipolarFrame, axis_zeta, frame_from_gap, tip_height
+from .geometry import BipolarFrame, _is_real, axis_zeta, frame_from_gap, tip_height
 
 __all__ = [
     "HARD_MODE_CAP",
@@ -94,10 +93,6 @@ _START_K_FORCE, _START_K_AXIS = 1.4, 1.6  # start constants, see _start_count
 # The least first mode count of any sum: solve_coefficients starts here, and
 # a drag sum at its predicted count when that is larger.
 _N_START = 20
-
-
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -404,14 +399,11 @@ def _sinh_ratio(m, alpha):
 
 def _check_mode_args(solution, n, zeta):
     """Validated (n, zeta) of a single-mode profile request."""
-    if int(n) != n or n < 1 or n > solution.n_modes:
-        raise DomainError(
-            f"mode index must be an integer in [1, {solution.n_modes}], got {n}"
-        )
-    zeta = float(zeta)
-    if not np.isfinite(zeta) or zeta < 0.0:
-        raise DomainError(f"zeta must be finite and >= 0, got {zeta}")
-    return int(n), zeta
+    if not (_is_real(n) and math.isfinite(n) and n == int(n) and 1 <= n <= solution.n_modes):
+        raise DomainError(f"mode index n must be an integer in [1, {solution.n_modes}], got {n!r}")
+    if not (_is_real(zeta) and math.isfinite(zeta) and zeta >= 0.0):
+        raise DomainError(f"zeta must be finite and >= 0, got {zeta!r}")
+    return int(n), float(zeta)
 
 
 def mode_profile(solution, n, zeta):

@@ -146,6 +146,22 @@ class TestTipGeometry:
         with pytest.raises(DomainError):
             tip_height(h, lam)
 
+    @pytest.mark.parametrize(
+        "h, lam, name",
+        [
+            (math.nan, 1.0, "h"),
+            (0.1, math.nan, "lam"),
+            (math.inf, 1.0, "h"),
+            (0.1, math.inf, "lam"),
+            (True, 1.0, "h"),
+            (0.1, "1.0", "lam"),
+        ],
+    )
+    def test_bad_argument_is_named(self, h, lam, name):
+        # NaN used to pass both sign checks and return nan.
+        with pytest.raises(DomainError, match=f"^{name}, the"):
+            tip_height(h, lam)
+
 
 class TestLegendre:
     def test_against_scipy(self):
@@ -165,6 +181,12 @@ class TestLegendre:
     def test_rejects_outside_interval(self):
         with pytest.raises(DomainError):
             legendre_values(4, 1.0001)
+
+    @pytest.mark.parametrize("n_max", [math.nan, math.inf, -1, 2.5, True, "3"])
+    def test_bad_degree_is_named(self, n_max):
+        # NaN and infinity used to escape as ValueError and OverflowError.
+        with pytest.raises(DomainError, match="^n_max must be an integer >= 0"):
+            legendre_values(n_max, 0.5)
 
 
 class TestGegenbauer:
@@ -195,3 +217,8 @@ class TestGegenbauer:
         for n_count in (0, -1, 2.5):
             with pytest.raises(DomainError):
                 gegenbauer_minus_half(n_count, 0.5)
+
+    @pytest.mark.parametrize("n_count", [math.nan, math.inf, True, "3"])
+    def test_bad_mode_count_is_named(self, n_count):
+        with pytest.raises(DomainError, match="^n_count, the mode count, must be an integer >= 1"):
+            gegenbauer_minus_half(n_count, 0.5)

@@ -1,10 +1,11 @@
-"""scipy is loaded only by the code paths that call it: the collision-time
-quadrature and validate. The commands that run scenarios, massless or
-inertial, and the no-collision demo start without it, so a stray top-level
-import would cost every such process the half second scipy takes to load.
+"""scipy is a test-only dependency: the package never loads it. Every
+command (drag, massless and inertial simulate, sweep, validate), the
+collision-time quadrature and the no-collision demo run on numpy alone, so
+the installed package works without scipy and no process pays the half
+second scipy takes to load.
 
 The check runs in a fresh interpreter, since the test modules themselves
-import scipy."""
+import scipy as their reference."""
 
 import os
 import subprocess
@@ -61,6 +62,18 @@ SCRIPT = textwrap.dedent(
         )
         assert cli.main(["sweep", "--config", str(grid), "--out", str(tmp / "sweep")]) == 0
         scipy_modules("a massless sweep")
+
+        assert cli.main(["validate", "--out", str(tmp / "validate")]) == 0
+        scipy_modules("validate")
+
+    from swimcollide import dynamics
+    from swimcollide.drag import BoundaryCondition
+
+    sc = dynamics.SwimmerScenario(
+        mode=dynamics.Mode.ACTIVE, bc=BoundaryCondition.navier(0.1), h0=0.5
+    )
+    assert dynamics.collision_time_quadrature(sc).time_to_floor > 0.0
+    scipy_modules("collision_time_quadrature")
 
     spec = importlib.util.spec_from_file_location("demo", sys.argv[1])
     demo = importlib.util.module_from_spec(spec)

@@ -468,6 +468,26 @@ class TestModeProfiles:
         with pytest.raises(DomainError, match="zeta"):
             mode_profile(sol, 1, -0.1)
 
+    @pytest.mark.parametrize("profile", [mode_profile, mode_profile_via_source])
+    @pytest.mark.parametrize(
+        "n, zeta, name",
+        [
+            (math.nan, 0.1, "mode index n"),
+            (math.inf, 0.1, "mode index n"),
+            (True, 0.1, "mode index n"),
+            ("1", 0.1, "mode index n"),
+            (1.5, 0.1, "mode index n"),
+            (1, math.nan, "zeta"),
+            (1, True, "zeta"),
+            (1, "0.1", "zeta"),
+        ],
+    )
+    def test_bad_request_is_named(self, profile, n, zeta, name):
+        # NaN, infinities, bools and strings are domain errors, not a
+        # ValueError from int() or a bool read as mode 1.
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            profile(solved(0.5), n, zeta)
+
 
 class TestStreamFunction:
     @staticmethod
