@@ -211,7 +211,7 @@ def cmd_sweep(args):
         try:
             scenario = sweep_scenario(cfg.scenario, dict(zip(axes, combo)))
             # a passive pair has no propulsion factor, as in its trajectory
-            lam = scenario.lam if scenario.mode is dynamics.Mode.ACTIVE else None
+            lam = dynamics._prop_lam(scenario)
             (kp,), (kpr,) = drag.kappa_arrays([scenario.h0], scenario.bc, cfg.truncation, lam)
             traj = _simulate(cfg, scenario)
         except Exception as exc:  # recorded per point, reported at exit

@@ -47,7 +47,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .series import SERIES_GAP_FLOOR, SeriesTruncation, _is_real, passive_drag, propulsion_drag
+from .geometry import _is_real, _real
+from .series import SERIES_GAP_FLOOR, _truncation, passive_drag, propulsion_drag
 
 __all__ = [
     "SERIES_GAP_FLOOR",
@@ -86,9 +87,7 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in ("no_slip", "navier"):
             raise DomainError(f"unknown boundary condition kind {self.kind!r}")
-        if not (_is_real(self.beta) and math.isfinite(self.beta) and self.beta >= 0.0):
-            raise DomainError(f"beta, the slip length, must be finite and >= 0, got {self.beta!r}")
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", _real("beta, the slip length,", self.beta, 0))
         if self.kind == "no_slip" and self.beta != 0.0:
             raise DomainError(f"no_slip takes no slip length, got beta = {self.beta!r}")
 
@@ -237,7 +236,7 @@ def kappa_table(bc, truncation=None, lam=None):
     lam = None, as for a passive pair, builds no kappa_prop table and gives
     kappa_prop = 0.
     """
-    truncation = truncation or SeriesTruncation()
+    truncation = _truncation(truncation)
     lam = None if lam is None else _tip_offset(lam)
     edge = _series_edge(bc)
     pass_series = lambda h: _series_pass(h, truncation)
@@ -264,11 +263,8 @@ def kappa_table(bc, truncation=None, lam=None):
 
 
 def _tip_offset(lam):
-    """lam as a float, checked to be a finite real number > 0; a bool, a
-    non-number or any other value is a DomainError naming it."""
-    if not (_is_real(lam) and math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"lam, the tip offset, must be a finite real number > 0, got {lam!r}")
-    return float(lam)
+    """lam as a float, checked to be a finite real number > 0."""
+    return _real("lam, the tip offset,", lam, 0, strict=True)
 
 
 def kappa_pass(h, bc, truncation=None):
@@ -312,7 +308,7 @@ def kappa_arrays(hs, bc, truncation=None, lam=None):
     bad = hs[~(np.isfinite(hs) & (hs > 0.0))]
     if bad.size:
         raise DomainError(f"half-gap must be finite and positive, got {bad[0]}")
-    truncation = truncation or SeriesTruncation()
+    truncation = _truncation(truncation)
     edge = _series_edge(bc)
     above = hs >= edge
     kp = np.empty_like(hs)
@@ -330,9 +326,8 @@ def kappa_arrays(hs, bc, truncation=None, lam=None):
 def net_propulsion(h, lam, f_p, bc, truncation=None):
     """Net inward thrust f_p (1 - kappa_prop), the drive left after the
     backflow each swimmer's forcing induces at its partner is paid for."""
-    if not (_is_real(f_p) and math.isfinite(f_p) and f_p >= 0.0):
-        raise DomainError(f"f_p, the thrust magnitude, must be finite and >= 0, got {f_p!r}")
-    return float(f_p) * (1.0 - kappa_prop(h, lam, bc, truncation))
+    f_p = _real("f_p, the thrust magnitude,", f_p, 0)
+    return f_p * (1.0 - kappa_prop(h, lam, bc, truncation))
 
 
 def coefficients(h, lam, bc, truncation=None):

@@ -69,7 +69,7 @@ from numpy.polynomial.legendre import leggauss
 from . import _radau, drag
 from .drag import SERIES_GAP_FLOOR, BoundaryCondition
 from .errors import DomainError, InvalidRegimeError, StiffnessError
-from .series import SeriesTruncation, _is_real
+from .geometry import _real
 
 __all__ = [
     "Mode",
@@ -122,25 +122,9 @@ class SwimmerScenario:
             raise DomainError(f"mode must be a Mode member, got {self.mode!r}")
         if not isinstance(self.bc, BoundaryCondition):
             raise DomainError(f"bc must be a BoundaryCondition, got {self.bc!r}")
+        positive = ("h0", "lam", "f_ext") if self.mode is Mode.PASSIVE_FORCED else ("h0", "lam")
         for name in ("h0", "s0", "mass", "f_p", "lam", "f_ext"):
-            if not _is_real(getattr(self, name)):
-                raise DomainError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        if not np.isfinite(self.h0) or self.h0 <= 0.0:
-            raise DomainError(f"initial half-gap must be positive, got {self.h0}")
-        if not np.isfinite(self.s0) or self.s0 < 0.0:
-            raise DomainError(f"initial approach speed must be >= 0, got {self.s0}")
-        if not np.isfinite(self.mass) or self.mass < 0.0:
-            raise DomainError(f"mass must be >= 0, got {self.mass}")
-        if not np.isfinite(self.lam) or self.lam <= 0.0:
-            raise DomainError(f"tip offset must be positive, got {self.lam}")
-        if self.mode is Mode.ACTIVE:
-            if not np.isfinite(self.f_p) or self.f_p < 0.0:
-                raise DomainError(f"thrust must be >= 0, got {self.f_p}")
-        else:
-            if not np.isfinite(self.f_ext) or self.f_ext <= 0.0:
-                raise DomainError(
-                    f"passive scenarios need a positive squeezing force, got {self.f_ext}"
-                )
+            _real(name, getattr(self, name), 0, strict=name in positive)
 
 
 @dataclass(frozen=True)
@@ -321,7 +305,6 @@ def simulate(scenario, t_max, h_floor=None, rtol=1e-8, atol=1e-12, truncation=No
     at least 100 eps = 2.2e-14, or a DomainError names the setting; a floor
     at or above h0 is an InvalidRegimeError.
     """
-    truncation = truncation or SeriesTruncation()
     t_max = _positive("t_max", t_max)
     floor = _floor(scenario, h_floor)
     rtol, atol = _rtol(rtol), _positive("atol", atol)
@@ -331,11 +314,8 @@ def simulate(scenario, t_max, h_floor=None, rtol=1e-8, atol=1e-12, truncation=No
 
 
 def _positive(name, value):
-    """value as a float, checked to be a finite positive real number; a bool,
-    a non-number or any other value is a DomainError naming the setting."""
-    if not (_is_real(value) and math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be a finite positive number, got {value!r}")
-    return float(value)
+    """value as a float, checked to be a finite real number > 0."""
+    return _real(name, value, 0, strict=True)
 
 
 def _rtol(value):
@@ -348,7 +328,11 @@ def _rtol(value):
 
 def _floor(scenario, h_floor):
     """The gap floor of a run or an a priori result: h_floor, or the model's
-    default when None, checked to lie below h0."""
+    default when None, checked to lie below h0. Every entry point that takes
+    a scenario reaches this first, so a scenario that is not a
+    SwimmerScenario is a DomainError naming it."""
+    if not isinstance(scenario, SwimmerScenario):
+        raise DomainError(f"scenario must be a SwimmerScenario, got {scenario!r}")
     floor = default_h_floor(scenario.bc) if h_floor is None else _positive("h_floor", h_floor)
     if scenario.h0 <= floor:
         raise InvalidRegimeError(
@@ -548,9 +532,10 @@ class QuadratureReport:
 
 def _massless_floor(scenario, h_floor, what):
     """The floor of an a priori massless result, as _floor checks it."""
+    floor = _floor(scenario, h_floor)
     if scenario.mass != 0.0:
         raise InvalidRegimeError(f"{what} needs mass = 0")
-    return _floor(scenario, h_floor)
+    return floor
 
 
 def collision_time_quadrature(scenario, h_floor=None, truncation=None):
@@ -582,7 +567,7 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
     mid, half = (edges[:-1] + edges[1:]) / 2, (edges[:-1] - edges[1:]) / 2
     (x8, w8), (x6, w6) = leggauss(8), leggauss(6)
     hs = np.exp(mid[:, None] + half[:, None] * np.concatenate([x8, x6]))
-    force, kp, _ = _force_and_coefficients(scenario, hs, truncation or SeriesTruncation())
+    force, kp, _ = _force_and_coefficients(scenario, hs, truncation)
     speed = force / kp
     stalled = hs[speed <= 0.0]
     if stalled.size:

@@ -41,15 +41,29 @@ __all__ = [
 
 
 def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # The type test first: isinstance against an abstract class is slow.
+    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
-def _count(name, value, least):
-    """value as an int, checked to be a whole number >= least; a bool, a
-    non-number, NaN or an infinity is a DomainError naming it."""
-    if not (_is_real(value) and math.isfinite(value) and value == int(value) and value >= least):
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
+def _real(name, value, lo=-math.inf, hi=math.inf, strict=False, whole=False):
+    """value as a float, checked to be a real number that is not a bool, is
+    finite, lies in [lo, hi] ((lo, hi] when strict) and, when whole, is a
+    whole number. Anything else is a DomainError whose message starts with
+    name: the one rule for every number the public API takes."""
+    if (
+        _is_real(value)
+        and math.isfinite(value)
+        and (lo < value if strict else lo <= value)
+        and value <= hi
+        and (not whole or value == int(value))
+    ):
+        return float(value)
+    if hi < math.inf:
+        span = f" in {'(' if strict else '['}{lo!r}, {hi!r}]"
+    else:
+        span = f" {'>' if strict else '>='} {lo!r}" if lo > -math.inf else ""
+    kind = "an integer" if whole else "a finite real number"
+    raise DomainError(f"{name} must be {kind}{span}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,9 +98,7 @@ def frame_from_gap(h):
     both exact rearrangements that stay accurate for h near zero where the
     naive arccosh(1 + h) loses half the digits.
     """
-    h = float(h)
-    if not np.isfinite(h) or h <= 0.0:
-        raise DomainError(f"half-gap must be finite and positive, got {h}")
+    h = _real("h, the half-gap,", h, 0, strict=True)
     c = float(np.sqrt(h * (2.0 + h)))
     alpha = float(np.log1p(h + c))
     return BipolarFrame(h=h, alpha=alpha, c=c)
@@ -99,12 +111,8 @@ def to_bipolar(frame, point):
     which is branch-safe for z >= 0. The focus (0, c) is a coordinate
     singularity and is rejected.
     """
-    rho = float(point.rho)
-    z = float(point.z)
-    if not (np.isfinite(rho) and np.isfinite(z)):
-        raise DomainError(f"non-finite point ({rho}, {z})")
-    if rho < 0.0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
+    rho = _real("rho", point.rho, 0)
+    z = _real("z", point.z)
     if z < 0.0:
         raise RegionError(
             f"z = {z} is in the lower half-space; map its mirror image instead"
@@ -126,14 +134,8 @@ def from_bipolar(frame, point):
 
     (0, 0) is the point at infinity and is rejected.
     """
-    zeta = float(point.zeta)
-    eta = float(point.eta)
-    if not (np.isfinite(zeta) and np.isfinite(eta)):
-        raise DomainError(f"non-finite bipolar point ({zeta}, {eta})")
-    if zeta < 0.0:
-        raise DomainError(f"zeta must be >= 0 for the upper half-space, got {zeta}")
-    if eta < 0.0 or eta > np.pi:
-        raise DomainError(f"eta must lie in [0, pi], got {eta}")
+    zeta = _real("zeta", point.zeta, 0)
+    eta = _real("eta", point.eta, 0, math.pi)
     if zeta == 0.0 and eta == 0.0:
         raise SingularityError("(zeta, eta) = (0, 0) is the point at infinity")
     den = np.cosh(zeta) - np.cos(eta)
@@ -149,9 +151,7 @@ def axis_zeta(frame, z0):
     Requires z0 > c. On the axis the map reduces to
     zeta = log((z0 + c) / (z0 - c)).
     """
-    z0 = float(z0)
-    if not np.isfinite(z0) or z0 <= frame.c:
-        raise DomainError(f"axis point needs z0 > c = {frame.c}, got {z0}")
+    z0 = _real("z0", z0, frame.c, strict=True)
     return float(np.log((z0 + frame.c) / (z0 - frame.c)))
 
 
@@ -161,10 +161,8 @@ def tip_height(h, lam):
     The upper body occupies c z in [h, 2 + h] on the axis, so its rear pole is
     at z = 2 + h and the point force sits outside both spheres for any lam > 0.
     """
-    for name, value in (("h, the half-gap", h), ("lam, the tip offset", lam)):
-        if not (_is_real(value) and math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{name} must be a finite real number > 0, got {value!r}")
-    return 2.0 + float(h) + float(lam)
+    h = _real("h, the half-gap,", h, 0, strict=True)
+    return 2.0 + h + _real("lam, the tip offset,", lam, 0, strict=True)
 
 
 def legendre_values(n_max, x):
@@ -172,10 +170,8 @@ def legendre_values(n_max, x):
 
     Returns an array of length n_max + 1. Requires |x| <= 1.
     """
-    n_max = _count("n_max", n_max, 0)
-    x = float(x)
-    if not np.isfinite(x) or abs(x) > 1.0:
-        raise DomainError(f"argument must lie in [-1, 1], got {x}")
+    n_max = int(_real("n_max", n_max, 0, whole=True))
+    x = _real("x", x, -1, 1)
     p = np.empty(n_max + 1)
     p[0] = 1.0
     if n_max == 0:
@@ -193,7 +189,7 @@ def gegenbauer_minus_half(n_count, x):
     C_{n+1}^{(-1/2)}(x) = (P_{n-1}(x) - P_{n+1}(x)) / (2 n + 1),
     which vanishes at x = +-1 for every n.
     """
-    n_count = _count("n_count, the mode count,", n_count, 1)
+    n_count = int(_real("n_count, the mode count,", n_count, 1, whole=True))
     p = legendre_values(n_count + 1, x)
     n = np.arange(1, n_count + 1)
     return (p[:n_count] - p[2:]) / (2 * n + 1)

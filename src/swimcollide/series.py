@@ -49,7 +49,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, RegionError, SingularityError, TruncationError
-from .geometry import BipolarFrame, _is_real, axis_zeta, frame_from_gap, tip_height
+from .geometry import BipolarFrame, _real, axis_zeta, frame_from_gap, tip_height
 
 __all__ = [
     "HARD_MODE_CAP",
@@ -104,9 +104,17 @@ class SeriesTruncation:
     tail_tol: float = 1e-10
 
     def __post_init__(self):
-        tail_tol = self.tail_tol
-        if not (_is_real(tail_tol) and math.isfinite(tail_tol) and 0.0 < tail_tol <= 1e-2):
-            raise DomainError(f"tail_tol must lie in (0, 1e-2], got {tail_tol!r}")
+        _real("tail_tol", self.tail_tol, 0, 1e-2, strict=True)
+
+
+def _truncation(truncation):
+    """truncation, or the default SeriesTruncation for None: the one reading
+    of every truncation argument. Anything else is a DomainError naming it."""
+    if truncation is None:
+        return SeriesTruncation()
+    if not isinstance(truncation, SeriesTruncation):
+        raise DomainError(f"truncation must be a SeriesTruncation or None, got {truncation!r}")
+    return truncation
 
 
 @dataclass(frozen=True)
@@ -336,13 +344,14 @@ def _start_count(k, rate, truncation):
 
 
 def _require_gap(h):
-    if not np.isfinite(h) or h <= 0.0:
-        raise DomainError(f"half-gap must be finite and positive, got {h}")
+    """h as a float, checked to be a gap the series sums accept."""
+    h = _real("h, the half-gap,", h, 0, strict=True)
     if h < SERIES_GAP_FLOOR:
         raise DomainError(
             f"half-gap {h} is below the series floor {SERIES_GAP_FLOOR}; "
             "use an asymptotic continuation instead"
         )
+    return h
 
 
 def solve_coefficients(frame, truncation=None):
@@ -354,7 +363,7 @@ def solve_coefficients(frame, truncation=None):
     is the slowest-converging evaluation curve in the closed fluid domain,
     so the same coefficient set is adequate everywhere else.
     """
-    truncation = truncation or SeriesTruncation()
+    truncation = _truncation(truncation)
     _require_gap(frame.h)
 
     def evaluate(n_count):
@@ -399,11 +408,8 @@ def _sinh_ratio(m, alpha):
 
 def _check_mode_args(solution, n, zeta):
     """Validated (n, zeta) of a single-mode profile request."""
-    if not (_is_real(n) and math.isfinite(n) and n == int(n) and 1 <= n <= solution.n_modes):
-        raise DomainError(f"mode index n must be an integer in [1, {solution.n_modes}], got {n!r}")
-    if not (_is_real(zeta) and math.isfinite(zeta) and zeta >= 0.0):
-        raise DomainError(f"zeta must be finite and >= 0, got {zeta!r}")
-    return int(n), float(zeta)
+    n = int(_real("mode index n", n, 1, solution.n_modes, whole=True))
+    return n, _real("zeta", zeta, 0)
 
 
 def mode_profile(solution, n, zeta):
@@ -466,13 +472,9 @@ def stream_function(solution, point):
     TruncationError only at the hard cap. psi vanishes identically on the
     midplane zeta = 0.
     """
-    zeta = float(point.zeta)
-    eta = float(point.eta)
+    zeta = _real("zeta", point.zeta, 0)
+    eta = _real("eta", point.eta, 0, math.pi)
     frame = solution.frame
-    if not (np.isfinite(zeta) and np.isfinite(eta)):
-        raise DomainError(f"non-finite bipolar point ({zeta}, {eta})")
-    if zeta < 0.0 or eta < 0.0 or eta > np.pi:
-        raise DomainError(f"bipolar point ({zeta}, {eta}) outside the upper domain")
     if zeta > frame.alpha * (1.0 + 1e-12):
         raise RegionError(f"zeta = {zeta} lies inside the sphere (alpha = {frame.alpha})")
     if zeta == 0.0 and eta == 0.0:
@@ -521,11 +523,7 @@ def axis_velocity(solution, z0):
     fluid upward above them.
     """
     frame = solution.frame
-    z0 = float(z0)
-    if not np.isfinite(z0) or z0 <= 1.0 + frame.h:
-        raise DomainError(
-            f"axis series needs z0 > 1 + h = {1.0 + frame.h}, got {z0}"
-        )
+    z0 = _real("z0", z0, 1.0 + frame.h, strict=True)
     zeta0 = axis_zeta(frame, z0)
     return _axis_sum(frame, zeta0, solution.requested.tail_tol, solution.n_modes)
 
@@ -541,9 +539,8 @@ def passive_drag(h, truncation=None):
     Diverges like 1/h as h -> 0 and approaches the isolated-sphere value
     6 pi as h -> infinity.
     """
-    truncation = truncation or SeriesTruncation()
-    h = float(h)
-    _require_gap(h)
+    truncation = _truncation(truncation)
+    h = _require_gap(h)
     frame = frame_from_gap(h)
 
     def evaluate(n_count):
@@ -568,9 +565,8 @@ def propulsion_drag(h, lam, truncation=None):
     Approaches 1 as lam -> 0 (the force point merges with the no-slip
     surface) and 0 as lam -> infinity.
     """
-    truncation = truncation or SeriesTruncation()
-    h = float(h)
-    _require_gap(h)
+    truncation = _truncation(truncation)
+    h = _require_gap(h)
     frame = frame_from_gap(h)
     zeta0 = axis_zeta(frame, tip_height(h, lam))
     n_start = _start_count(_START_K_AXIS, 2.0 * frame.alpha - zeta0, truncation)

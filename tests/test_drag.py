@@ -240,6 +240,33 @@ class TestInputTypes:
         with pytest.raises(DomainError, match="^bc must be a BoundaryCondition, got"):
             call(bad)
 
+    @pytest.mark.parametrize("bad", [0, 1e-8, "1e-8", False])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tr: kappa_pass(0.5, NO_SLIP, tr),
+            lambda tr: kappa_prop(0.5, 1.0, NO_SLIP, tr),
+            lambda tr: net_propulsion(0.5, 1.0, 1.0, NO_SLIP, tr),
+            lambda tr: coefficients(0.5, 1.0, NO_SLIP, tr),
+            lambda tr: kappa_arrays([0.5], NO_SLIP, tr),
+            lambda tr: kappa_table(NO_SLIP, tr),
+        ],
+        ids=[
+            "kappa_pass",
+            "kappa_prop",
+            "net_propulsion",
+            "coefficients",
+            "kappa_arrays",
+            "kappa_table",
+        ],
+    )
+    def test_truncation(self, call, bad):
+        # A falsy value used to select the default, a number to fail with an
+        # AttributeError on tail_tol.
+        message = "^truncation must be a SeriesTruncation or None, got"
+        with pytest.raises(DomainError, match=message):
+            call(bad)
+
     @pytest.mark.parametrize("bad", [True, "2", None, float("nan"), float("inf"), -1.0])
     def test_thrust(self, bad):
         with pytest.raises(DomainError, match="^f_p, the thrust magnitude, must be"):

@@ -1,6 +1,7 @@
 """Encounter dynamics: integrators, terminations, quadrature, bounds, inertial tables."""
 
 import functools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,8 @@ class TestScenarioValidation:
             {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": 0.5, "mass": "0"},
             {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": True},
             {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": 0.5, "lam": True},
+            {"mode": Mode.ACTIVE, "bc": NO_SLIP, "h0": 0.5, "f_ext": -1.0},
+            {"mode": Mode.PASSIVE_FORCED, "bc": NO_SLIP, "h0": 0.5, "f_ext": 1.0, "f_p": np.nan},
         ],
     )
     def test_rejections(self, kwargs):
@@ -74,7 +77,9 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("name, value", [("h0", "0.5"), ("lam", None), ("mass", "0")])
     def test_non_numbers_are_named(self, name, value):
-        with pytest.raises(DomainError, match=f"^{name} must be a real number"):
+        bound = ">= 0" if name == "mass" else "> 0"
+        message = f"{name} must be a finite real number {bound}, got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             active(NO_SLIP, **{name: value})
 
     def test_default_floors(self):
@@ -445,15 +450,22 @@ class TestSimulateGuards:
         "name, bad",
         [
             (name, bad)
-            for name in ("t_max", "h_floor", "rtol", "atol")
+            for name in ("t_max", "h_floor", "rtol", "atol", "truncation", "scenario")
             for bad in (True, "1e-8", None, float("nan"), float("inf"))
-            if (name, bad) != ("h_floor", None)  # None selects the default floor
+            # None selects the default floor and the default truncation
+            if (name, bad) not in (("h_floor", None), ("truncation", None))
         ],
     )
     def test_bad_setting_is_named(self, name, bad):
-        settings = {"t_max": 10.0, name: bad}
+        settings = {"scenario": active(NAVIER, mass=0.1), "t_max": 10.0, name: bad}
         with pytest.raises(DomainError, match=f"^{name} must be"):
-            simulate(active(NAVIER, mass=0.1), **settings)
+            simulate(**settings)
+
+    @pytest.mark.parametrize("bad", [None, "x", NAVIER], ids=["None", "string", "bc"])
+    @pytest.mark.parametrize("entry", [collision_time_quadrature, decay_rate_bound])
+    def test_bad_scenario_is_named(self, entry, bad):
+        with pytest.raises(DomainError, match="^scenario must be a SwimmerScenario, got"):
+            entry(bad)
 
     @pytest.mark.parametrize("bad", [True, "abc", float("inf")])
     @pytest.mark.parametrize("entry", [collision_time_quadrature, decay_rate_bound])

@@ -2,6 +2,7 @@
 building blocks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ class TestFrame:
         fr = frame_from_gap(1e-12)
         assert fr.alpha == pytest.approx(math.sqrt(2e-12), rel=1e-6)
 
-    @pytest.mark.parametrize("h", [0.0, -0.5])
+    @pytest.mark.parametrize("h", [0.0, -0.5, "x", True])
     def test_gap_must_be_positive(self, h):
         with pytest.raises(DomainError):
             frame_from_gap(h)
@@ -89,11 +90,11 @@ class TestCoordinateMaps:
 
     def test_rejects_non_finite_radius(self):
         fr = frame_from_gap(0.5)
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(DomainError, match=r"^rho must be a finite real number >= 0, got inf$"):
             to_bipolar(fr, AxisymPoint(math.inf, 1.0))
 
     @pytest.mark.parametrize(
-        "zeta, eta", [(-0.1, 1.0), (0.5, math.pi + 0.1), (math.nan, 1.0)]
+        "zeta, eta", [(-0.1, 1.0), (0.5, math.pi + 0.1), (math.nan, 1.0), (True, 1.0)]
     )
     def test_from_bipolar_rejects_points_outside_the_domain(self, zeta, eta):
         with pytest.raises(DomainError):
@@ -222,3 +223,26 @@ class TestGegenbauer:
     def test_bad_mode_count_is_named(self, n_count):
         with pytest.raises(DomainError, match="^n_count, the mode count, must be an integer >= 1"):
             gegenbauer_minus_half(n_count, 0.5)
+
+
+FRAME = frame_from_gap(0.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: to_bipolar(FRAME, AxisymPoint("a", 1.0)),
+            "rho must be a finite real number >= 0, got 'a'",
+        ),
+        (lambda: axis_zeta(FRAME, "x"), f"z0 must be a finite real number > {FRAME.c!r}, got 'x'"),
+        (lambda: legendre_values(3, "abc"), "x must be a finite real number in [-1, 1], got 'abc'"),
+        (lambda: legendre_values(3, True), "x must be a finite real number in [-1, 1], got True"),
+    ],
+    ids=["to_bipolar", "axis_zeta", "legendre_string", "legendre_bool"],
+)
+def test_non_numbers_are_named(call, message):
+    # These were converted with float(): a string raised a bare ValueError
+    # and True was read as 1.0.
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -77,6 +77,22 @@ class TestTruncationRequest:
         with pytest.raises(DomainError, match=f"^{name} "):
             SeriesTruncation(**kwargs)
 
+    @pytest.mark.parametrize("bad", [0, 1e-8, "1e-8", False])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tr: passive_drag(0.5, tr),
+            lambda tr: propulsion_drag(0.5, 1.0, tr),
+            lambda tr: solve_coefficients(frame_from_gap(0.5), tr),
+        ],
+        ids=["passive_drag", "propulsion_drag", "solve_coefficients"],
+    )
+    def test_rejects_what_is_not_a_request(self, call, bad):
+        # passive_drag(0.5, 0) used to return the default-tolerance value.
+        message = "^truncation must be a SeriesTruncation or None, got"
+        with pytest.raises(DomainError, match=message):
+            call(bad)
+
 
 class TestFrozenValues:
     def test_leading_coefficients(self):
