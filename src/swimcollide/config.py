@@ -39,7 +39,6 @@ Example:
 """
 
 import dataclasses
-import hashlib
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -103,6 +102,8 @@ class RunConfig:
     resolved: tuple = ()  # sorted canonical key = value lines, hashed by config_hash
 
     def config_hash(self):
+        import hashlib  # maps OpenSSL: only the reports that print a hash load it
+
         text = "\n".join(self.resolved) + "\n"
         return hashlib.sha256(text.encode()).hexdigest()
 

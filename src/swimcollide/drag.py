@@ -267,6 +267,12 @@ def _tip_offset(lam):
     return _real("lam, the tip offset,", lam, 0, strict=True)
 
 
+def _gap_error(shown):
+    """The DomainError for a gap that is not a finite real number > 0, in the
+    words geometry._real gives it at every scalar entry point."""
+    return DomainError(f"h, the half-gap, must be a finite real number > 0, got {shown!r}")
+
+
 def kappa_pass(h, bc, truncation=None):
     """Pair drag coefficient at half-gap h under the given wall model."""
     return kappa_arrays([h], bc, truncation)[0].item()
@@ -289,25 +295,25 @@ def kappa_arrays(hs, bc, truncation=None, lam=None):
     factor comes from the memoized series once per gap, at
     max(h, SERIES_GAP_FLOOR). lam = None, as for a passive pair, which has no
     propulsion factor, gives kappa_prop = 0 without evaluating anything.
-    Bool, string and other non-number gaps, anywhere in a list, and ragged
-    nestings of lists are a DomainError, as is a lam that is not a finite
-    real number > 0.
+    A gap that is not a finite real number > 0, a bool, string or other
+    non-number anywhere in a list, and a ragged nesting of lists are a
+    DomainError worded as frame_from_gap words a bad gap. So is a lam that
+    is not a finite real number > 0, under its own name.
     """
     try:
         array = np.asarray(hs)
     except ValueError:  # a ragged nesting, such as [0.5, [1.0]]
-        raise DomainError(f"half-gap h must be a real number, got {hs!r}") from None
+        raise _gap_error(hs) from None
     # numpy turns a bool among numbers into a number, so the elements of a
     # list are checked one by one; an ndarray's dtype speaks for them all.
     given = None if isinstance(hs, np.ndarray) else np.asarray(hs, dtype=object)
     if array.dtype.kind not in "iuf" or (given is not None and not all(map(_is_real, given.flat))):
-        shown = array.tolist() if given is None else given.tolist()
-        raise DomainError(f"half-gap h must be a real number, got {shown!r}")
+        raise _gap_error(array.tolist() if given is None else given.tolist())
     hs = array.astype(float, copy=False)
     lam = None if lam is None else _tip_offset(lam)
-    bad = hs[~(np.isfinite(hs) & (hs > 0.0))]
+    bad = array[~(np.isfinite(hs) & (hs > 0.0))]  # shown in the type given
     if bad.size:
-        raise DomainError(f"half-gap must be finite and positive, got {bad[0]}")
+        raise _gap_error(bad[0].item())
     truncation = _truncation(truncation)
     edge = _series_edge(bc)
     above = hs >= edge

@@ -20,10 +20,14 @@ panels to a segment, and each panel integrates the degree-7 polynomial
 through 8 edges of its own segment with exact rational weights. Every edge
 is known before the first evaluation, so the edges go in blocks: one array
 drag call per block, one weighted sum per panel whose 8 edges are in, and
-one running sum of the panel times. One point is recorded per edge, a
-floor run ends exactly on the floor, and the horizon point comes from a
-bisection on the first panel to pass the horizon, after which no block is
-evaluated.
+one running sum of the panel times. The first block after h0 holds 32
+edges, and each later one reaches as far as the time left could take at
+the last edge's rate, since dt/du = h kappa_pass / F falls as the gap
+closes: a run that ends well before its horizon makes three drag calls.
+One point is recorded per edge, into columns from which Trajectory builds
+its TrajectoryPoints only when they are asked for. A floor run ends exactly
+on the floor, and the horizon point comes from a bisection on the first
+panel to pass the horizon, after which no block is evaluated.
 
 Two massless results need no run at all. collision_time_quadrature gives
 the time to the floor as a direct integral. decay_rate_bound gives the rate
@@ -63,8 +67,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import polynomial as P
-from numpy.polynomial.legendre import leggauss
 
 from . import _radau, drag
 from .drag import SERIES_GAP_FLOOR, BoundaryCondition
@@ -144,24 +146,33 @@ class TrajectoryPoint:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A run's recorded points, stored by column: data holds one tuple of
+    floats per TrajectoryPoint field, in the field order. t_end, min_h and
+    columns() read the columns, and points, the same record as a tuple of
+    TrajectoryPoints, is built on first access."""
+
     scenario: SwimmerScenario
     h_floor: float
-    points: tuple
+    data: tuple
     termination: TerminationKind
     t_coll: float  # None unless termination is COLLISION
 
+    @functools.cached_property
+    def points(self):
+        return tuple(map(TrajectoryPoint, *self.data))
+
     @property
     def t_end(self):
-        return self.points[-1].t
+        return self.data[0][-1]
 
     @property
     def min_h(self):
-        return min(p.h for p in self.points)
+        return min(self.data[1])
 
     def columns(self):
         """Column arrays keyed by the TrajectoryPoint fields, in their order."""
         names = [f.name for f in dataclasses.fields(TrajectoryPoint)]
-        return {k: np.array([getattr(p, k) for p in self.points]) for k in names}
+        return {k: np.array(column) for k, column in zip(names, self.data)}
 
 
 def default_h_floor(bc):
@@ -341,12 +352,15 @@ def _floor(scenario, h_floor):
     return floor
 
 
-def _trajectory(scenario, floor, points, termination):
+def _trajectory(scenario, floor, columns, termination):
+    """The Trajectory of a run from its columns, one sequence of floats per
+    TrajectoryPoint field."""
     # Without slip the gap only decays exponentially: its floor is no contact.
     if termination is TerminationKind.COLLISION and not scenario.bc.slips:
         termination = TerminationKind.FLOOR_REACHED
-    t_coll = points[-1].t if termination is TerminationKind.COLLISION else None
-    return Trajectory(scenario, floor, tuple(points), termination, t_coll)
+    data = tuple(map(tuple, columns))
+    t_coll = data[0][-1] if termination is TerminationKind.COLLISION else None
+    return Trajectory(scenario, floor, data, termination, t_coll)
 
 
 def _segment_stops(scenario, floor):
@@ -363,52 +377,62 @@ def _panel_edges(stops):
     at least _STENCIL_PANELS panels a segment. Also returns, for each panel,
     the first of the 8 edges of its stencil: centred on the panel, and moved
     inward near the segment's ends so that no stencil crosses a kink."""
-    edges, stencils = [stops[0]], []
+    edges, stencils, first = [stops[:1]], [], 0  # first: the edge index of hi
     for hi, lo in zip(stops, stops[1:]):
         width = np.log(hi / lo)
         n = max(int(np.ceil(width / _LN_GAP_CAP)), _STENCIL_PANELS)
         offsets = np.clip(np.arange(n) - _STENCIL_PANELS // 2, 0, n - _STENCIL_PANELS)
-        stencils.extend(len(edges) - 1 + offsets)
-        edges.extend(hi * np.exp(-width * np.arange(1, n) / n))
-        edges.append(lo)
-    return np.array(edges), np.array(stencils)
+        stencils.append(first + offsets)
+        edges += [hi * np.exp(-width * np.arange(1, n) / n), [lo]]
+        first += n
+    return np.concatenate(edges), np.concatenate(stencils)
 
 
 def _simulate_massless(scenario, t_max, floor, truncation):
     """Massless branch of simulate: the elapsed time is the integral of
     dt/du = -h / h' over u = ln h, with the drag read at the panel edges only.
 
-    The edges go _BLOCK_EDGES at a time through one drag call, and the drive
-    is checked at each. A panel is integrated once the 8 edges of its stencil
-    are evaluated: its time is the dot product of their rates with its row
-    of _STENCIL_WEIGHTS, and one running sum carries t from edge to edge and
-    from block to block. One point is recorded per edge, and the horizon point
-    is where the stencil polynomial of the first panel to pass t_max reaches
-    it, so the run stops after the block that completes that panel's stencil.
-    The earliest panel decides: a lost drive ends the run unless a panel
-    whose stencil lies before it reached the horizon.
+    The edges go in blocks through one drag call each, and the drive is
+    checked at each edge. The first block after h0 holds _BLOCK_EDGES edges.
+    Each later one holds at least as many, and as many as the time left to
+    t_max takes at the last edge's rate over the widest panel, plus one
+    stencil. dt/du = h kappa_pass / F falls as the gap closes under both
+    drag laws, so no panel past the last edge takes longer than that, and
+    the horizon lies about that far on or further. The block size only
+    decides how many edges one drag call reads, never which panel ends the
+    run. A panel is integrated once the 8 edges of its stencil are
+    evaluated: its time is the dot product of their rates with its row of
+    _STENCIL_WEIGHTS, and one running sum carries t from edge to edge and
+    from block to block. One point is recorded per edge, in columns, and the
+    horizon point is where the stencil polynomial of the first panel to pass
+    t_max reaches it, so the run stops after the block that completes that
+    panel's stencil. The earliest panel decides: a lost drive ends the run
+    unless a panel whose stencil lies before it reached the horizon.
     """
     def evaluate(hs):
         force, kp, kpr = _force_and_coefficients(scenario, hs, truncation)
         return -force / kp, kp, kpr
 
-    def record(*columns):
-        return list(map(TrajectoryPoint, *(np.asarray(c).tolist() for c in columns)))
+    columns = [[] for _ in dataclasses.fields(TrajectoryPoint)]
+
+    def record(*values):
+        for column, value in zip(columns, values):
+            column += np.asarray(value).tolist()
 
     edges, stencils = _panel_edges(_segment_stops(scenario, floor))
     hdot, kp, kpr, rate = (np.empty_like(edges) for _ in range(4))
     hdot[:1], kp[:1], kpr[:1] = evaluate(edges[:1])
-    points = record([0.0], edges[:1], hdot[:1], kp[:1], kpr[:1])
+    record([0.0], edges[:1], hdot[:1], kp[:1], kpr[:1])
     if hdot[0] >= 0.0:
-        return _trajectory(scenario, floor, points, TerminationKind.SPEED_REVERSED)
+        return _trajectory(scenario, floor, columns, TerminationKind.SPEED_REVERSED)
     rate[0] = -edges[0] / hdot[0]
     n_panels = len(stencils)
     rows = np.arange(n_panels) - stencils
     needed = stencils + _STENCIL_PANELS  # the last edge each panel reads
     width = np.log(edges[:-1] / edges[1:])
-    t, done, valid = 0.0, 0, 1
+    t, done, valid, size = 0.0, 0, 1, _BLOCK_EDGES
     while done < n_panels:
-        block = slice(valid, min(valid + _BLOCK_EDGES, needed[-1] + 1))
+        block = slice(valid, int(min(valid + size, needed[-1] + 1)))
         hdot[block], kp[block], kpr[block] = evaluate(edges[block])
         # kappa_prop < 1 only in exact arithmetic: at lam = 1e-9, beta = 0.1,
         # 1 - kappa_prop(1e-3) rounds to -4.1e-14, and a run from h0 = 0.5
@@ -423,8 +447,10 @@ def _simulate_massless(scenario, t_max, floor, truncation):
         past = np.flatnonzero(t_edges[1:] > t_max)
         k = past[0] if past.size else ready - done
         got = slice(done + 1, done + 1 + k)
-        points += record(t_edges[1 : k + 1], edges[got], hdot[got], kp[got], kpr[got])
+        record(t_edges[1 : k + 1], edges[got], hdot[got], kp[got], kpr[got])
         if past.size:
+            from numpy.polynomial import polynomial as P  # only horizon runs load it
+
             j, t_a = done + k, t_edges[k]
             antiderivative = P.polyint(_STENCIL_TO_MONOMIAL @ rate[stencils[j] : needed[j] + 1])
             start = P.polyval(rows[j], antiderivative)
@@ -434,12 +460,16 @@ def _simulate_massless(scenario, t_max, floor, truncation):
             # The interpolant's end may round to t_max where the panel sum passed it.
             s = _bisect(excess) if excess(1.0) > 0.0 else 1.0
             h = edges[j] * np.exp(-s * width[j])
-            points += record([t_max], [h], *evaluate(np.array([h])))
-            return _trajectory(scenario, floor, points, TerminationKind.HORIZON_REACHED)
+            record([t_max], [h], *evaluate(np.array([h])))
+            return _trajectory(scenario, floor, columns, TerminationKind.HORIZON_REACHED)
         if lost.size:
             raise InvalidRegimeError(f"approach speed is not positive at h = {edges[lost[0]]}")
         t, done = float(t_edges[-1]), ready
-    return _trajectory(scenario, floor, points, TerminationKind.COLLISION)
+        # The panels the time left needs if each took the last edge's rate
+        # over the widest panel: no panel past that edge takes longer.
+        ahead = (t_max - t) / (rate[valid - 1] * _LN_GAP_CAP)
+        size = max(_BLOCK_EDGES, ahead + _STENCIL_PANELS)
+    return _trajectory(scenario, floor, columns, TerminationKind.COLLISION)
 
 
 def _bisect(f):
@@ -483,7 +513,7 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
 
     def point_at(t, y):
         _, kp, kpr = terms(y[0])
-        return TrajectoryPoint(t, y[0], y[1], kp, kpr)
+        return t, y[0], y[1], kp, kpr
 
     # solve_ivp's two terminal events, each signed to fire on a step that
     # takes it from <= 0 to >= 0: the gap falls through the floor, or the
@@ -516,7 +546,7 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
         points.append(point_at(t1, y1))
         if roots:
             break
-    return _trajectory(scenario, floor, points, termination)
+    return _trajectory(scenario, floor, zip(*points), termination)
 
 
 @dataclass(frozen=True)
@@ -558,6 +588,8 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
     T >= ln(h0 / floor) / c* and c* stays finite as the floor is lowered
     only when the gap never closes.
     """
+    from numpy.polynomial.legendre import leggauss  # kept out of the package's import
+
     floor = _massless_floor(scenario, h_floor, "quadrature form of the collision time")
     stops = np.log(_segment_stops(scenario, floor))
     edges = np.concatenate(

@@ -49,15 +49,20 @@ def _real(name, value, lo=-math.inf, hi=math.inf, strict=False, whole=False):
     """value as a float, checked to be a real number that is not a bool, is
     finite, lies in [lo, hi] ((lo, hi] when strict) and, when whole, is a
     whole number. Anything else is a DomainError whose message starts with
-    name: the one rule for every number the public API takes."""
-    if (
-        _is_real(value)
-        and math.isfinite(value)
-        and (lo < value if strict else lo <= value)
-        and value <= hi
-        and (not whole or value == int(value))
-    ):
-        return float(value)
+    name: the one rule for every number the public API takes. An int too
+    large for a float counts as not finite."""
+    if _is_real(value):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if (
+            math.isfinite(number)
+            and (lo < number if strict else lo <= number)
+            and number <= hi
+            and (not whole or number == int(number))
+        ):
+            return number
     if hi < math.inf:
         span = f" in {'(' if strict else '['}{lo!r}, {hi!r}]"
     else:

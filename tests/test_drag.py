@@ -1,6 +1,8 @@
 """Wall models, the blended drag law, the coefficient cache and the
 Chebyshev coefficient tables."""
 
+import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,6 +25,7 @@ from swimcollide.drag import (
     net_propulsion,
 )
 from swimcollide.errors import DomainError
+from swimcollide.geometry import frame_from_gap
 from swimcollide.series import SeriesTruncation, passive_drag, propulsion_drag
 
 NO_SLIP = BoundaryCondition.no_slip()
@@ -164,6 +167,11 @@ class TestPropulsionFactor:
             net_propulsion(0.5, 1.0, -1.0, NO_SLIP)
 
 
+def bad_gap(shown):
+    """The whole message of the DomainError for the gap shown, as a regex."""
+    return f"^{re.escape(f'h, the half-gap, must be a finite real number > 0, got {shown!r}')}$"
+
+
 class TestInputTypes:
     """The public drag functions take real numbers only, as SwimmerScenario
     does: a bool, a string or a missing value is a DomainError naming the
@@ -182,20 +190,35 @@ class TestInputTypes:
         ids=["kappa_pass", "kappa_prop", "net_propulsion", "coefficients", "kappa_arrays"],
     )
     def test_gap(self, call, bad):
-        with pytest.raises(DomainError, match="^half-gap h must be a real number"):
+        # Each entry point passes the one gap on to kappa_arrays as [h].
+        with pytest.raises(DomainError, match=bad_gap([bad])):
             call(bad)
 
     @pytest.mark.parametrize("hs", [[0.5, True], (True,), [[0.5, False]], [1, True]])
     def test_bool_among_gaps(self, hs):
         # numpy would turn these lists into numbers: [0.5, True] into [0.5, 1.0].
-        with pytest.raises(DomainError, match="^half-gap h must be a real number"):
+        with pytest.raises(DomainError, match=bad_gap(list(hs))):
             kappa_arrays(hs, NO_SLIP)
 
     @pytest.mark.parametrize("hs", [[0.5, [1.0]], [[0.5], [1.0, 2.0]], ([0.5, 1.0], 2.0)])
     def test_ragged_gaps(self, hs):
         # numpy refuses these lists with a ValueError of its own.
-        with pytest.raises(DomainError, match="^half-gap h must be a real number"):
+        with pytest.raises(DomainError, match=bad_gap(hs)):
             kappa_arrays(hs, NO_SLIP)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 0, -2])
+    def test_gap_rule_reads_as_at_the_frame(self, bad):
+        # kappa_arrays used to word the rule its own way ("half-gap must be
+        # finite and positive"), so one bad gap read differently by entry point.
+        with pytest.raises(DomainError) as at_frame:
+            frame_from_gap(bad)
+        for call in (
+            lambda: kappa_pass(bad, NO_SLIP),
+            lambda: kappa_arrays(np.array([1, 2, bad]), NO_SLIP),
+        ):
+            with pytest.raises(DomainError, match=bad_gap(bad)) as caught:
+                call()
+            assert str(caught.value) == str(at_frame.value)
 
     @pytest.mark.parametrize("bad", [None, True, "1", float("nan"), float("inf"), 0.0, -1.0])
     def test_kappa_prop_requires_a_tip_offset(self, bad):

@@ -1,5 +1,6 @@
 """Encounter dynamics: integrators, terminations, quadrature, bounds, inertial tables."""
 
+import dataclasses
 import functools
 import re
 from fractions import Fraction
@@ -23,6 +24,7 @@ from swimcollide.dynamics import (
     QuadratureReport,
     SwimmerScenario,
     TerminationKind,
+    TrajectoryPoint,
     collision_time_quadrature,
     decay_rate_bound,
     default_h_floor,
@@ -146,6 +148,7 @@ class TestMasslessCollision:
         again = simulate(active(NAVIER), t_max=200.0)
         assert again.points == self.TRAJ.points
         assert again.t_coll == self.TRAJ.t_coll
+        assert again == self.TRAJ
 
     def test_slip_length_below_the_series_floor(self):
         # beta = 1e-12 lies below the 1e-9 contact floor: the drag there is the
@@ -246,6 +249,43 @@ class TestNoSlipFloor:
         assert traj.t_end < 5.0
 
 
+class TestColumnarTrajectory:
+    """A Trajectory keeps its points as one tuple of floats per field and
+    builds the TrajectoryPoints only when asked for them."""
+
+    RUNS = {
+        "massless_collision": lambda: simulate(forced(NAVIER, h0=0.1), t_max=200.0),
+        "massless_horizon": lambda: simulate(active(NO_SLIP), t_max=20.0),
+        "inertial": lambda: simulate(active(NAVIER, mass=0.1), t_max=5.0),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_points_are_the_columns_zipped(self, run):
+        traj = self.RUNS[run]()
+        assert len(traj.data) == len(dataclasses.fields(TrajectoryPoint))
+        assert traj.points == tuple(map(TrajectoryPoint, *traj.data))
+        assert all(type(v) is float for p in traj.points for v in dataclasses.astuple(p))
+        assert traj.points is traj.points  # built once
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_summaries_read_the_columns_only(self, run):
+        traj = self.RUNS[run]()
+        t_end, min_h, cols = traj.t_end, traj.min_h, traj.columns()
+        assert "points" not in vars(traj)
+        assert t_end == traj.points[-1].t and type(t_end) is float
+        assert min_h == min(p.h for p in traj.points) and type(min_h) is float
+        for name, column in cols.items():
+            np.testing.assert_array_equal(column, [getattr(p, name) for p in traj.points])
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_equal_runs_are_equal(self, run):
+        traj = self.RUNS[run]()
+        cache_clear()
+        again = self.RUNS[run]()
+        assert again == traj and hash(again) == hash(traj)
+        assert again.points == traj.points
+
+
 class TestMasslessEvaluations:
     """How many gaps a massless run evaluates, counted by the propulsion-factor
     memo: an active run asks it once per edge, and it misses once per gap."""
@@ -272,6 +312,23 @@ class TestMasslessEvaluations:
         # h0 and the horizon point, plus every edge through that stencil, and
         # no block past the one that completes it.
         assert 2 + last <= evaluated <= 1 + last + _BLOCK_EDGES
+
+    def test_collision_run_makes_few_drag_calls(self, monkeypatch):
+        # h0, one block of _BLOCK_EDGES, and then every edge left to the
+        # floor, since no panel past the last edge can reach the horizon:
+        # in blocks of 32 edges the same run made 13 calls.
+        calls = []
+        real = drag.kappa_arrays
+
+        def counted(hs, *args, **kwargs):
+            calls.append(len(hs))
+            return real(hs, *args, **kwargs)
+
+        monkeypatch.setattr(drag, "kappa_arrays", counted)
+        traj = simulate(forced(NAVIER, h0=0.1), t_max=200.0)
+        assert traj.termination is TerminationKind.COLLISION
+        assert len(calls) <= 3 and calls[:2] == [1, _BLOCK_EDGES]
+        assert sum(calls) == len(traj.data[0])
 
     def test_short_segment_gets_a_full_stencil(self):
         # h0 = 1.01 beta leaves 0.01 in ln h above the kink at beta, which

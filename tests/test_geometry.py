@@ -43,9 +43,10 @@ class TestFrame:
         fr = frame_from_gap(1e-12)
         assert fr.alpha == pytest.approx(math.sqrt(2e-12), rel=1e-6)
 
-    @pytest.mark.parametrize("h", [0.0, -0.5, "x", True])
+    @pytest.mark.parametrize("h", [0.0, -0.5, "x", True, pytest.param(10**400, id="10**400")])
     def test_gap_must_be_positive(self, h):
-        with pytest.raises(DomainError):
+        # An int too large for a float used to escape as an OverflowError.
+        with pytest.raises(DomainError, match="^h, the half-gap, must be a finite real number > 0"):
             frame_from_gap(h)
 
 
@@ -183,9 +184,12 @@ class TestLegendre:
         with pytest.raises(DomainError):
             legendre_values(4, 1.0001)
 
-    @pytest.mark.parametrize("n_max", [math.nan, math.inf, -1, 2.5, True, "3"])
+    @pytest.mark.parametrize(
+        "n_max", [math.nan, math.inf, -1, 2.5, True, "3", pytest.param(10**400, id="10**400")]
+    )
     def test_bad_degree_is_named(self, n_max):
-        # NaN and infinity used to escape as ValueError and OverflowError.
+        # NaN, infinity and an int too large for a float used to escape as
+        # ValueError and OverflowError.
         with pytest.raises(DomainError, match="^n_max must be an integer >= 0"):
             legendre_values(n_max, 0.5)
 

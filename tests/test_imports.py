@@ -4,6 +4,11 @@ collision-time quadrature and the no-collision demo run on numpy alone, so
 the installed package works without scipy and no process pays the half
 second scipy takes to load.
 
+Importing the CLI and running the drag command load neither hashlib, which
+maps OpenSSL for the config hash of the simulate and sweep reports, nor
+numpy.polynomial, which only horizon runs, the quadrature and the
+coefficient tables need.
+
 The check runs in a fresh interpreter, since the test modules themselves
 import scipy as their reference."""
 
@@ -24,14 +29,24 @@ SCRIPT = textwrap.dedent(
         loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
         assert not loaded, f"{after} loaded {loaded[:5]}"
 
+    # numpy before 2.0 loads both with its own import, through numpy.random
+    # and its eager submodules; later numpy loads neither.
+    import numpy
+    heavy = [m for m in ("hashlib", "numpy.polynomial") if m not in sys.modules]
+
+    def lean(after):
+        scipy_modules(after)
+        for name in heavy:
+            assert name not in sys.modules, f"{after} loaded {name}"
+
     from swimcollide import cli
-    scipy_modules("import swimcollide.cli")
+    lean("import swimcollide.cli")
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         argv = ["drag", "--bc", "navier", "--beta", "0.1", "--points", "4"]
         assert cli.main(argv + ["--out", str(tmp / "drag")]) == 0
-        scipy_modules("drag")
+        lean("drag")
 
         run = tmp / "run.cfg"
         run.write_text(
