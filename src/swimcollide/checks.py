@@ -294,7 +294,7 @@ def _check_exponential_bound():
     ok = holds and abs(rate / lubrication - 1.0) <= 1e-3
     return ok, (
         f"a priori h(t) >= {sc.h0} exp(-{rate:.6f} t) holds at all "
-        f"{len(traj.points)} points: {holds}; rate / lubrication limit "
+        f"{len(traj.data[0])} points: {holds}; rate / lubrication limit "
         f"{rate / lubrication:.6f}"
     )
 

@@ -19,7 +19,11 @@ Exit codes: 0 success, 1 validation failure, 2 config or usage error,
 3 numerical failure. All floating point output is written with 17
 significant digits, and identical inputs produce byte-identical files:
 reports carry no timestamps, and sweep runs its grid points one after
-another and writes the rows in grid order.
+another and writes the rows in grid order. While a sweep runs, a
+propulsion series that one point misses at a gap is evaluated there for
+the tip offsets of all its active points at once, so points that differ
+only in lambda share each coefficient pass; values are unchanged. drag
+reads its whole table in one drag.kappa_arrays call.
 """
 
 import argparse
@@ -108,12 +112,14 @@ def cmd_drag(args):
     out = _out_dir(args)
 
     grid = np.geomspace(args.h_min, args.h_max, args.points)
-    rows = []
-    for h in grid:
-        co = drag.coefficients(float(h), lam, bc, trunc)
-        rows.append(
-            [_fmt(co.h), _fmt(co.kappa_pass), _fmt(co.kappa_prop), co.provenance.value]
-        )
+    kp, kpr = drag.kappa_arrays(grid, bc, trunc, lam)
+    # The provenance rule of drag.coefficients.
+    edge = drag._series_edge(bc)
+    exact, model = drag.Provenance.EXACT_SERIES.value, drag.Provenance.ASYMPTOTIC_MODEL.value
+    rows = [
+        [_fmt(h), _fmt(a), _fmt(b), exact if h >= edge else model]
+        for h, a, b in zip(grid.tolist(), kp.tolist(), kpr.tolist())
+    ]
     table = os.path.join(out, "drag_table.csv")
     _write_csv(table, ["h", "kappa_pass", "kappa_prop", "provenance"], rows)
     _write_report(
@@ -163,7 +169,7 @@ def _run_report_sections(cfg, traj):
         ("t_end", _fmt(traj.t_end)),
         ("min_h", _fmt(traj.min_h)),
         ("h_floor", _fmt(traj.h_floor)),
-        ("points", str(len(traj.points))),
+        ("points", str(len(traj.data[0]))),
     ]
     return [
         ("config", _config_pairs(cfg)),
@@ -189,7 +195,7 @@ def cmd_simulate(args):
     t_coll = _fmt(traj.t_coll) if traj.t_coll is not None else "none"
     print(
         f"termination = {traj.termination.value}, t_coll = {t_coll}, "
-        f"min_h = {_fmt(traj.min_h)}, points = {len(traj.points)}"
+        f"min_h = {_fmt(traj.min_h)}, points = {len(traj.data[0])}"
     )
     return 0
 
@@ -203,34 +209,49 @@ def cmd_sweep(args):
     out = _out_dir(args)
 
     axes = list(cfg.sweep)
-    grid = itertools.product(*[cfg.sweep[axis] for axis in axes])
+    grid = list(itertools.product(*[cfg.sweep[axis] for axis in axes]))
+    scenarios = []
+    for combo in grid:
+        try:
+            scenarios.append(sweep_scenario(cfg.scenario, dict(zip(axes, combo))))
+        except Exception as exc:  # the point's failure, recorded in its row
+            scenarios.append(exc)
+    # A propulsion series that one active point misses at a gap is evaluated
+    # there for the tip offsets of all of them at once.
+    lams = [
+        s.lam
+        for s in scenarios
+        if isinstance(s, dynamics.SwimmerScenario) and s.mode is dynamics.Mode.ACTIVE
+    ]
     rows = []
     failures = []
-    for idx, combo in enumerate(grid):
-        head = [str(idx)] + [_fmt(v) for v in combo]
-        try:
-            scenario = sweep_scenario(cfg.scenario, dict(zip(axes, combo)))
-            # a passive pair has no propulsion factor, as in its trajectory
-            lam = dynamics._prop_lam(scenario)
-            (kp,), (kpr,) = drag.kappa_arrays([scenario.h0], scenario.bc, cfg.truncation, lam)
-            traj = _simulate(cfg, scenario)
-        except Exception as exc:  # recorded per point, reported at exit
-            reason = f"{type(exc).__name__}: {exc}"
-            failures.append((idx, reason))
-            rows.append(head + ["", "", "", "", "", "error", reason])
-        else:
-            rows.append(
-                head
-                + [
-                    _fmt(kp),
-                    _fmt(kpr),
-                    traj.termination.value,
-                    _fmt(traj.t_coll),
-                    _fmt(traj.min_h),
-                    "ok",
-                    "",
-                ]
-            )
+    with drag._sharing(lams):
+        for idx, (combo, scenario) in enumerate(zip(grid, scenarios)):
+            head = [str(idx)] + [_fmt(v) for v in combo]
+            try:
+                if isinstance(scenario, Exception):
+                    raise scenario
+                # a passive pair has no propulsion factor, as in its trajectory
+                lam = dynamics._prop_lam(scenario)
+                (kp,), (kpr,) = drag.kappa_arrays([scenario.h0], scenario.bc, cfg.truncation, lam)
+                traj = _simulate(cfg, scenario)
+            except Exception as exc:  # recorded per point, reported at exit
+                reason = f"{type(exc).__name__}: {exc}"
+                failures.append((idx, reason))
+                rows.append(head + ["", "", "", "", "", "error", reason])
+            else:
+                rows.append(
+                    head
+                    + [
+                        _fmt(kp),
+                        _fmt(kpr),
+                        traj.termination.value,
+                        _fmt(traj.t_coll),
+                        _fmt(traj.min_h),
+                        "ok",
+                        "",
+                    ]
+                )
 
     header = (
         ["index"]

@@ -20,12 +20,17 @@ theorem on the no-slip series (series.propulsion_drag), for both wall models.
 A gap's coefficients are tagged EXACT_SERIES iff both come from a converged
 series at that gap, which is iff h >= max(beta, SERIES_GAP_FLOOR).
 
-Every series value is memoized on (gap, offset, truncation); the cache is a
-pure lookup and never changes results. kappa_arrays is the one reader of
-that cache: it alone turns series values into kappa_pass and kappa_prop,
-and kappa_pass, kappa_prop and coefficients are its values at one gap.
-Massless runs, rhs, the quadrature, the decay-rate bound, the drag command
-and the sweep columns all read the series through it.
+Every series value is memoized on (gap, offset, truncation), at most 262144
+per coefficient; the memo is a pure lookup and never changes results. A miss
+at a gap fills every value missing there from one call of the series kernel
+(series._drag_sums): kappa_pass where the wall model reads the series at
+that gap, and kappa_prop. Inside _sharing, which the sweep command enters
+with the tip offsets of its grid, a kappa_prop miss also fills each of those
+offsets that the memo lacks at that gap, in the same call. kappa_arrays is
+the one reader of the memo: it alone turns series values into kappa_pass and
+kappa_prop, and kappa_pass, kappa_prop and coefficients are its values at
+one gap. Massless runs, rhs, the quadrature, the decay-rate bound, the drag
+command and the sweep columns all read the series through it.
 
 kappa_table is the one other path. It serves inertial runs, whose Radau
 steps ask for the coefficients thousands of times at gaps that never
@@ -40,15 +45,20 @@ Jacobian pays for. Only inertial simulate uses the tables.
 """
 
 import math
+import threading
+from collections import namedtuple
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 from .geometry import _is_real, _real
-from .series import SERIES_GAP_FLOOR, _truncation, passive_drag, propulsion_drag
+from .series import SERIES_GAP_FLOOR, _drag_sums, _truncation, _value
+# The per-sum views, kept importable from here for callers that wrap them.
+from .series import passive_drag, propulsion_drag  # noqa: F401
 
 __all__ = [
     "SERIES_GAP_FLOOR",
@@ -114,14 +124,152 @@ class DragCoefficients:
     provenance: Provenance
 
 
-@lru_cache(maxsize=262144)
-def _series_pass(h, truncation):
-    return passive_drag(h, truncation)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-@lru_cache(maxsize=262144)
-def _series_prop(h, lam, truncation):
-    return propulsion_drag(h, lam, truncation)
+class _Memo:
+    """Series values of one coefficient by family and gap: the family is the
+    truncation, and for kappa_prop the tip offset with it. It holds at most
+    maxsize values, the oldest making room, and cache_info() and
+    cache_clear() are functools.lru_cache's: each lookup is one hit or one
+    miss, and a value stored without a lookup counts as neither."""
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self.lock = threading.Lock()
+        self.cache_clear()
+
+    def cache_clear(self):
+        with self.lock:
+            self.families, self.currsize, self.hits, self.misses = {}, 0, 0, 0
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, self.maxsize, self.currsize)
+
+    def family(self, key):
+        """The values of one family, a dict by gap that store() fills."""
+        table = self.families.get(key)
+        if table is None:
+            with self.lock:
+                table = self.families.setdefault(key, {})
+        return table
+
+    def count(self, lookups, missing):
+        """Count lookups, of which the first lookup of each missing gap is a
+        miss, as a later one is a hit once the caller stores the value."""
+        with self.lock:
+            self.misses += missing
+            self.hits += lookups - missing
+
+    def store(self, table, h, value):
+        """value, kept in a family's table at gap h."""
+        with self.lock:
+            if self.currsize >= self.maxsize:
+                oldest = next(t for t in self.families.values() if t)
+                del oldest[next(iter(oldest))]
+                self.currsize -= 1
+            self.currsize += h not in table
+            table[h] = value
+        return value
+
+
+_series_pass, _series_prop = _Memo(262144), _Memo(262144)
+
+# The tip offsets of a sweep, shared while _sharing is active.
+_SHARED_LAMS = ContextVar("shared_lams", default=())
+
+
+@contextmanager
+def _sharing(lams):
+    """Within it, a kappa_prop miss at a gap also evaluates, in the same
+    kernel call, each of the tip offsets lams, as floats, that the memo lacks
+    at that gap. The sweep command enters it for its grid."""
+    token = _SHARED_LAMS.set(tuple(dict.fromkeys(lams)))
+    try:
+        yield
+    finally:
+        _SHARED_LAMS.reset(token)
+
+
+def _fill(h, truncation, passes=None, lam=None, props=None):
+    """One kernel call at gap h: kappa_pass into the family table passes
+    unless it is None, kappa_prop(lam) into props unless it is None, and
+    under _sharing, with kappa_prop, every shared tip offset whose table
+    lacks h. Returns the two values, None where not asked for. A sum that
+    reaches the mode cap raises its TruncationError when it is one asked
+    for; a shared one is not stored."""
+    lams, tables = (), []
+    if props is not None:
+        lams = (lam,)
+        for other in _SHARED_LAMS.get():
+            table = _series_prop.family((other, truncation))
+            if other != lam and h not in table:
+                lams += (other,)
+                tables.append(table)
+    kpass, kprops = _drag_sums(h, passes is not None, lams, truncation)
+    if passes is not None:
+        kpass = _series_pass.store(passes, h, _value(kpass))
+    if props is None:
+        return kpass, None
+    for table, value in zip(tables, kprops[1:]):
+        if not isinstance(value, TruncationError):
+            _series_prop.store(table, h, value)
+    return kpass, _series_prop.store(props, h, _value(kprops[0]))
+
+
+def _missing(memo, table, gaps):
+    """The values of a family table at gaps, None where missing, and the
+    missing gaps in order, each once, counted as memo lookups."""
+    values = [table.get(h) for h in gaps]
+    missing = {}
+    if None in values:
+        missing = dict.fromkeys(h for h, value in zip(gaps, values) if value is None)
+    memo.count(len(gaps), len(missing))
+    return values, missing
+
+
+def _series_values(pass_gaps, prop_gaps, lam, truncation):
+    """kappa_pass at each of pass_gaps and kappa_prop(lam) at each of
+    prop_gaps, as two lists, from the memos, with one _fill per gap where
+    either misses."""
+    passes = props = None
+    kp, kpr, pass_missing, prop_missing = [], [], {}, {}
+    if pass_gaps:
+        passes = _series_pass.family(truncation)
+        kp, pass_missing = _missing(_series_pass, passes, pass_gaps)
+    if prop_gaps:
+        props = _series_prop.family((lam, truncation))
+        kpr, prop_missing = _missing(_series_prop, props, prop_gaps)
+    if not (pass_missing or prop_missing):
+        return kp, kpr
+    # Each missing gap's entry becomes its value.
+    for h in {**pass_missing, **prop_missing}:
+        want_pass, want_prop = h in pass_missing, h in prop_missing
+        kpass, kprop = _fill(
+            h, truncation, passes if want_pass else None, lam, props if want_prop else None
+        )
+        if want_pass:
+            pass_missing[h] = kpass
+        if want_prop:
+            prop_missing[h] = kprop
+    return (
+        [pass_missing[h] if value is None else value for h, value in zip(pass_gaps, kp)],
+        [prop_missing[h] if value is None else value for h, value in zip(prop_gaps, kpr)],
+    )
+
+
+def _series_at(h, lam, truncation):
+    """_series_values at one gap: kappa_pass for lam None, else
+    kappa_prop(lam)."""
+    if lam is None:
+        table = _series_pass.family(truncation)
+        value = table.get(h)
+        _series_pass.count(1, value is None)
+        return _fill(h, truncation, passes=table)[0] if value is None else value
+    table = _series_prop.family((lam, truncation))
+    value = table.get(h)
+    _series_prop.count(1, value is None)
+    return _fill(h, truncation, lam=lam, props=table)[1] if value is None else value
 
 
 def cache_clear():
@@ -239,11 +387,11 @@ def kappa_table(bc, truncation=None, lam=None):
     truncation = _truncation(truncation)
     lam = None if lam is None else _tip_offset(lam)
     edge = _series_edge(bc)
-    pass_series = lambda h: _series_pass(h, truncation)
+    pass_series = lambda h: _series_at(h, None, truncation)
     pass_table = _ChebyshevTable(pass_series, edge, TABLE_TOP, truncation.tail_tol)
     prop_table = None
     if lam is not None:
-        prop_series = lambda h: _series_prop(h, lam, truncation)
+        prop_series = lambda h: _series_at(h, lam, truncation)
         prop_table = _ChebyshevTable(prop_series, SERIES_GAP_FLOOR, TABLE_TOP, truncation.tail_tol)
     anchor = pass_series(edge)
 
@@ -290,10 +438,11 @@ def kappa_arrays(hs, bc, truncation=None, lam=None):
 
     This is the one reader of the memoized series: kappa_pass, kappa_prop and
     coefficients are views of it at one gap. Gaps at or above the series edge
-    go one by one through the memoized series, the gaps below it take the
-    _below_edge continuation in one array expression, and the propulsion
-    factor comes from the memoized series once per gap, at
-    max(h, SERIES_GAP_FLOOR). lam = None, as for a passive pair, which has no
+    read the memoized series, the gaps below it take the _below_edge
+    continuation in one array expression, and the propulsion factor reads
+    the memoized series once per gap, at max(h, SERIES_GAP_FLOOR); where
+    either misses at a gap, one kernel call fills both. lam = None, as for a
+    passive pair, which has no
     propulsion factor, gives kappa_prop = 0 without evaluating anything.
     A gap that is not a finite real number > 0, a bool, string or other
     non-number anywhere in a list, and a ragged nesting of lists are a
@@ -317,15 +466,18 @@ def kappa_arrays(hs, bc, truncation=None, lam=None):
     truncation = _truncation(truncation)
     edge = _series_edge(bc)
     above = hs >= edge
+    pass_gaps = hs[above].tolist()
+    below = len(pass_gaps) < hs.size
+    if below:
+        pass_gaps.append(edge)  # the anchor of the continuation
+    prop_gaps = [] if lam is None else np.maximum(hs, SERIES_GAP_FLOOR).ravel().tolist()
+    kp_series, kpr = _series_values(pass_gaps, prop_gaps, lam, truncation)
     kp = np.empty_like(hs)
-    kp[above] = [_series_pass(h, truncation) for h in hs[above].tolist()]
-    if not above.all():
-        anchor = _series_pass(edge, truncation)
-        kp[~above] = _below_edge(anchor, hs[~above], bc.beta)
+    if below:
+        kp[~above] = _below_edge(kp_series.pop(), hs[~above], bc.beta)
+    kp[above] = kp_series
     if lam is None:
         return kp, np.zeros_like(hs)
-    floored = np.maximum(hs, SERIES_GAP_FLOOR).ravel().tolist()
-    kpr = [_series_prop(h, lam, truncation) for h in floored]
     return kp, np.array(kpr).reshape(hs.shape)
 
 

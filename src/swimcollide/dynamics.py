@@ -107,7 +107,9 @@ class SwimmerScenario:
     h0 is the initial half-gap and s0 = -h'(0) >= 0 the initial approach
     speed (ignored when mass = 0, where the speed is algebraic). Active
     scenarios carry the thrust f_p and tip offset lam; passive ones a
-    constant squeezing force f_ext > 0.
+    constant squeezing force f_ext > 0. Each numeric field must be a finite
+    real number >= 0 (h0, lam, and a passive pair's f_ext > 0), or a
+    DomainError names it; it is stored as a float.
     """
 
     mode: Mode
@@ -126,7 +128,8 @@ class SwimmerScenario:
             raise DomainError(f"bc must be a BoundaryCondition, got {self.bc!r}")
         positive = ("h0", "lam", "f_ext") if self.mode is Mode.PASSIVE_FORCED else ("h0", "lam")
         for name in ("h0", "s0", "mass", "f_p", "lam", "f_ext"):
-            _real(name, getattr(self, name), 0, strict=name in positive)
+            value = _real(name, getattr(self, name), 0, strict=name in positive)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,17 @@ import, of the mode orders and of the Taylor monomials m^p - m. Its Taylor
 rows are a prefix of the orders, since 2 m alpha rises with m, and it masks
 overflowing profile terms only where a sinh can overflow. Every term equals
 the one the direct expressions give, bit for bit. Every adaptive sum doubles
-its mode count in one loop (_converge) and raises TruncationError at
-HARD_MODE_CAP. The drag sums start at a count predicted from their decay rate
-(_start_count): one pass suffices.
+its mode count and raises TruncationError at HARD_MODE_CAP by one rule
+(_tail_met), for a single sum in one loop (_converge).
+
+The drag sums of a gap share one kernel, _drag_sums: the force sum of
+kappa_pass and the axis sum of kappa_prop at any number of tip offsets.
+Each pass forms the mode factor once, at the largest count still pending,
+and (b, d) once, at the largest pending axis count; each sum reads its own
+prefix, with its own start count (_start_count, predicted from its decay
+rate, so one pass suffices), doubling, tail test and TruncationError.
+Every step of a pass is elementwise, so each sum equals a pass of its own
+count bit for bit. passive_drag and propulsion_drag are its one-sum views.
 
 The sums refuse a gap below SERIES_GAP_FLOOR, the package's one gap floor;
 drag continues the coefficients below it.
@@ -88,6 +96,8 @@ _TAYLOR_FACT = np.array([math.factorial(p) for p in _TAYLOR_P], dtype=float)
 # U_n cannot overflow for coefficients under 1e155; those of a gap the series
 # accepts are many orders smaller.
 _SINH_SAFE = 350.0
+
+_SQRT2 = math.sqrt(2.0)
 
 _START_K_FORCE, _START_K_AXIS = 1.4, 1.6  # start constants, see _start_count
 # The least first mode count of any sum: solve_coefficients starts here, and
@@ -214,19 +224,27 @@ def _pair_gap_sum(n_count, alpha):
 
 
 def _mode_factor(frame, n_count):
-    """E and the shared factor c^2 k_n / S_m, k_n = n (n + 1) / sqrt(2), both
-    owned by the caller."""
+    """E + 1 and the shared factor c^2 k_n / S_m, k_n = n (n + 1) / sqrt(2),
+    for the first n_count modes, both owned by the caller.
+
+    Every step is elementwise, so the first n entries of a longer pass equal
+    the pass of n modes bit for bit when both read the same Taylor rows of
+    S_m. They do for the drag sums: each reads at least 3.2 / alpha modes
+    (16 / alpha at the default tail_tol), and the Taylor rows stop below
+    0.35 / alpha.
+    """
     n, _ = _half_orders(n_count)
     s, k, E = _pair_gap_sum(n_count, frame.alpha)
     q = n * frame.c**2
     q *= _INDEX[2 : n_count + 2]  # n + 1
-    q /= np.sqrt(2.0)
+    q /= _SQRT2
     q[k:] *= E[k:]
     q /= s
+    E += 1.0
     return E, q
 
 
-def _coefficient_arrays(frame, n_count):
+def _coefficient_arrays(frame, n_count, factor=None):
     """Mode coefficients (b, d) for n = 1 .. n_count, cancellation free.
 
     Exact rearrangement of the closed boundary-condition solution with
@@ -236,24 +254,26 @@ def _coefficient_arrays(frame, n_count):
         d_n = -c^2 k_n (E + 1 + m (1 - e^(-2 alpha))) / ((m + 1) S_m)
 
     Every factor is evaluated without subtracting nearly equal exponentials.
+    factor is a _mode_factor pass of at least n_count modes, which this
+    reads and leaves as it is; None makes one of n_count.
     """
     al = frame.alpha
     _, m = _half_orders(n_count)
-    E, q = _mode_factor(frame, n_count)
-    E += 1.0
+    E1, q = factor or _mode_factor(frame, n_count)
+    E1, q = E1[:n_count], q[:n_count]
     b = m * (np.exp(2.0 * al) - 1.0)
-    b += E
+    b += E1
     b *= q
     b /= _ORDERS[:n_count]  # m - 1
     d = m * (1.0 - np.exp(-2.0 * al))
-    d += E
+    d += E1
     d *= q
     d /= _ORDERS[2 : n_count + 2]  # m + 1
     np.negative(d, out=d)
     return b, d
 
 
-def _force_terms(frame, n_count):
+def _force_terms(frame, n_count, factor=None):
     """Per-mode terms of the axial force sum, equal to b_n + d_n exactly.
 
     Combined before subtraction:
@@ -261,12 +281,14 @@ def _force_terms(frame, n_count):
         b_n + d_n = 2 c^2 k_n (E + 1 + 2 m^2 sinh^2(alpha) + m sinh(2 alpha))
                     / (S_m (m^2 - 1))
 
-    so every term is positive.
+    so every term is positive. factor is a _mode_factor pass of at least
+    n_count modes, whose first n_count entries this overwrites; None makes
+    one of n_count.
     """
     al = frame.alpha
     _, m = _half_orders(n_count)
-    num, q = _mode_factor(frame, n_count)
-    num += 1.0
+    num, q = factor or _mode_factor(frame, n_count)
+    num, q = num[:n_count], q[:n_count]
     part = _M_SQ[:n_count] * (2.0 * np.sinh(al) ** 2)  # 2 m^2 sinh^2, bit for bit
     num += part
     np.multiply(m, np.sinh(2.0 * al), out=part)
@@ -302,11 +324,29 @@ def _tail_ratio(terms):
     for a window of fewer than two terms, which has no ratio to extrapolate."""
     if len(terms) < 2:
         return math.inf
-    total = float(np.sum(terms))
+    total = float(terms.sum())
     if total == 0.0 or terms[-1] == 0.0:
         return 0.0  # all zero, or underflowed inside the window: tail negligible
     r = min(float(terms[-1] / terms[-2]), 0.99) if terms[-2] > 0.0 else 0.0
     return float(terms[-1]) * r / (1.0 - r) / total
+
+
+def _tail_met(terms, n_count, tail_tol, what):
+    """The relative tail of |terms|, the first n_count terms of a sum, if it
+    meets tail_tol, else None for another pass at twice the count; a
+    TruncationError naming the sum by `what` once n_count reaches
+    HARD_MODE_CAP."""
+    tail = _tail_ratio(np.abs(terms))
+    if tail <= tail_tol:
+        return tail
+    if n_count >= HARD_MODE_CAP:
+        raise TruncationError(
+            f"{what} tail {tail:.3e} above tolerance {tail_tol:.3e} "
+            f"at the mode cap {HARD_MODE_CAP}",
+            residual=tail,
+            n_modes=n_count,
+        )
+    return None
 
 
 def _converge(n_start, tail_tol, evaluate, what):
@@ -320,16 +360,9 @@ def _converge(n_start, tail_tol, evaluate, what):
     n_count = n_start
     while True:
         result, terms = evaluate(n_count)
-        tail = _tail_ratio(np.abs(terms))
-        if tail <= tail_tol:
+        tail = _tail_met(terms, n_count, tail_tol, what)
+        if tail is not None:
             return result, tail
-        if n_count >= HARD_MODE_CAP:
-            raise TruncationError(
-                f"{what} tail {tail:.3e} above tolerance {tail_tol:.3e} "
-                f"at the mode cap {HARD_MODE_CAP}",
-                residual=tail,
-                n_modes=n_count,
-            )
         n_count = min(2 * n_count, HARD_MODE_CAP)
 
 
@@ -492,6 +525,11 @@ def stream_function(solution, point):
     return float(den ** (-1.5) * np.sum(terms))
 
 
+def _axis_total(frame, zeta0, u):
+    """sqrt(2) sinh(zeta0 / 2) / c^2 times the sum of the profile terms u."""
+    return float(_SQRT2 * np.sinh(zeta0 / 2.0) / frame.c**2 * u.sum())
+
+
 def _axis_sum(frame, zeta0, tail_tol, n_start):
     """Adaptive evaluation of sqrt(2) sinh(zeta0/2) / c^2 sum_n U_n(zeta0).
 
@@ -506,7 +544,7 @@ def _axis_sum(frame, zeta0, tail_tol, n_start):
         return u, u
 
     u, _ = _converge(n_start, tail_tol, evaluate, "axis velocity")
-    return float(np.sqrt(2.0) * np.sinh(zeta0 / 2.0) / frame.c**2 * np.sum(u))
+    return _axis_total(frame, zeta0, u)
 
 
 def axis_velocity(solution, z0):
@@ -528,6 +566,73 @@ def axis_velocity(solution, z0):
     return _axis_sum(frame, zeta0, solution.requested.tail_tol, solution.n_modes)
 
 
+def _drag_sums(h, force, lams, truncation=None):
+    """The drag sums at one gap from one coefficient pass per mode count:
+    (kappa_pass, [kappa_prop at each tip offset of the tuple lams]), with
+    kappa_pass None when force is false.
+
+    Each sum starts at its predicted count (_start_count), reads its own
+    prefix of the pass, doubles on its own and meets the tail test on its
+    own. A sum that reaches HARD_MODE_CAP gives the TruncationError it
+    raises alone in place of its value, for the caller to raise (_value).
+    A pass forms the mode factor once, at the largest count still pending,
+    and (b, d) once, at the largest pending axis count; every step is
+    elementwise, so each sum equals the pass of its own count bit for bit.
+    """
+    truncation = _truncation(truncation)
+    tail_tol = truncation.tail_tol
+    h = _require_gap(h)
+    frame = frame_from_gap(h)
+    two_alpha = 2.0 * frame.alpha
+    zetas = [axis_zeta(frame, tip_height(h, lam)) for lam in lams]
+    # The mode count of each sum, 0 once it is settled.
+    n_axis = [_start_count(_START_K_AXIS, two_alpha - zeta0, truncation) for zeta0 in zetas]
+    n_force = _start_count(_START_K_FORCE, two_alpha, truncation) if force else 0
+    kappa_pass, kappa_props = None, [None] * len(zetas)
+    while True:
+        top = max(n_axis, default=0)
+        if not (top or n_force):
+            return kappa_pass, kappa_props
+        factor = _mode_factor(frame, max(top, n_force))
+        if top:
+            b, d = _coefficient_arrays(frame, top, factor)
+        if n_force:  # after (b, d): the force terms overwrite the factor
+            terms = _force_terms(frame, n_force, factor)
+            kappa_pass, n_force = _settled(terms, n_force, tail_tol, "force sum")
+            if n_force == 0 and not isinstance(kappa_pass, TruncationError):
+                kappa_pass = float(2.0 * _SQRT2 * np.pi / frame.c * terms.sum())
+        # Dropped before the profiles, so that a pass holds no more arrays at
+        # once than one sum alone: with more, the allocator hands the freed
+        # heap back at every call and faults it in again, about 100 page
+        # faults and 40% more time per call at h = 2e-6.
+        del factor
+        for i, n in enumerate(n_axis):
+            if n:
+                terms = _profiles_at(b[:n], d[:n], zetas[i])
+                kappa_props[i], n_axis[i] = _settled(terms, n, tail_tol, "axis velocity")
+                if n_axis[i] == 0 and not isinstance(kappa_props[i], TruncationError):
+                    kappa_props[i] = _axis_total(frame, zetas[i], terms)
+
+
+def _settled(terms, n_count, tail_tol, what):
+    """(terms, 0) for a sum whose first n_count terms meet tail_tol, (None,
+    the next count) for one that needs another pass, and (its
+    TruncationError, 0) at the mode cap."""
+    try:
+        if _tail_met(terms, n_count, tail_tol, what) is None:
+            return None, min(2 * n_count, HARD_MODE_CAP)
+    except TruncationError as exc:
+        return exc, 0
+    return terms, 0
+
+
+def _value(result):
+    """A _drag_sums result, raised when it is the TruncationError of its sum."""
+    if isinstance(result, TruncationError):
+        raise result
+    return result
+
+
 def passive_drag(h, truncation=None):
     """Drag coefficient of the mirror pair: axial force magnitude on either
     sphere per unit translation speed, from the force sum
@@ -539,17 +644,8 @@ def passive_drag(h, truncation=None):
     Diverges like 1/h as h -> 0 and approaches the isolated-sphere value
     6 pi as h -> infinity.
     """
-    truncation = _truncation(truncation)
-    h = _require_gap(h)
-    frame = frame_from_gap(h)
-
-    def evaluate(n_count):
-        t = _force_terms(frame, n_count)
-        return t, t
-
-    n_start = _start_count(_START_K_FORCE, 2.0 * frame.alpha, truncation)
-    t, _ = _converge(n_start, truncation.tail_tol, evaluate, "force sum")
-    return float(2.0 * np.sqrt(2.0) * np.pi / frame.c * np.sum(t))
+    kappa, _ = _drag_sums(h, True, (), truncation)
+    return _value(kappa)
 
 
 def propulsion_drag(h, lam, truncation=None):
@@ -565,10 +661,5 @@ def propulsion_drag(h, lam, truncation=None):
     Approaches 1 as lam -> 0 (the force point merges with the no-slip
     surface) and 0 as lam -> infinity.
     """
-    truncation = _truncation(truncation)
-    h = _require_gap(h)
-    frame = frame_from_gap(h)
-    zeta0 = axis_zeta(frame, tip_height(h, lam))
-    n_start = _start_count(_START_K_AXIS, 2.0 * frame.alpha - zeta0, truncation)
-    return _axis_sum(frame, zeta0, truncation.tail_tol, n_start)
-
+    _, (kappa,) = _drag_sums(h, False, (lam,), truncation)
+    return _value(kappa)

@@ -1,6 +1,7 @@
 """Config parsing and the command line, exercised in process, plus one run
 of the module entry point in a subprocess."""
 
+import contextlib
 import csv
 import io
 import os
@@ -14,7 +15,7 @@ import pytest
 import swimcollide
 from swimcollide import checks, drag, dynamics, geometry, series
 from swimcollide.checks import CHECKS
-from swimcollide.cli import main
+from swimcollide.cli import _run_report_sections, main
 from swimcollide.config import SWEEP_AXES, parse_config, parse_config_text
 from swimcollide.drag import BoundaryCondition, coefficients
 from swimcollide.dynamics import Mode
@@ -312,6 +313,13 @@ class TestSimulateCommand:
         assert "config_hash = " in report
         assert "termination = collision" in report
 
+    def test_report_counts_points_without_building_them(self):
+        cfg = parse_config_text(BASE_RUN)
+        traj = dynamics.simulate(cfg.scenario, cfg.t_max)
+        result = dict(dict(_run_report_sections(cfg, traj))["result"])
+        assert "points" not in vars(traj)
+        assert result["points"] == str(len(traj.points))
+
     def test_requires_config(self):
         assert main(["simulate"]) == 2
 
@@ -446,6 +454,62 @@ class TestSimulateCommand:
 
 class TestSweepCommand:
     SWEEP = BASE_RUN + "\n[sweep]\nlambda = 0.5, 1.0, 2.0\n"
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        """The coefficient passes made from here on: _mode_factor calls."""
+        passes = []
+        mode_factor = series._mode_factor
+
+        def counting(frame, n_count):
+            passes.append(n_count)
+            return mode_factor(frame, n_count)
+
+        monkeypatch.setattr(series, "_mode_factor", counting)
+        return passes
+
+    @staticmethod
+    def sweep_rows(tmp_path, text, name):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        return read_csv(tmp_path / name / "sweep.csv")
+
+    def test_tip_offsets_share_each_pass(self, tmp_path, monkeypatch):
+        # Both collision runs read the same edges. Together each edge costs
+        # one pass, for both coefficients and both tip offsets; one tip
+        # offset at a time it costs two, and the rows are the same.
+        passes = self.count_passes(monkeypatch)
+        drag.cache_clear()
+        together = self.sweep_rows(tmp_path, BASE_RUN + "[sweep]\nlambda = 1.0, 2.0\n", "both")
+        shared = len(passes)
+        drag.cache_clear()
+        passes.clear()
+        alone = [
+            self.sweep_rows(tmp_path, BASE_RUN + f"[sweep]\nlambda = {lam}\n", lam)[1]
+            for lam in ("1.0", "2.0")
+        ]
+        assert len(passes) == 2 * shared
+        assert [row[1:] for row in together[1:]] == [row[1:] for row in alone]
+
+    def test_a_horizon_sweep_makes_no_more_passes(self, tmp_path, monkeypatch):
+        # Runs that end at their horizon read different gaps, so a shared
+        # tip offset can be evaluated where its own run never reads. Without
+        # the sharing every memo miss is one sum on its own coefficient pass
+        # (one each at the default tail_tol): the passes of separate sums.
+        text = (
+            "[scenario]\nmode = active\nbc = no_slip\n[integrator]\nt_max = 5.0\n"
+            "[sweep]\nlambda = 0.02, 1.0, 5.0\nh0 = 0.3, 0.6\n"
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(drag, "_sharing", lambda lams: contextlib.nullcontext())
+            drag.cache_clear()
+            alone = self.sweep_rows(tmp_path, text, "alone")
+        separate = drag._series_pass.cache_info().misses + drag._series_prop.cache_info().misses
+        passes = self.count_passes(monkeypatch)
+        drag.cache_clear()
+        assert self.sweep_rows(tmp_path, text, "shared") == alone
+        assert len(passes) <= separate
 
     def test_rows_merge_in_grid_order(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

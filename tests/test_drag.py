@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from swimcollide import drag
 from swimcollide.drag import (
     SERIES_GAP_FLOOR,
     BoundaryCondition,
@@ -385,6 +386,78 @@ class TestCache:
             for _ in range(3):
                 got = list(pool.map(worker, hs))
                 assert got == expected
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
+        calls = []
+        kernel = drag._drag_sums
+
+        def counting(h, force, lams, truncation):
+            calls.append((h, force, lams))
+            return kernel(h, force, lams, truncation)
+
+        monkeypatch.setattr(drag, "_drag_sums", counting)
+        return calls
+
+    def test_both_coefficients_from_one_kernel_call(self, monkeypatch):
+        # Above beta a gap needs both coefficients, below it only kappa_prop,
+        # and the continuation needs kappa_pass at beta, its anchor.
+        cache_clear()
+        calls = self.count_kernel_calls(monkeypatch)
+        kappa_arrays([0.5, 0.05], NAVIER, lam=0.7)
+        assert calls == [(0.5, True, (0.7,)), (0.1, True, ()), (0.05, False, (0.7,))]
+        assert _series_pass.cache_info()[:2] == (0, 2)
+        assert _series_prop.cache_info()[:2] == (0, 2)
+        kappa_arrays([0.5, 0.05, 0.5], NAVIER, lam=0.7)
+        assert len(calls) == 3
+        # Each value and the anchor is one lookup, now a hit.
+        assert _series_pass.cache_info().hits == 3 and _series_prop.cache_info().hits == 3
+
+    def test_sharing_fills_every_tip_offset_of_a_miss(self, monkeypatch):
+        hs = [0.5, 0.05, 1e-5]
+        cache_clear()
+        want = {lam: kappa_arrays(hs, NAVIER, lam=lam) for lam in (0.3, 0.7, 2.0)}
+        cache_clear()
+        calls = self.count_kernel_calls(monkeypatch)
+        with drag._sharing([0.3, 0.7, 2.0]):
+            got = {lam: kappa_arrays(hs, NAVIER, lam=lam) for lam in (0.7, 0.3, 2.0)}
+        shared = (0.7, 0.3, 2.0)
+        assert calls == [
+            (0.5, True, shared),
+            (0.1, True, ()),
+            (0.05, False, shared),
+            (1e-5, False, shared),
+        ]
+        for lam in want:
+            assert np.array_equal(got[lam][0], want[lam][0])
+            assert np.array_equal(got[lam][1], want[lam][1])
+        # The first call's 3 gaps missed; the other tip offsets found them.
+        assert _series_prop.cache_info()[:2] == (6, 3)
+        assert _series_prop.cache_info().currsize == 9
+        # Outside the context, a miss evaluates its own tip offset only.
+        kappa_arrays([0.2], NAVIER, lam=0.3)
+        assert calls[-1] == (0.2, True, (0.3,))
+
+    def test_a_shared_sum_at_the_mode_cap_is_not_kept(self, monkeypatch):
+        # At tail_tol = 1e-14 the floor is beyond the cap for lam = 1e-3 but
+        # not for lam = 1: the run that asked for lam = 1 gets its value.
+        truncation = SeriesTruncation(tail_tol=1e-14)
+        cache_clear()
+        with drag._sharing([1e-3, 1.0]):
+            kpr = kappa_prop(SERIES_GAP_FLOOR, 1.0, NO_SLIP, truncation)
+        assert kpr == propulsion_drag(SERIES_GAP_FLOOR, 1.0, truncation)
+        assert _series_prop.cache_info().currsize == 1
+
+    def test_the_memo_keeps_its_bound(self, monkeypatch):
+        monkeypatch.setattr(_series_pass, "maxsize", 3)
+        cache_clear()
+        hs = [0.5, 0.4, 0.3, 0.2, 0.1]
+        want = [passive_drag(h) for h in hs]
+        assert kappa_arrays(hs, NO_SLIP)[0].tolist() == want
+        assert _series_pass.cache_info() == (0, 5, 3, 3)
+        # The oldest values made room: the newest are still there.
+        kappa_arrays([0.1, 0.2, 0.3], NO_SLIP)
+        assert _series_pass.cache_info().hits == 3
 
 
 class TestKappaTable:

@@ -84,6 +84,23 @@ class TestScenarioValidation:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             active(NO_SLIP, **{name: value})
 
+    def test_numbers_are_stored_as_floats(self):
+        # Any real number is read as its float, for a massless run too.
+        exact = SwimmerScenario(
+            mode=Mode.ACTIVE,
+            bc=NAVIER,
+            h0=Fraction(1, 2),
+            s0=0,
+            mass=np.int64(0),
+            f_p=np.float32(1.0),
+            lam=Fraction(1),
+            f_ext=False + 0,
+        )
+        fields = ("h0", "s0", "mass", "f_p", "lam", "f_ext")
+        assert all(type(getattr(exact, name)) is float for name in fields)
+        assert exact == active(NAVIER)
+        assert simulate(exact, 200.0) == simulate(active(NAVIER), 200.0)
+
     def test_default_floors(self):
         assert default_h_floor(NAVIER) == 1e-9
         assert default_h_floor(NO_SLIP) == 1e-7

@@ -239,17 +239,15 @@ class TestPredictedStart:
     @pytest.mark.parametrize("h", DECADE_GAPS)
     @pytest.mark.parametrize("lam", DRAG_LAMS)
     def test_one_pass_per_sum(self, lam, h, monkeypatch):
+        # A pass of the drag kernel (_drag_sums) is one _mode_factor call.
         passes = []
-        converge = series._converge
+        mode_factor = series._mode_factor
 
-        def counting(n_start, tail_tol, evaluate, what):
-            def counted(n_count):
-                passes.append(n_count)
-                return evaluate(n_count)
+        def counting(frame, n_count):
+            passes.append(n_count)
+            return mode_factor(frame, n_count)
 
-            return converge(n_start, tail_tol, counted, what)
-
-        monkeypatch.setattr(series, "_converge", counting)
+        monkeypatch.setattr(series, "_mode_factor", counting)
         drag_sum(h, lam)
         assert len(passes) == 1
 
@@ -274,6 +272,109 @@ class TestPredictedStart:
         assert np.sum(short.b + short.d) == pytest.approx(
             np.sum(default.b + default.d), rel=1e-10
         )
+
+
+def separate_sums(h, lams, tail_tol):
+    """kappa_pass and kappa_prop at each of lams, each from its own adaptive
+    loop through _converge on its own coefficient passes, as the sums ran
+    before they shared one: a TruncationError stands for its sum's value."""
+    truncation = SeriesTruncation(tail_tol=tail_tol)
+    frame = frame_from_gap(h)
+    start = series._start_count
+
+    def force(n_count):
+        t = _force_terms(frame, n_count)
+        return t, t
+
+    def alone(evaluate):
+        try:
+            return evaluate()
+        except TruncationError as exc:
+            return exc
+
+    def kappa_pass():
+        n = start(series._START_K_FORCE, 2.0 * frame.alpha, truncation)
+        t, _ = series._converge(n, tail_tol, force, "force sum")
+        return float(2.0 * np.sqrt(2.0) * np.pi / frame.c * np.sum(t))
+
+    def kappa_prop(lam):
+        zeta0 = axis_zeta(frame, tip_height(h, lam))
+        n = start(series._START_K_AXIS, 2.0 * frame.alpha - zeta0, truncation)
+        return series._axis_sum(frame, zeta0, tail_tol, n)
+
+    return alone(kappa_pass), [alone(lambda: kappa_prop(lam)) for lam in lams]
+
+
+def same_result(a, b):
+    """Equal floats bit for bit, or TruncationErrors with the same message,
+    residual and mode count."""
+    if isinstance(a, TruncationError) or isinstance(b, TruncationError):
+        return (
+            type(a) is type(b)
+            and str(a) == str(b)
+            and (a.residual, a.n_modes) == (b.residual, b.n_modes)
+        )
+    return type(a) is type(b) is float and a == b
+
+
+class TestDragKernel:
+    """_drag_sums gives every sum of a gap from one coefficient pass per mode
+    count, each sum equal bit for bit to its own adaptive loop, and
+    passive_drag and propulsion_drag are its one-sum views."""
+
+    @pytest.mark.parametrize("tail_tol", [1e-8, 1e-10, 1e-13])
+    @pytest.mark.parametrize("h", [2e-6, 3.7e-5, 1e-3, 0.05, 0.5, 7.0, 100.0])
+    @pytest.mark.parametrize("lams", [(1e-3, 1.0, 100.0), (0.01,), (5.0, 0.3)])
+    def test_equals_the_separate_sums(self, lams, h, tail_tol):
+        truncation = SeriesTruncation(tail_tol=tail_tol)
+        want_pass, want_props = separate_sums(h, lams, tail_tol)
+        got_pass, got_props = series._drag_sums(h, True, lams, truncation)
+        assert same_result(got_pass, want_pass)
+        assert all(map(same_result, got_props, want_props))
+        assert passive_drag(h, truncation) == want_pass
+        for lam, want in zip(lams, want_props):
+            assert propulsion_drag(h, lam, truncation) == want
+        none, props = series._drag_sums(h, False, lams[::-1], truncation)
+        assert none is None and all(map(same_result, props, want_props[::-1]))
+
+    def test_a_sum_at_the_mode_cap_gives_its_error(self):
+        # At the floor, tail_tol = 1e-14 is beyond the cap for lam = 1e-3 but
+        # not for lam = 1: the failed sum leaves the others their values.
+        lams, tail_tol = (1e-3, 1.0), 1e-14
+        want_pass, want_props = separate_sums(SERIES_GAP_FLOOR, lams, tail_tol)
+        assert isinstance(want_props[0], TruncationError)
+        assert want_props[0].n_modes == HARD_MODE_CAP
+        got = series._drag_sums(SERIES_GAP_FLOOR, True, lams, SeriesTruncation(tail_tol))
+        assert same_result(got[0], want_pass) and all(map(same_result, got[1], want_props))
+        with pytest.raises(TruncationError) as exc:
+            propulsion_drag(SERIES_GAP_FLOOR, 1e-3, SeriesTruncation(tail_tol))
+        assert same_result(exc.value, want_props[0])
+
+    def test_one_pass_for_all_sums(self, monkeypatch):
+        # The mode factor is formed once, at the largest start count, and
+        # (b, d) once, at the largest axis count.
+        frame = frame_from_gap(1e-3)
+        truncation = SeriesTruncation()
+        zetas = [axis_zeta(frame, tip_height(1e-3, lam)) for lam in (0.05, 2.0)]
+        axis = [
+            series._start_count(series._START_K_AXIS, 2.0 * frame.alpha - z, truncation)
+            for z in zetas
+        ]
+        force = series._start_count(series._START_K_FORCE, 2.0 * frame.alpha, truncation)
+        calls = []
+        for name in ("_mode_factor", "_coefficient_arrays"):
+            original = getattr(series, name)
+
+            def counting(frame, n_count, *factor, name=name, original=original):
+                calls.append((name, n_count))
+                return original(frame, n_count, *factor)
+
+            monkeypatch.setattr(series, name, counting)
+        series._drag_sums(1e-3, True, (0.05, 2.0), truncation)
+        assert calls == [
+            ("_mode_factor", max(axis + [force])),
+            ("_coefficient_arrays", max(axis)),
+        ]
 
 
 class TestTaylorBlock:
