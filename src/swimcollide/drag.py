@@ -32,19 +32,10 @@ kappa_prop, and kappa_pass, kappa_prop and coefficients are its values at
 one gap. Massless runs, rhs, the quadrature, the decay-rate bound, the drag
 command and the sweep columns all read the series through it.
 
-kappa_table is the one other path. It serves inertial runs, whose Radau
-steps ask for the coefficients thousands of times at gaps that never
-repeat, and for their slopes at each Jacobian. It tabulates ln kappa_pass on
-[series edge, TABLE_TOP] and ln kappa_prop on [SERIES_GAP_FLOOR, TABLE_TOP]
-as Chebyshev interpolants in ln h through the memoized series, with a bound
-measured against the series at build time, and gives the h-derivatives the
-Jacobian needs. A table whose bound exceeds tail_tol, or whose range is
-empty, gives the memoized series instead, as every table does above
-TABLE_TOP, with slopes from a difference of the series that only the
-Jacobian pays for. Only inertial simulate uses the tables.
+Inertial runs read the coefficients through dynamics._KappaTable, which
+interpolates kappa_arrays' values at the edges of a massless run.
 """
 
-import math
 import threading
 from collections import namedtuple
 from contextlib import contextmanager
@@ -70,7 +61,6 @@ __all__ = [
     "kappa_arrays",
     "net_propulsion",
     "coefficients",
-    "kappa_table",
     "cache_clear",
 ]
 
@@ -258,20 +248,6 @@ def _series_values(pass_gaps, prop_gaps, lam, truncation):
     )
 
 
-def _series_at(h, lam, truncation):
-    """_series_values at one gap: kappa_pass for lam None, else
-    kappa_prop(lam)."""
-    if lam is None:
-        table = _series_pass.family(truncation)
-        value = table.get(h)
-        _series_pass.count(1, value is None)
-        return _fill(h, truncation, passes=table)[0] if value is None else value
-    table = _series_prop.family((lam, truncation))
-    value = table.get(h)
-    _series_prop.count(1, value is None)
-    return _fill(h, truncation, lam=lam, props=table)[1] if value is None else value
-
-
 def cache_clear():
     """Drop all memoized coefficient values (results are unaffected)."""
     _series_pass.cache_clear()
@@ -287,127 +263,15 @@ def _series_edge(bc):
     return max(bc.beta, SERIES_GAP_FLOOR)
 
 
-def _below_edge(anchor, h, beta):
-    """kappa_pass below the series edge, for one gap or an array of them:
+def _below_edge(anchor, h, beta, log=np.log, maximum=np.maximum):
+    """kappa_pass below the series edge and its h-derivative, for an array of
+    gaps, or for one float gap with log=math.log and maximum=max:
     kappa_ns(g) * (1 + log(g / h)) with g = max(h, beta), which is the
     slip-layer log law below beta. anchor is the series at the edge, which is
     kappa_ns there; below SERIES_GAP_FLOOR kappa_ns continues as 1/h."""
-    if beta >= SERIES_GAP_FLOOR:  # the edge is beta, so g = beta
-        return anchor * (1.0 + np.log(beta / h))
-    g = np.maximum(h, beta)
-    return anchor * SERIES_GAP_FLOOR / g * (1.0 + np.log(g / h))
-
-
-def _below_edge_slope(anchor, h, beta):
-    """d/dh of _below_edge at one gap below the series edge."""
-    return -anchor * max(beta, SERIES_GAP_FLOOR) / (max(h, beta) * h)
-
-
-TABLE_TOP = 100.0  # the tables end here; larger gaps go to the series
-_TABLE_NODES = 96  # Chebyshev nodes, so the interpolant has degree 95
-_TABLE_TAIL = 8  # trailing coefficients whose summed size enters the bound
-_TABLE_K = np.arange(_TABLE_NODES)
-_TABLE_THETA = np.pi * (_TABLE_K + 0.5) / _TABLE_NODES
-# Values at the first-kind nodes x_j = cos(theta_j) to coefficients (the
-# discrete cosine transform, with the constant term halved).
-_TABLE_DCT = (2.0 / _TABLE_NODES) * np.cos(np.outer(_TABLE_K, _TABLE_THETA))
-_TABLE_DCT[0] *= 0.5
-# Angles of the points where the bound is measured: the n - 1 extrema of
-# T_n, which interleave the nodes.
-_TABLE_CHECK = np.pi * np.arange(1, _TABLE_NODES) / _TABLE_NODES
-
-
-class _ChebyshevTable:
-    """ln series(h) on [lo, hi] as a degree-95 Chebyshev interpolant in u = ln h.
-
-    series(h) gives kappa at one gap. The interpolant and its derivative sit
-    side by side in one (n x 2) matrix, so an evaluation is one row of
-    T_k(x) = cos(k acos x) times it. bound is the larger of the measured
-    relative error at the interleaved check points and the summed size of
-    the last _TABLE_TAIL coefficients, or inf for an empty range (lo >= hi).
-    A table whose bound exceeds tail_tol serves the series at every gap
-    >= lo, as every table does from hi up.
-    """
-
-    def __init__(self, series, lo, hi, tail_tol):
-        self.series, self.lo, self.hi = series, lo, hi
-        self.bound = math.inf
-        if lo < hi:
-            self.mid, self.half = 0.5 * math.log(hi * lo), 0.5 * math.log(hi / lo)
-            at = lambda x: np.log([series(h) for h in np.exp(self.mid + self.half * x).tolist()])
-            c = _TABLE_DCT @ at(np.cos(_TABLE_THETA))
-            self.matrix = np.column_stack([c, np.append(np.polynomial.chebyshev.chebder(c), 0.0)])
-            fit = np.cos(np.outer(_TABLE_CHECK, _TABLE_K)) @ c
-            measured = np.max(np.abs(np.expm1(fit - at(np.cos(_TABLE_CHECK)))))
-            self.bound = float(max(measured, np.sum(np.abs(c[-_TABLE_TAIL:]))))
-        if self.bound > tail_tol:
-            self.hi = lo
-
-    def __call__(self, h, slope=False):
-        """(kappa,) at one gap h >= lo, or (kappa, dkappa/dh) with slope, as
-        Python floats: the table's strictly inside it; the series at lo (with
-        the table's end slope) and from hi up (with a difference of the
-        series, paid only when slope is asked for)."""
-        if h >= self.hi:
-            kappa = self.series(h)
-            return (kappa, self._series_slope(h)) if slope else (kappa,)
-        x = max((math.log(h) - self.mid) / self.half, -1.0)
-        g, dg = (np.cos(_TABLE_K * math.acos(x)) @ self.matrix).tolist()
-        kappa = self.series(h) if h == self.lo else math.exp(g)
-        return (kappa, kappa * dg / (self.half * h)) if slope else (kappa,)
-
-    def _series_slope(self, h):
-        """dkappa/dh at h >= lo from the series: a central difference over
-        1e-4 h, one-sided where it would read below lo."""
-        step = 1e-4 * h
-        if h - step >= self.lo:
-            return (self.series(h + step) - self.series(h - step)) / (2.0 * step)
-        return (self.series(h + step) - self.series(self.lo)) / (h + step - self.lo)
-
-
-def kappa_table(bc, truncation=None, lam=None):
-    """kappa_pass and kappa_prop at one gap, with their h-derivatives on
-    request, from Chebyshev tables of the series built for one run.
-
-    ln kappa_pass is tabulated on [series edge, TABLE_TOP] and ln kappa_prop
-    on [SERIES_GAP_FLOOR, TABLE_TOP], each by _ChebyshevTable from the
-    memoized series. Each table decides alone whether its interpolant
-    serves: one whose bound exceeds tail_tol, or whose range is empty (an
-    edge at or above TABLE_TOP), gives the series from its low end up; the
-    choice depends on the inputs alone. This returns at(h, slope=False),
-    giving (kappa_pass, kappa_prop), or with slope (kappa_pass,
-    dkappa_pass/dh, kappa_prop, dkappa_prop/dh). Strictly inside a serving
-    table the values are the table's, within its bound of the series; at
-    its ends, above TABLE_TOP and in a table that does not serve they are
-    the series. Below the edge kappa_pass takes the _below_edge
-    continuation, and below SERIES_GAP_FLOOR kappa_prop stays frozen.
-    lam = None, as for a passive pair, builds no kappa_prop table and gives
-    kappa_prop = 0.
-    """
-    truncation = _truncation(truncation)
-    lam = None if lam is None else _tip_offset(lam)
-    edge = _series_edge(bc)
-    pass_series = lambda h: _series_at(h, None, truncation)
-    pass_table = _ChebyshevTable(pass_series, edge, TABLE_TOP, truncation.tail_tol)
-    prop_table = None
-    if lam is not None:
-        prop_series = lambda h: _series_at(h, lam, truncation)
-        prop_table = _ChebyshevTable(prop_series, SERIES_GAP_FLOOR, TABLE_TOP, truncation.tail_tol)
-    anchor = pass_series(edge)
-
-    def at(h, slope=False):
-        if h >= edge:
-            kp = pass_table(h, slope)
-        else:
-            kp = (float(_below_edge(anchor, h, bc.beta)),)
-            kp += (_below_edge_slope(anchor, h, bc.beta),) if slope else ()
-        if prop_table is None:
-            return kp + (0.0, 0.0)[: 1 + slope]
-        if h < SERIES_GAP_FLOOR:
-            return kp + (prop_series(SERIES_GAP_FLOOR), 0.0)[: 1 + slope]
-        return kp + prop_table(h, slope)
-
-    return at
+    g = maximum(h, beta)
+    scale = anchor if beta >= SERIES_GAP_FLOOR else anchor * SERIES_GAP_FLOOR / g
+    return scale * (1.0 + log(g / h)), -scale / h
 
 
 def _tip_offset(lam):
@@ -474,7 +338,7 @@ def kappa_arrays(hs, bc, truncation=None, lam=None):
     kp_series, kpr = _series_values(pass_gaps, prop_gaps, lam, truncation)
     kp = np.empty_like(hs)
     if below:
-        kp[~above] = _below_edge(kp_series.pop(), hs[~above], bc.beta)
+        kp[~above] = _below_edge(kp_series.pop(), hs[~above], bc.beta)[0]
     kp[above] = kp_series
     if lam is None:
         return kp, np.zeros_like(hs)

@@ -48,21 +48,18 @@ implicit Radau IIA method of order 5, in the private _radau module: a port
 of scipy's Radau to the state (h, h') as a pair of Python floats, whose
 Newton systems are 2 x 2 and solved with their explicit inverses. The
 trajectory is densified from each step's collocation polynomial so the same
-recording guarantees hold as for the massless path. Each run reads its
-coefficients from one drag.kappa_table, and the recorded kappa values come
-from it too. Where a table's interpolant serves, its derivatives give the
-Jacobian in closed form; its stated bound rests on the error measured at 95
-check points, and the error between them can exceed it. Where a table
-cannot certify tail_tol (or has no range, as kappa_pass at beta >= 100) it
-gives the series bit for bit, and the Jacobian's slopes come from a
-difference of the series. rhs and the inertial path read the coefficients
-at max(h, 1e-15), since a step can reach h <= 0. rtol must be at least 100
+recording guarantees hold as for the massless path. The right-hand side,
+the Jacobian and the recorded kappa values read one _KappaTable, which
+interpolates the coefficients through the edges a massless run of the
+scenario evaluates. rhs and the inertial path read the coefficients at
+max(h, 1e-15), since a step can reach h <= 0. rtol must be at least 100
 eps, the smallest relative tolerance Radau's error control is meant for.
 """
 
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,6 +69,7 @@ from . import _radau, drag
 from .drag import SERIES_GAP_FLOOR, BoundaryCondition
 from .errors import DomainError, InvalidRegimeError, StiffnessError
 from .geometry import _real
+from .series import _truncation
 
 __all__ = [
     "Mode",
@@ -209,29 +207,11 @@ def _force_and_coefficients(scenario, hs, truncation):
     return np.broadcast_to(_force(scenario, kpr), kp.shape), kp, kpr
 
 
-def _table_terms(scenario, table, h, slope=False):
-    """Force, kappa_pass and kappa_prop at h from a drag.kappa_table, and
-    with slope also the h-derivatives of the force and of kappa_pass, which
-    only the Jacobian asks for. The gap is clamped at _GAP_CLAMP, and the
-    terms are flat below the clamp. A passive pair's table gives kappa_prop
-    = 0 with zero slope."""
-    h_eval = max(float(h), _GAP_CLAMP)
-    if not slope:
-        kp, kpr = table(h_eval)
-        return _force(scenario, kpr), kp, kpr
-    kp, dkp, kpr, dkpr = table(h_eval, slope=True)
-    if h_eval != h:
-        dkp = dkpr = 0.0
-    dforce = -scenario.f_p * dkpr if scenario.mode is Mode.ACTIVE else 0.0
-    return _force(scenario, kpr), kp, kpr, dforce, dkp
-
-
-def _jacobian(scenario, terms, y):
-    """d(rhs)/dy of an inertial scenario from the run's terms function,
-    _table_terms, with its slopes."""
-    _, kp, _, dforce, dkp = terms(y[0], slope=True)
+def _jacobian(scenario, table, y):
+    """d(rhs)/dy of an inertial scenario from the slopes of its _KappaTable."""
+    kp, dkp, _, dkpr = table(y[0], slope=True)
     m = scenario.mass
-    return (0.0, 1.0), (-(dkp * y[1] + dforce) / m, -kp / m)
+    return (0.0, 1.0), (-(dkp * y[1] - scenario.f_p * dkpr) / m, -kp / m)
 
 
 def rhs(scenario, y, truncation=None):
@@ -484,6 +464,156 @@ def _bisect(f):
     return 0.5 * (lo + hi)
 
 
+# The barycentric weights of 8 equispaced edges (Berrut & Trefethen 2004,
+# SIAM Rev. 46:501). |sum_j w_j f_j| / 7! is the divided difference over a
+# stencil, so times _ESTIMATE_SCALES[r] it is the distance at the midpoint of
+# the panel at position r between the degree-7 interpolant and the degree-6
+# one without the edge farthest from there.
+_BARY_WEIGHTS = [(-1.0) ** j * math.comb(_STENCIL_PANELS, j) for j in range(8)]
+_ESTIMATE_SCALES = np.array(
+    [math.prod(abs(r + 0.5 - j) for j in range(8) if j != (7 if r < 3 else 0)) for r in range(7)]
+) / math.factorial(_STENCIL_PANELS)
+
+
+def _weights(t):
+    """r_j = w_j / (t - j) at position t of a stencil, spelled out for speed.
+    On an edge j, t - j is 1e-200 instead, where the form holds to rounding."""
+    try:
+        return (
+            1.0 / t, -7.0 / (t - 1.0), 21.0 / (t - 2.0), -35.0 / (t - 3.0),
+            35.0 / (t - 4.0), -21.0 / (t - 5.0), 7.0 / (t - 6.0), -1.0 / (t - 7.0),
+        )
+    except ZeroDivisionError:
+        return tuple(w / (t - j or 1e-200) for j, w in enumerate(_BARY_WEIGHTS))
+
+
+def _slope(t, r, s, f, p):
+    """The t-derivative at position t of the interpolant p through the values
+    f at the stencil edges, from r_j = w_j / (t - j) and s = sum r_j. It is
+    sum_j r_j (p - f_j) / (t - j) / s; next to an edge i that term is a ratio
+    of two small numbers, so p - f_i is summed from the f_j - f_i instead."""
+    fi = f[min(max(round(t), 0), _STENCIL_PANELS)]
+    d = sum(rj * (fj - fi) for rj, fj in zip(r, f)) / s
+    return sum(rj * (d + (fi - fj)) / (t - j or 1e-200) for j, (rj, fj) in enumerate(zip(r, f))) / s
+
+
+class _KappaTable:
+    """kappa_pass and kappa_prop of one inertial run, with closed-form slopes:
+    ln kappa in ln h through each panel's massless stencil of the edges
+    _panel_edges(stops), continued above h0 and below the floor at the
+    nearest segment's spacing on centred stencils. Edges are filled through
+    kappa_arrays as the run reaches them, _BLOCK_EDGES panels of a segment
+    (one panel outside [floor, h0]) at a time. A panel whose estimate, degree
+    7 against degree 6 at its midpoint, exceeds tail_tol or is NaN gives the
+    series at h with the interpolant's slope; the estimate does not see the
+    series' rounding noise, so it is not a bound. Below the series edge
+    kappa_pass is _below_edge's closed form, below SERIES_GAP_FLOOR kappa_prop
+    is frozen (0 for lam = None), a NaN or infinite gap gives NaN, and below
+    _GAP_CLAMP the values at the clamp hold, flat."""
+
+    def __init__(self, bc, truncation, lam, stops):
+        self.truncation = _truncation(truncation)
+        self.lam = None if lam is None else drag._tip_offset(lam)
+        self.bc, self.edge = bc, drag._series_edge(bc)
+        self.prop_edge = math.inf if lam is None else SERIES_GAP_FLOOR  # where kappa_prop is read
+        self.edges = _panel_edges(stops)[0]
+        base = np.searchsorted(-self.edges, -np.array(stops)).tolist()  # each stop's edge
+        # (lo, hi, panels, edge index of hi, spacing in ln h) of each segment
+        self.segments = [
+            (lo, hi, b - a, a, math.log(hi / lo) / (b - a))
+            for hi, lo, a, b in zip(stops, stops[1:], base, base[1:])
+        ]
+        self.ln, self.panels = {}, {}  # ln kappa by edge, _fill's records by panel
+
+    def __call__(self, h, slope=False):
+        """(kappa_pass, kappa_prop) at gap h, or with slope (kappa_pass,
+        dkappa_pass/dh, kappa_prop, dkappa_prop/dh), as floats."""
+        if h < _GAP_CLAMP:  # a step can reach h <= 0: the values at the clamp, flat
+            kp, kpr = self(_GAP_CLAMP)
+            return (kp, 0.0, kpr, 0.0) if slope else (kp, kpr)
+        on_pass = not h < self.edge  # a NaN gap is the grid's to reject
+        on_prop = not h < self.prop_edge
+        if on_pass or on_prop:
+            found = self._locate(h)
+            if found is None:
+                return (math.nan,) * (2 + 2 * slope)
+            t, dt, (_, f_pass, f_prop, certified, _) = found
+            r = _weights(t)
+            s = sum(r)
+        if on_pass:
+            p = sum(map(operator.mul, r, f_pass)) / s
+            kp = math.exp(p) if certified[0] else self._series(h)[0]
+            dkp = kp * _slope(t, r, s, f_pass, p) * dt if slope else 0.0
+        else:
+            kp, dkp = drag._below_edge(self.anchor, h, self.bc.beta, math.log, max)
+        if on_prop:
+            p = sum(map(operator.mul, r, f_prop)) / s
+            kpr = math.exp(p) if certified[1] else self._series(h)[1]
+            dkpr = kpr * _slope(t, r, s, f_prop, p) * dt if slope else 0.0
+        else:
+            kpr, dkpr = (0.0 if self.lam is None else self.frozen), 0.0
+        return (kp, dkp, kpr, dkpr) if slope else (kp, kpr)
+
+    @functools.cached_property
+    def anchor(self):  # kappa_pass at the series edge, where _below_edge is anchored
+        return self._series(self.edge)[0]
+
+    @functools.cached_property
+    def frozen(self):  # kappa_prop at SERIES_GAP_FLOOR, where it is frozen
+        return self._series(SERIES_GAP_FLOOR)[1]
+
+    def _series(self, h):
+        return [v.item() for v in drag.kappa_arrays([h], self.bc, self.truncation, self.lam)]
+
+    def _locate(self, h):
+        """(t, dt/dh, record) at gap h, t its position in its panel's stencil
+        in edge spacings; None for a NaN or infinite gap."""
+        if not h < math.inf:
+            return None
+        for segment in self.segments:
+            if h >= segment[0]:
+                break
+        lo, hi, n, base, spacing = segment  # the last one goes on below the floor
+        x = math.log(hi / h) / spacing
+        k = min(math.floor(x), n - 1) if h >= lo else math.floor(x)
+        record = self.panels.get(base + k) or self._fill(segment, k)
+        return x - record[0], -1.0 / (spacing * h), record
+
+    def _fill(self, segment, k):
+        """Fills the block of panel k of segment; returns its record: its
+        stencil's first edge from the segment's top, ln kappa_pass and ln
+        kappa_prop there, whether each estimate is within tail_tol, and
+        the estimates."""
+        lo, hi, n, base, spacing = segment
+        if 0 <= k < n:
+            ks = np.arange(k - k % _BLOCK_EDGES, min(k - k % _BLOCK_EDGES + _BLOCK_EDGES, n))
+            origins = np.clip(ks - _STENCIL_PANELS // 2, 0, n - _STENCIL_PANELS)
+        else:  # outside [floor, h0]: the panel alone, on a centred stencil
+            ks = np.array([k])
+            origins = ks - _STENCIL_PANELS // 2
+        taps = base + origins[:, None] + np.arange(_STENCIL_PANELS + 1)
+        missing = sorted(set(taps.ravel().tolist()).difference(self.ln))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a kappa <= 0 is uncertified
+            if missing:
+                hs = np.array([self._edge(i) for i in missing])
+                kappas = np.log(drag.kappa_arrays(hs, self.bc, self.truncation, self.lam))
+                self.ln.update(zip(missing, kappas.T.tolist()))
+            f = np.array([[self.ln[i] for i in row] for row in taps.tolist()]).transpose(0, 2, 1)
+            estimates = np.abs(f @ _BARY_WEIGHTS) * _ESTIMATE_SCALES[ks - origins, None]
+        certified = (estimates <= self.truncation.tail_tol).tolist()
+        f_pass, f_prop = f.transpose(1, 0, 2).tolist()
+        records = zip(origins.tolist(), f_pass, f_prop, certified, estimates.tolist())
+        self.panels.update(zip((base + ks).tolist(), records))
+        return self.panels[base + k]
+
+    def _edge(self, i):
+        """The gap at edge index i, past either end of _panel_edges too."""
+        if 0 <= i < len(self.edges):
+            return self.edges[i]
+        lo, hi, n, base, spacing = self.segments[0 if i < 0 else -1]
+        return hi * math.exp(-spacing * (i - base))
+
+
 def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
     """Stiff branch of simulate for m > 0, on the implicit Radau IIA method.
 
@@ -497,10 +627,10 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
     as the massless path.
 
     The right-hand side, the recorded kappa values and the Jacobian all read
-    the run's drag.kappa_table; only the Jacobian asks it for slopes.
+    the run's _KappaTable; only the Jacobian asks it for slopes.
     """
-    table = drag.kappa_table(scenario.bc, truncation, lam=_prop_lam(scenario))
-    terms = functools.partial(_table_terms, scenario, table)
+    stops = _segment_stops(scenario, floor)
+    table = _KappaTable(scenario.bc, truncation, _prop_lam(scenario), stops)
 
     evals = 0
 
@@ -511,12 +641,11 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
             raise StiffnessError(
                 f"evaluation budget {_RHS_BUDGET} exhausted at t = {t}", t=t, state=y
             )
-        force, kp, _ = terms(y[0])
-        return _inertial_rate(scenario, y, force, kp)
+        kp, kpr = table(y[0])
+        return _inertial_rate(scenario, y, _force(scenario, kpr), kp)
 
     def point_at(t, y):
-        _, kp, kpr = terms(y[0])
-        return t, y[0], y[1], kp, kpr
+        return (t, *y, *table(y[0]))
 
     # solve_ivp's two terminal events, each signed to fire on a step that
     # takes it from <= 0 to >= 0: the gap falls through the floor, or the
@@ -528,7 +657,7 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
     y = (float(scenario.h0), -float(scenario.s0))
     points = [point_at(0.0, y)]
     termination = TerminationKind.HORIZON_REACHED
-    jac = lambda t, y: _jacobian(scenario, terms, y)
+    jac = lambda t, y: _jacobian(scenario, table, y)
     for step in _radau.steps(fun, jac, 0.0, y, t_max, rtol, atol):
         t0, t1, y1 = step.t_old, step.t, step.y
         roots = []
@@ -555,8 +684,10 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
 @dataclass(frozen=True)
 class QuadratureReport:
     """Collision-time integral from h0 down to h_floor by the 8-node rule.
-    abserr sums over the panels the size of its difference from the 6-node
-    rule: an error estimate, not a bound, that also shows drive noise."""
+    abserr sums over the panels the size of the first Legendre term the rule
+    does not integrate, P_16, its coefficient extrapolated from the fall of
+    the panel interpolant's degree 4 to 7 coefficients: an error estimate,
+    not a bound, that also shows drive noise, where they stop falling."""
 
     time_to_floor: float
     abserr: float
@@ -582,8 +713,8 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
     The integrand is taken in u = ln h, which removes most of the near-floor
     mass. Each segment between the kinks of the drag model, where a massless
     run's segments also end, is cut into equal panels at most 1 wide in u,
-    each integrated by the 8-node Gauss-Legendre rule and, for abserr, by
-    the 6-node rule. All nodes go through one drag call. They lie inside the
+    each integrated by the 8-node Gauss-Legendre rule, whose nodes also give
+    abserr. All nodes go through one drag call. They lie inside the
     panels, off a massless run's edges, so the two share only the drag model
     and the kinks. A node where the speed is not positive is an
     InvalidRegimeError naming the largest such gap. The time to one floor
@@ -591,7 +722,7 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
     T >= ln(h0 / floor) / c* and c* stays finite as the floor is lowered
     only when the gap never closes.
     """
-    from numpy.polynomial.legendre import leggauss  # kept out of the package's import
+    from numpy.polynomial.legendre import leggauss, legval, legvander  # kept out of import
 
     floor = _massless_floor(scenario, h_floor, "quadrature form of the collision time")
     stops = np.log(_segment_stops(scenario, floor))
@@ -600,8 +731,8 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
         + [stops[-1:]]
     )
     mid, half = (edges[:-1] + edges[1:]) / 2, (edges[:-1] - edges[1:]) / 2
-    (x8, w8), (x6, w6) = leggauss(8), leggauss(6)
-    hs = np.exp(mid[:, None] + half[:, None] * np.concatenate([x8, x6]))
+    x, w = leggauss(8)
+    hs = np.exp(mid[:, None] + half[:, None] * x)
     force, kp, _ = _force_and_coefficients(scenario, hs, truncation)
     speed = force / kp
     stalled = hs[speed <= 0.0]
@@ -610,8 +741,12 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
             f"approach speed is not positive at h = {stalled.max()}; no collision course"
         )
     dt = half[:, None] * hs / speed
-    fine, coarse = dt[:, :8] @ w8, dt[:, 8:] @ w6  # each panel by both rules
-    return QuadratureReport(float(fine.sum()), float(np.abs(fine - coarse).sum()), floor)
+    # The Legendre coefficients of each panel's interpolant through its nodes.
+    a = np.abs(dt @ (legvander(x, 7) * (w * 0.5)[:, None] * (2 * np.arange(8) + 1)))
+    top, below = a[:, 6:].max(axis=1), a[:, 4:6].max(axis=1)
+    fall = np.minimum(1.0, top / np.maximum(below, np.finfo(float).tiny))
+    missed = top * fall**4.5 * abs(legval(x, [0.0] * 16 + [1.0]) @ w)
+    return QuadratureReport(float((dt @ w).sum()), float(missed.sum()), floor)
 
 
 def decay_rate_bound(scenario, h_floor=None, truncation=None):

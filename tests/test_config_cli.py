@@ -546,7 +546,7 @@ class TestSweepCommand:
         assert rows["default"] != rows["tight"]
 
     def test_inertial_rerun_is_identical(self, tmp_path):
-        # Inertial points read the Chebyshev tables built for each run.
+        # Inertial points read the coefficient reader built for each run.
         cfg = tmp_path / "sweep.cfg"
         short = BASE_RUN.replace("t_max = 200.0", "t_max = 20.0")
         cfg.write_text(short + "[scenario]\nmass = 0.1\n[sweep]\nh0 = 0.4, 0.5\n")

@@ -1,5 +1,5 @@
 """Wall models, the blended drag law, the coefficient cache and the
-Chebyshev coefficient tables."""
+coefficient reader of inertial runs."""
 
 import math
 import re
@@ -15,15 +15,21 @@ from swimcollide.drag import (
     BoundaryCondition,
     Provenance,
     cache_clear,
-    TABLE_TOP,
     _series_pass,
     _series_prop,
     coefficients,
     kappa_arrays,
     kappa_pass,
     kappa_prop,
-    kappa_table,
     net_propulsion,
+)
+from swimcollide.dynamics import (
+    Mode,
+    SwimmerScenario,
+    _KappaTable,
+    _segment_stops,
+    default_h_floor,
+    simulate,
 )
 from swimcollide.errors import DomainError
 from swimcollide.geometry import frame_from_gap
@@ -32,6 +38,7 @@ from swimcollide.series import SeriesTruncation, passive_drag, propulsion_drag
 NO_SLIP = BoundaryCondition.no_slip()
 NAVIER = BoundaryCondition.navier(0.1)
 TINY = BoundaryCondition.navier(1e-12)  # a slip length below the series floor
+STOPS = [0.5, SERIES_GAP_FLOOR, 1e-7]  # the segment stops of a no-slip run from 0.5
 
 
 class TestBoundaryCondition:
@@ -232,7 +239,7 @@ class TestInputTypes:
         [
             lambda lam: kappa_arrays([0.5], NO_SLIP, lam=lam),
             lambda lam: coefficients(0.5, lam, NO_SLIP),
-            lambda lam: kappa_table(NO_SLIP, lam=lam),
+            lambda lam: _KappaTable(NO_SLIP, None, lam, STOPS),
         ],
         ids=["kappa_arrays", "coefficients", "kappa_table"],
     )
@@ -249,7 +256,7 @@ class TestInputTypes:
             lambda bc: net_propulsion(0.5, 1.0, 1.0, bc),
             lambda bc: coefficients(0.5, 1.0, bc),
             lambda bc: kappa_arrays([0.5], bc),
-            lambda bc: kappa_table(bc),
+            lambda bc: _KappaTable(bc, None, None, STOPS),
         ],
         ids=[
             "kappa_pass",
@@ -273,7 +280,7 @@ class TestInputTypes:
             lambda tr: net_propulsion(0.5, 1.0, 1.0, NO_SLIP, tr),
             lambda tr: coefficients(0.5, 1.0, NO_SLIP, tr),
             lambda tr: kappa_arrays([0.5], NO_SLIP, tr),
-            lambda tr: kappa_table(NO_SLIP, tr),
+            lambda tr: _KappaTable(NO_SLIP, tr, None, STOPS),
         ],
         ids=[
             "kappa_pass",
@@ -460,87 +467,145 @@ class TestCache:
         assert _series_pass.cache_info().hits == 3
 
 
+def kappa_reader(bc, truncation=None, lam=None, h0=100.0):
+    """The coefficient reader of an inertial run from h0 down to bc's default
+    floor, which dynamics builds for every inertial run."""
+    sc = SwimmerScenario(mode=Mode.ACTIVE, bc=bc, h0=h0)
+    return _KappaTable(bc, truncation, lam, _segment_stops(sc, default_h_floor(bc)))
+
+
 class TestKappaTable:
+    """The reader of an inertial run against the series, from h0 = 100 down,
+    on 2001 gaps per scenario. Its stated error: the panel's estimate plus a
+    rounding floor of 1e-13 in ln kappa_pass and 6e-11 in ln kappa_prop, the
+    series' own noise (ROADMAP item 1) as the interpolant carries it."""
+
     TAIL_TOL = SeriesTruncation().tail_tol
+    ROUNDING = (1e-13, 6e-11)
 
     @staticmethod
     def interior(lo):
-        """101 gaps strictly inside [lo, TABLE_TOP], evenly spaced in ln h."""
-        return np.geomspace(lo, TABLE_TOP, 103)[1:-1]
+        """2001 gaps strictly inside [lo, 100], evenly spaced in ln h."""
+        return np.geomspace(lo, 100.0, 2003)[1:-1]
 
-    def check_against_series(self, series, values, slopes, hs):
-        for h, value, slope in zip(hs, values, slopes):
-            exact = series(h)
-            assert abs(value / exact - 1.0) <= self.TAIL_TOL
-            step = 1e-4 * h
-            difference = (series(h + step) - series(h - step)) / (2.0 * step)
-            # The slope is compared on the scale kappa / h of d kappa / d ln h:
-            # where kappa_prop is nearly flat, at the smallest gaps, its slope
-            # is 1e-7 of that scale and a difference quotient of the series
-            # is all rounding there.
-            assert abs(slope - difference) * h <= 1e-6 * exact
+    def check_against_series(self, at, column, series, hs):
+        """Values and slopes of one coefficient (column 0 kappa_pass, 1
+        kappa_prop) against series, an array function of the gaps."""
+        reads = np.array([at(h, slope=True) for h in hs.tolist()])
+        values, slopes = reads[:, 2 * column], reads[:, 2 * column + 1]
+        exact = series(hs)
+        assert np.all(np.abs(values / exact - 1.0) <= self.TAIL_TOL)
+        estimates = np.array([at._locate(h)[2][4][column] for h in hs.tolist()])
+        error = np.abs(np.log(values) - np.log(exact))
+        assert np.all(error <= estimates + self.ROUNDING[column])
+        step = 1e-4 * hs
+        difference = (series(hs + step) - series(hs - step)) / (2.0 * step)
+        # The slope is compared on the scale kappa / h of d kappa / d ln h:
+        # where kappa_prop is nearly flat, at the smallest gaps, its slope
+        # is 1e-7 of that scale and a difference quotient of the series
+        # is all rounding there.
+        assert np.all(np.abs(slopes - difference) * hs <= 1e-6 * exact)
+        return error
 
     @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.1])
     def test_kappa_pass_matches_the_series(self, beta):
         bc = BoundaryCondition.navier(beta)
-        at = kappa_table(bc)
+        at = kappa_reader(bc)
         hs = self.interior(max(beta, SERIES_GAP_FLOOR))
-        kp, dkp, kpr, dkpr = np.array([at(h, slope=True) for h in hs]).T
-        assert np.all(kpr == 0.0) and np.all(dkpr == 0.0)
-        self.check_against_series(passive_drag, kp, dkp, hs)
+        assert all(at(h, slope=True)[2:] == (0.0, 0.0) for h in hs[::100].tolist())
+        error = self.check_against_series(at, 0, lambda h: kappa_arrays(h, bc)[0], hs)
+        # The worst error of the Chebyshev table this reader replaced, on
+        # 2001 gaps of the same range, was 4.76e-13 (no slip).
+        assert error.max() < 4.74e-13
 
     @pytest.mark.parametrize("lam", [0.01, 1.0, 5.0, 100.0])
     def test_kappa_prop_matches_the_series(self, lam):
-        at = kappa_table(NO_SLIP, lam=lam)
+        at = kappa_reader(NO_SLIP, lam=lam)
         hs = self.interior(SERIES_GAP_FLOOR)
-        _, _, kpr, dkpr = np.array([at(h, slope=True) for h in hs]).T
-        self.check_against_series(lambda h: propulsion_drag(h, lam), kpr, dkpr, hs)
+        series = lambda h: kappa_arrays(h, NO_SLIP, lam=lam)[1]
+        self.check_against_series(at, 1, series, hs)
 
     def test_tight_tolerance_takes_the_series(self):
-        # At tail_tol = 1e-13 the degree-95 tables cannot certify the
-        # tolerance, so an inertial run reads the series bit for bit.
-        from swimcollide.dynamics import Mode, SwimmerScenario, simulate
-
+        # At tail_tol = 1e-13 the panels whose estimate exceeds it give the
+        # series, bit for bit; the others stay within their estimate.
         tight = SeriesTruncation(tail_tol=1e-13)
         sc = SwimmerScenario(mode=Mode.ACTIVE, bc=NAVIER, h0=0.5, mass=0.1)
         traj = simulate(sc, t_max=1.0, truncation=tight)
+        at = _KappaTable(NAVIER, tight, 1.0, _segment_stops(sc, default_h_floor(NAVIER)))
+        uncertified = 0
         assert len(traj.points) > 2
         for p in traj.points:
-            assert p.kappa_pass == kappa_pass(p.h, NAVIER, tight)
-            assert p.kappa_prop == kappa_prop(p.h, 1.0, NAVIER, tight)
+            certified = at._locate(p.h)[2][3]
+            assert (p.kappa_pass, p.kappa_prop) == at(p.h)
+            if not certified[0]:
+                assert p.kappa_pass == kappa_pass(p.h, NAVIER, tight)
+            if not certified[1]:
+                assert p.kappa_prop == kappa_prop(p.h, 1.0, NAVIER, tight)
+            uncertified += not all(certified)
+        assert uncertified > 0
 
     @pytest.mark.parametrize("bc", [NO_SLIP, NAVIER, TINY])
     def test_ends_and_outside_give_the_series_or_continuation(self, bc):
-        at = kappa_table(bc, lam=1.0)
+        at = kappa_reader(bc, lam=1.0, h0=0.5)
         edge = max(bc.beta, SERIES_GAP_FLOOR)
-        outside = [TABLE_TOP, 150.0, SERIES_GAP_FLOOR / 7.0]
-        for h in [edge, edge / 3.0] + outside:
-            assert at(h)[0] == at(h, slope=True)[0] == kappa_pass(h, bc)
-        for h in [SERIES_GAP_FLOOR] + outside:
+        ulps = lambda a, b: abs(a - b) / math.ulp(b)
+        # On the grid, at the edge and above h0, the values are the series';
+        # an edge reads its own value through the interpolant.
+        for h in [edge, 0.5, 0.75, 150.0]:
+            kp, kpr = at(h)
+            assert kp == pytest.approx(kappa_pass(h, bc), rel=self.TAIL_TOL, abs=0.0)
+            assert kpr == pytest.approx(kappa_prop(h, 1.0, bc), rel=self.TAIL_TOL, abs=0.0)
+        for h in [edge, 0.5]:
+            assert ulps(at(h)[0], kappa_pass(h, bc)) <= 4
+        # Below the edge kappa_pass is the closed form, in math.log where
+        # kappa_arrays uses numpy's log: the two agree to 2 ulps.
+        for h in [edge / 3.0, SERIES_GAP_FLOOR / 7.0, 1e-12]:
+            assert at(h)[0] == at(h, slope=True)[0]
+            assert ulps(at(h)[0], kappa_pass(h, bc)) <= 2
+        # Below SERIES_GAP_FLOOR kappa_prop is frozen, with zero slope.
+        for h in [SERIES_GAP_FLOOR / 7.0, 1e-12]:
             assert at(h)[1] == at(h, slope=True)[2] == kappa_prop(h, 1.0, bc)
+            assert at(h, slope=True)[3] == 0.0
 
     def test_no_range_above_the_top(self):
-        # A slip length at TABLE_TOP leaves kappa_pass no range to tabulate:
-        # the table gives the series from the edge up and the continuation
-        # below it.
-        bc = BoundaryCondition.navier(TABLE_TOP)
-        at = kappa_table(bc)
-        for h in [TABLE_TOP, 150.0, 50.0, 1.0, SERIES_GAP_FLOOR / 7.0]:
-            assert at(h) == at(h, slope=True)[::2] == (kappa_pass(h, bc), 0.0)
+        # A slip length above h0 leaves kappa_pass no grid inside [floor,
+        # h0]: every gap below beta takes the continuation, and a gap above
+        # beta reads the grid continued up from h0, whose panels across
+        # the kink cannot certify tail_tol and give the series.
+        bc = BoundaryCondition.navier(100.0)
+        at = kappa_reader(bc, h0=0.5)
+        cache_clear()
+        for h in [50.0, 1.0, 0.5, SERIES_GAP_FLOOR / 7.0]:
+            assert at(h) == at(h, slope=True)[::2]
+            assert abs(at(h)[0] - kappa_pass(h, bc)) <= 2 * math.ulp(kappa_pass(h, bc))
+            assert at(h)[1] == 0.0
+        # Only the anchor at beta was evaluated.
+        assert _series_pass.cache_info().misses == 1
+        for h in [101.0, 150.0]:
+            assert at(h)[0] == pytest.approx(kappa_pass(h, bc), rel=self.TAIL_TOL, abs=0.0)
 
     @pytest.mark.parametrize("tail_tol", [None, 1e-13], ids=["above_the_top", "fallback"])
     def test_values_read_the_series_once(self, tail_tol):
-        # Where a table gives the series, a read without slopes costs one
-        # series evaluation per coefficient, at h; only a slope request
-        # pays for the difference, which never reads below the table.
         truncation = SeriesTruncation(tail_tol=tail_tol) if tail_tol else SeriesTruncation()
-        at = kappa_table(NO_SLIP, truncation, lam=1.0)
-        h = 150.0 if tail_tol is None else 0.37
+        at = kappa_reader(NO_SLIP, truncation, lam=1.0, h0=0.5)
+        if tail_tol is None:
+            # A gap far above h0 fills its own panel's 8 edges and no more.
+            cache_clear()
+            kp, kpr = at(1e4)
+            assert _series_pass.cache_info().misses == _series_prop.cache_info().misses == 8
+            assert kp == pytest.approx(kappa_pass(1e4, NO_SLIP), rel=self.TAIL_TOL, abs=0.0)
+            return
+        # On a panel whose kappa_pass cannot certify the tolerance, a read
+        # costs one kernel call at h, which fills both coefficients there,
+        # once its block is filled; the slope comes from the interpolant, at
+        # no more cost.
+        h = 0.37
+        at(h)
+        assert at._locate(h)[2][3] == [False, True]
         cache_clear()
         values = at(h)
         assert _series_pass.cache_info().misses == _series_prop.cache_info().misses == 1
-        series = kappa_pass(h, NO_SLIP, truncation), kappa_prop(h, 1.0, NO_SLIP, truncation)
-        assert values == series
-        if tail_tol:
-            for h in [SERIES_GAP_FLOOR, SERIES_GAP_FLOOR * (1.0 + 1e-6)]:
-                assert all(np.isfinite(at(h, slope=True)))
+        assert values[0] == kappa_pass(h, NO_SLIP, truncation)
+        assert values[1] == pytest.approx(kappa_prop(h, 1.0, NO_SLIP, truncation), rel=1e-13)
+        assert all(np.isfinite(at(h, slope=True)))
+        assert _series_pass.cache_info().misses == _series_prop.cache_info().misses == 1

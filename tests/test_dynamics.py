@@ -1,7 +1,8 @@
-"""Encounter dynamics: integrators, terminations, quadrature, bounds, inertial tables."""
+"""Encounter dynamics: integrators, terminations, quadrature, bounds, the inertial reader."""
 
 import dataclasses
 import functools
+import math
 import re
 from fractions import Fraction
 
@@ -10,16 +11,16 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from swimcollide import _radau, drag, dynamics
-from swimcollide.drag import BoundaryCondition, _series_prop, cache_clear
+from swimcollide.drag import SERIES_GAP_FLOOR, BoundaryCondition, _series_prop, cache_clear
 from swimcollide.dynamics import (
     _BLOCK_EDGES,
     _GAP_CLAMP,
+    _KappaTable,
     _STENCIL_TO_MONOMIAL,
     _STENCIL_WEIGHTS,
     _jacobian,
     _panel_edges,
     _segment_stops,
-    _table_terms,
     Mode,
     QuadratureReport,
     SwimmerScenario,
@@ -46,6 +47,13 @@ def forced(bc, **kw):
     return SwimmerScenario(
         mode=Mode.PASSIVE_FORCED, bc=bc, **{"h0": 0.5, "f_ext": 1.0, **kw}
     )
+
+
+def kappa_reader(sc, truncation=None, floor=None):
+    """The coefficient reader an inertial run of sc to floor builds."""
+    lam = sc.lam if sc.mode is Mode.ACTIVE else None
+    stops = _segment_stops(sc, default_h_floor(sc.bc) if floor is None else floor)
+    return _KappaTable(sc.bc, truncation, lam, stops)
 
 
 class TestScenarioValidation:
@@ -562,10 +570,10 @@ class TestSimulateGuards:
         # Drag that turns to NaN below h = 0.2 fails every Newton iteration
         # whose stages reach it, so the steps halve until they fall below
         # the spacing of floats; the error carries the last accepted step.
-        real = drag.kappa_table
+        real = dynamics._KappaTable
 
-        def fake(bc, truncation=None, lam=None):
-            table = real(bc, truncation, lam)
+        def fake(bc, truncation, lam, stops):
+            table = real(bc, truncation, lam, stops)
             nan = lambda slope: (np.nan,) * (2 + 2 * slope)
             return lambda h, slope=False: table(h, slope) if h >= 0.2 else nan(slope)
 
@@ -576,7 +584,7 @@ class TestSimulateGuards:
                 steps.append(step)
                 yield step
 
-        monkeypatch.setattr(drag, "kappa_table", fake)
+        monkeypatch.setattr(dynamics, "_KappaTable", fake)
         monkeypatch.setattr(_radau, "steps", recorded)
         with pytest.raises(StiffnessError, match="^implicit integration failed: Required") as exc:
             simulate(active(NAVIER, mass=0.1), t_max=200.0)
@@ -616,10 +624,10 @@ class TestSimulateGuards:
     def test_inertial_drive_lost_on_the_way_in(self, monkeypatch):
         # The same lost drive under inertia: the pair coasts in below h = 0.2,
         # is pushed back out, and the run ends where the speed turns outward.
-        real = drag.kappa_table
+        real = dynamics._KappaTable
 
-        def fake(bc, truncation=None, lam=None):
-            table = real(bc, truncation, lam)
+        def fake(bc, truncation, lam, stops):
+            table = real(bc, truncation, lam, stops)
 
             def at(h, slope=False):
                 values = table(h, slope)
@@ -627,7 +635,7 @@ class TestSimulateGuards:
 
             return at
 
-        monkeypatch.setattr(drag, "kappa_table", fake)
+        monkeypatch.setattr(dynamics, "_KappaTable", fake)
         traj = simulate(active(NAVIER, mass=0.1), t_max=200.0)
         assert traj.termination is TerminationKind.SPEED_REVERSED
         assert traj.t_coll is None and 0.19 < traj.min_h < 0.2
@@ -679,6 +687,21 @@ class TestQuadrature:
         assert rep.time_to_floor == pytest.approx(_quad_reference(sc, rep.h_floor), rel=rel)
         assert rep.abserr < 1e-6 * rep.time_to_floor
 
+    def test_eight_nodes_a_panel(self, monkeypatch):
+        # One drag call reads the 8 nodes of each panel, at most 1 wide in
+        # ln h: Navier beta = 1e-3 from 0.5 to 1e-9 has 22 panels. abserr
+        # comes from those nodes too, and it shows the drive's rounding
+        # noise: 1e-16 of the time where the drive is clean, 1e-9 at no
+        # slip with lam = 0.01.
+        gaps, real = [], drag.kappa_arrays
+        counted = lambda hs, *a, **kw: gaps.append(np.size(hs)) or real(hs, *a, **kw)
+        monkeypatch.setattr(drag, "kappa_arrays", counted)
+        rep = collision_time_quadrature(active(BoundaryCondition.navier(1e-3)))
+        assert gaps == [8 * 22]
+        assert rep.abserr < 1e-14 * rep.time_to_floor
+        noisy = collision_time_quadrature(active(NO_SLIP, lam=0.01))
+        assert 1e-12 * noisy.time_to_floor < noisy.abserr < 1e-6 * noisy.time_to_floor
+
     def test_matches_simulation(self):
         sc = active(NAVIER)
         rep = collision_time_quadrature(sc)
@@ -724,10 +747,10 @@ class TestQuadrature:
 
 
 class TestInertialTable:
-    """Inertial runs read one drag.kappa_table and give Radau its Jacobian:
-    in closed form where a table's interpolant serves, and from a
-    difference of the series where a table cannot certify tail_tol; both
-    are checked against the public series rhs."""
+    """Inertial runs read one _KappaTable, which interpolates the drag
+    through the edges a massless run of the scenario evaluates, and give
+    Radau its Jacobian in closed form from the interpolant's derivative;
+    both are checked against the public series rhs."""
 
     @pytest.mark.parametrize(
         "sc",
@@ -738,9 +761,7 @@ class TestInertialTable:
     def test_jacobian_matches_the_series(self, sc, h):
         # 0.5 is above beta, 3e-3 inside the slip layer of NAVIER (and on the
         # series for no slip), 1e-6 below SERIES_GAP_FLOOR.
-        active_pair = sc.mode is Mode.ACTIVE
-        table = drag.kappa_table(sc.bc, lam=sc.lam if active_pair else None)
-        jac = _jacobian(sc, functools.partial(_table_terms, sc, table), (h, -0.5))
+        jac = _jacobian(sc, kappa_reader(sc), (h, -0.5))
         np.testing.assert_allclose(jac, self.difference(sc, h), rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize(
@@ -750,14 +771,12 @@ class TestInertialTable:
     )
     @pytest.mark.parametrize("h", [0.5, 3e-3, 1e-6])
     def test_series_jacobian_matches_the_series(self, sc, h):
-        # At tail_tol = 1e-13 no table certifies the tolerance, so the terms
-        # are the series' and their slopes a difference of it.
-        tight = SeriesTruncation(tail_tol=1e-13)
-        table = drag.kappa_table(sc.bc, tight, lam=sc.lam if sc.mode is Mode.ACTIVE else None)
-        terms = functools.partial(_table_terms, sc, table)
-        jac = _jacobian(sc, terms, (h, -0.5))
+        # At tail_tol = 1e-13 the panels that cannot certify the tolerance
+        # give the series, and their slopes still come from the interpolant.
+        at = kappa_reader(sc, SeriesTruncation(tail_tol=1e-13))
+        jac = _jacobian(sc, at, (h, -0.5))
         np.testing.assert_allclose(jac, self.difference(sc, h), rtol=1e-6, atol=0.0)
-        assert terms(-1e-3, slope=True)[3:] == (0.0, 0.0)
+        assert at(-1e-3, slope=True)[1::2] == (0.0, 0.0)
 
     @staticmethod
     def difference(sc, h):
@@ -768,14 +787,12 @@ class TestInertialTable:
         )
 
     def test_flat_below_the_gap_clamp(self):
-        # A Radau step can reach h <= 0; the terms there are those at the
-        # clamp, with zero slopes.
-        sc = active(NAVIER, mass=0.1)
-        table = drag.kappa_table(sc.bc, lam=sc.lam)
-        force, kp, kpr, dforce, dkp = _table_terms(sc, table, -1e-3, slope=True)
-        assert dforce == 0.0 and dkp == 0.0
-        at_clamp = _table_terms(sc, table, _GAP_CLAMP)
-        assert (force, kp, kpr) == _table_terms(sc, table, -1e-3) == at_clamp
+        # A Radau step can reach h <= 0; the coefficients there are those at
+        # the clamp, with zero slopes.
+        at = kappa_reader(active(NAVIER, mass=0.1))
+        kp, dkp, kpr, dkpr = at(-1e-3, slope=True)
+        assert dkp == 0.0 and dkpr == 0.0
+        assert (kp, kpr) == at(-1e-3) == at(_GAP_CLAMP)
 
     def test_passive_run_builds_no_propulsion_table(self):
         cache_clear()
@@ -809,14 +826,79 @@ class TestInertialTable:
         assert traj.t_coll == pytest.approx(t_ref, rel=1e-8, abs=0.0)
 
     def test_reruns_are_identical(self):
-        # At tail_tol = 1e-12 the kappa_prop table gives the series: cold
-        # and warm caches must still give the same run there too.
+        # At tail_tol = 1e-12 some panels give the series: cold and warm
+        # caches must still give the same run there too.
         sc = active(NAVIER, mass=0.1, lam=0.7)
         for truncation in (None, SeriesTruncation(tail_tol=1e-12)):
             cache_clear()
             cold = simulate(sc, t_max=20.0, truncation=truncation)
             warm = simulate(sc, t_max=20.0, truncation=truncation)
             assert cold.points == warm.points and len(cold.points) > 10
+
+    def test_reads_outside_the_run(self):
+        # A Radau stage can read below a floor that sits above
+        # SERIES_GAP_FLOOR, or above h0, and a step can reach h <= 0 or
+        # hand over NaN: each read is served, and none of them raises.
+        sc = active(NAVIER, mass=0.1)
+        at = kappa_reader(sc, floor=1e-3)
+        for h in [9e-4, 5e-4, 2.5e-6, 0.6, 5.0, 1e3]:
+            kp, dkp, kpr, dkpr = at(h, slope=True)
+            assert kp == pytest.approx(drag.kappa_pass(h, NAVIER), rel=1e-10, abs=0.0)
+            assert kpr == pytest.approx(drag.kappa_prop(h, 1.0, NAVIER), rel=1e-10, abs=0.0)
+            assert np.isfinite([dkp, dkpr]).all()
+        # A gap far out fills one panel's stencil, 8 edges, and no more.
+        filled = len(at.ln)
+        at(1e6)
+        assert len(at.ln) == filled + 8
+        assert at(0.0) == at(-1.0) == at(_GAP_CLAMP)
+        assert all(map(np.isnan, at(np.nan, slope=True)))
+        assert all(map(np.isnan, at(np.inf)))
+
+    def test_one_kernel_call_per_edge(self, monkeypatch):
+        # A cold no-slip run evaluates each edge it reaches once, both
+        # coefficients in one call of the series kernel; the two Chebyshev
+        # tables this reader replaced made 383 such calls.
+        calls, real = [], drag._drag_sums
+        monkeypatch.setattr(drag, "_drag_sums", lambda h, *a: calls.append(h) or real(h, *a))
+        sc = active(NO_SLIP, mass=0.1)
+        cache_clear()
+        simulate(sc, t_max=200.0)
+        at = kappa_reader(sc)
+        assert len(calls) == len(set(calls)) and set(calls) <= set(at.edges.tolist())
+        assert 0 < len(calls) < 383
+
+    def test_weights_are_the_barycentric_weights(self):
+        # The spelled-out r_j = w_j / (t - j), w_j = (-1)^j C(7, j), on and
+        # between the edges; on an edge the form still gives its value.
+        for t in [0.0, 0.25, 3.0, 3.5, 6.999, 7.0]:
+            want = [
+                (-1) ** j * math.comb(7, j) / (t - j if t != j else 1e-200) for j in range(8)
+            ]
+            assert dynamics._weights(t) == tuple(want)
+        f = [0.5 * j * j for j in range(8)]
+        for t in [0.0, 4.0, 7.0]:
+            r = dynamics._weights(t)
+            assert sum(map(float.__mul__, r, f)) / sum(r) == f[int(t)]
+
+    def test_estimate_is_the_degree_six_difference(self):
+        # A panel's estimate is |p7 - p6| at its midpoint in ln kappa, where
+        # p6 leaves out the stencil edge farthest from that midpoint; the
+        # reference evaluates both in exact rational arithmetic.
+        def lagrange(nodes, values, x):
+            return sum(
+                Fraction(v) * math.prod(Fraction(x - k, j - k) for k in nodes if k != j)
+                for j, v in zip(nodes, values)
+            )
+
+        at = kappa_reader(active(NO_SLIP, mass=0.1))
+        for h in [0.4, 0.499, 3e-6, 2.1e-6]:
+            t, _, (_, f_pass, f_prop, _, estimates) = at._locate(h)
+            mid = Fraction(2 * int(min(max(t, 0.0), 6.5)) + 1, 2)
+            keep = [j for j in range(8) if j != (7 if mid < 3.5 else 0)]
+            for f, estimate in zip([f_pass, f_prop], estimates):
+                p7 = lagrange(range(8), f, mid)
+                p6 = lagrange(keep, [f[j] for j in keep], mid)
+                assert estimate == pytest.approx(float(abs(p7 - p6)), rel=1e-6, abs=1e-15)
 
 
 class TestClosedFormNewton:
@@ -829,8 +911,7 @@ class TestClosedFormNewton:
     def test_matches_a_pivoted_solve(self, h, mu):
         rng = np.random.default_rng(7)
         for sc in (active(NAVIER, mass=0.1), forced(NAVIER, mass=0.1), active(NO_SLIP, mass=0.1)):
-            table = drag.kappa_table(sc.bc, lam=sc.lam if sc.mode is Mode.ACTIVE else None)
-            jac = _jacobian(sc, functools.partial(_table_terms, sc, table), (h, -0.5))
+            jac = _jacobian(sc, kappa_reader(sc), (h, -0.5))
             for dt in (1e-9, 1e-5, 1e-1, 10.0):
                 matrix = mu / dt * np.eye(2) - np.array(jac)
                 inverse = _radau.inverse(matrix.tolist(), 0.0, (1.0, 0.0))
@@ -873,21 +954,25 @@ class TestClosedFormNewton:
         monkeypatch.setattr(_radau, "steps", counted)
         traj = simulate(sc, t_max=200.0)
 
-        # The same table rhs, Jacobian and events, on stock Radau.
-        table = drag.kappa_table(sc.bc, lam=sc.lam if sc.mode is Mode.ACTIVE else None)
-        terms = functools.partial(_table_terms, sc, table)
+        # The same reader rhs, Jacobian and events, on stock Radau.
+        at = kappa_reader(sc)
+
+        def rate(t, y):
+            kp, kpr = at(y[0])
+            return np.array(dynamics._inertial_rate(sc, y, dynamics._force(sc, kpr), kp))
+
         contact = lambda t, y: y[0] - traj.h_floor
         reversal = lambda t, y: y[1] - 1e-12
         contact.terminal, contact.direction = True, -1.0
         reversal.terminal, reversal.direction = True, 1.0
         ref = solve_ivp(
-            lambda t, y: np.array(dynamics._inertial_rate(sc, y, *terms(y[0])[:2])),
+            rate,
             (0.0, 200.0),
             [sc.h0, -sc.s0],
             method="Radau",
             rtol=1e-8,
             atol=1e-12,
-            jac=lambda t, y: np.array(_jacobian(sc, terms, y)),
+            jac=lambda t, y: np.array(_jacobian(sc, at, y)),
             events=(contact, reversal),
         )
         assert ref.status == 1 and len(ref.t_events[0]) == 1
