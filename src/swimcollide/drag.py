@@ -30,10 +30,9 @@ offsets that the memo lacks at that gap, in the same call. kappa_arrays is
 the one reader of the memo: it alone turns series values into kappa_pass and
 kappa_prop, and kappa_pass, kappa_prop and coefficients are its values at
 one gap. Massless runs, rhs, the quadrature, the decay-rate bound, the drag
-command and the sweep columns all read the series through it.
-
-Inertial runs read the coefficients through dynamics._KappaTable, which
-interpolates kappa_arrays' values at the edges of a massless run.
+command and the sweep columns all read the series through it, and inertial
+runs through dynamics._KappaTable, which interpolates its values at the
+edges of a massless run.
 """
 
 import threading
@@ -263,15 +262,15 @@ def _series_edge(bc):
     return max(bc.beta, SERIES_GAP_FLOOR)
 
 
-def _below_edge(anchor, h, beta, log=np.log, maximum=np.maximum):
-    """kappa_pass below the series edge and its h-derivative, for an array of
-    gaps, or for one float gap with log=math.log and maximum=max:
+def _below_edge(anchor, h, beta):
+    """kappa_pass below the series edge, for one gap or an array of them:
     kappa_ns(g) * (1 + log(g / h)) with g = max(h, beta), which is the
     slip-layer log law below beta. anchor is the series at the edge, which is
     kappa_ns there; below SERIES_GAP_FLOOR kappa_ns continues as 1/h."""
-    g = maximum(h, beta)
-    scale = anchor if beta >= SERIES_GAP_FLOOR else anchor * SERIES_GAP_FLOOR / g
-    return scale * (1.0 + log(g / h)), -scale / h
+    if beta >= SERIES_GAP_FLOOR:  # the edge is beta, so g = beta
+        return anchor * (1.0 + np.log(beta / h))
+    g = np.maximum(h, beta)
+    return anchor * SERIES_GAP_FLOOR / g * (1.0 + np.log(g / h))
 
 
 def _tip_offset(lam):
@@ -338,7 +337,7 @@ def kappa_arrays(hs, bc, truncation=None, lam=None):
     kp_series, kpr = _series_values(pass_gaps, prop_gaps, lam, truncation)
     kp = np.empty_like(hs)
     if below:
-        kp[~above] = _below_edge(kp_series.pop(), hs[~above], bc.beta)[0]
+        kp[~above] = _below_edge(kp_series.pop(), hs[~above], bc.beta)
     kp[above] = kp_series
     if lam is None:
         return kp, np.zeros_like(hs)

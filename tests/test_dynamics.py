@@ -16,6 +16,7 @@ from swimcollide.dynamics import (
     _BLOCK_EDGES,
     _GAP_CLAMP,
     _KappaTable,
+    _STENCIL_PANELS,
     _STENCIL_TO_MONOMIAL,
     _STENCIL_WEIGHTS,
     _jacobian,
@@ -691,8 +692,8 @@ class TestQuadrature:
         # One drag call reads the 8 nodes of each panel, at most 1 wide in
         # ln h: Navier beta = 1e-3 from 0.5 to 1e-9 has 22 panels. abserr
         # comes from those nodes too, and it shows the drive's rounding
-        # noise: 1e-16 of the time where the drive is clean, 1e-9 at no
-        # slip with lam = 0.01.
+        # noise: the rounding of the sum, 3e-15 of the time, where the
+        # drive is clean, 1e-9 at no slip with lam = 0.01.
         gaps, real = [], drag.kappa_arrays
         counted = lambda hs, *a, **kw: gaps.append(np.size(hs)) or real(hs, *a, **kw)
         monkeypatch.setattr(drag, "kappa_arrays", counted)
@@ -701,6 +702,22 @@ class TestQuadrature:
         assert rep.abserr < 1e-14 * rep.time_to_floor
         noisy = collision_time_quadrature(active(NO_SLIP, lam=0.01))
         assert 1e-12 * noisy.time_to_floor < noisy.abserr < 1e-6 * noisy.time_to_floor
+
+    @pytest.mark.parametrize("width", [0.5, 0.7, 1.0, 2.0])
+    def test_abserr_covers_the_error_of_a_clean_integrand(self, width, monkeypatch):
+        # With F = 1 and kappa_pass = g(ln h) / h the integrand dt/du is
+        # g(u) = 1 / (1 + ((u - c) / width)^2), free of series noise, whose
+        # integral is width * atan((u - c) / width); its poles at c +- i
+        # width set how fast the Legendre coefficients fall. The rule errs
+        # by 5.5e-7 at width 0.5 and by 2.7e-15 at width 2, and abserr reads
+        # 1.9, 8.4, 3.1 and 157 times that error at the four widths.
+        c, lo, hi = -5.0, math.log(1e-7), math.log(0.5)
+        g = lambda hs: 1.0 / (1.0 + ((np.log(hs) - c) / width) ** 2)
+        clean = lambda sc, hs, truncation: (np.ones_like(hs), g(hs) / hs, np.zeros_like(hs))
+        monkeypatch.setattr(dynamics, "_force_and_coefficients", clean)
+        rep = collision_time_quadrature(forced(NO_SLIP), h_floor=1e-7)
+        exact = width * (math.atan((hi - c) / width) - math.atan((lo - c) / width))
+        assert abs(rep.time_to_floor - exact) <= rep.abserr <= 1e-5 * exact
 
     def test_matches_simulation(self):
         sc = active(NAVIER)
@@ -847,9 +864,9 @@ class TestInertialTable:
             assert kpr == pytest.approx(drag.kappa_prop(h, 1.0, NAVIER), rel=1e-10, abs=0.0)
             assert np.isfinite([dkp, dkpr]).all()
         # A gap far out fills one panel's stencil, 8 edges, and no more.
-        filled = len(at.ln)
+        filled = len(at.kappas)
         at(1e6)
-        assert len(at.ln) == filled + 8
+        assert len(at.kappas) == filled + 8
         assert at(0.0) == at(-1.0) == at(_GAP_CLAMP)
         assert all(map(np.isnan, at(np.nan, slope=True)))
         assert all(map(np.isnan, at(np.inf)))
@@ -857,28 +874,54 @@ class TestInertialTable:
     def test_one_kernel_call_per_edge(self, monkeypatch):
         # A cold no-slip run evaluates each edge it reaches once, both
         # coefficients in one call of the series kernel; the two Chebyshev
-        # tables this reader replaced made 383 such calls.
+        # tables this reader replaced made 383 such calls. Its other calls
+        # are its reads on the panels of the last stencil above
+        # SERIES_GAP_FLOOR that lie below the stencil's centre, where
+        # kappa_prop gives the series, one call per gap read.
         calls, real = [], drag._drag_sums
         monkeypatch.setattr(drag, "_drag_sums", lambda h, *a: calls.append(h) or real(h, *a))
+        reads, read = [], _KappaTable.__call__
+        spy = lambda at, h, **kw: reads.append(h) or read(at, h, **kw)
+        monkeypatch.setattr(_KappaTable, "__call__", spy)
         sc = active(NO_SLIP, mass=0.1)
         cache_clear()
         simulate(sc, t_max=200.0)
         at = kappa_reader(sc)
-        assert len(calls) == len(set(calls)) and set(calls) <= set(at.edges.tolist())
-        assert 0 < len(calls) < 383
+        lo, hi, n, base, spacing = at.segments[0]
+        assert lo == SERIES_GAP_FLOOR
+        top = at.edges[base + n - _STENCIL_PANELS // 2]
+        edges = set(calls) & set(at.edges.tolist())
+        off = set(calls) - edges
+        assert len(calls) == len(set(calls))
+        assert off == {h for h in reads if SERIES_GAP_FLOOR < h < top} - edges
+        assert 0 < len(edges) < 383 and len(off) > 0
 
     def test_weights_are_the_barycentric_weights(self):
-        # The spelled-out r_j = w_j / (t - j), w_j = (-1)^j C(7, j), on and
-        # between the edges; on an edge the form still gives its value.
-        for t in [0.0, 0.25, 3.0, 3.5, 6.999, 7.0]:
-            want = [
-                (-1) ** j * math.comb(7, j) / (t - j if t != j else 1e-200) for j in range(8)
-            ]
+        # The spelled-out r_j = w_j / (t - j), w_j = (-1)^j C(7, j), between
+        # the edges; on an edge it raises, and a read there gives the values
+        # kept at the edge, with the interpolant's slope.
+        for t in [0.25, 3.5, 6.999, 1e-300]:
+            want = [(-1) ** j * math.comb(7, j) / (t - j) for j in range(8)]
             assert dynamics._weights(t) == tuple(want)
-        f = [0.5 * j * j for j in range(8)]
-        for t in [0.0, 4.0, 7.0]:
-            r = dynamics._weights(t)
-            assert sum(map(float.__mul__, r, f)) / sum(r) == f[int(t)]
+        for t in [0.0, 3.0, 7.0]:
+            with pytest.raises(ZeroDivisionError):
+                dynamics._weights(t)
+        # The stops are edges exactly: h0, SERIES_GAP_FLOOR and the floor.
+        sc = active(NO_SLIP, mass=0.1)
+        at = kappa_reader(sc)
+        for h, into in [(sc.h0, -1.0), (SERIES_GAP_FLOOR, 1.0), (default_h_floor(NO_SLIP), 1.0)]:
+            t, _, (_, _, _, _, _, kappas) = at._locate(h)
+            assert t == round(t)
+            assert at(h) == at(h, slope=True)[::2] == kappas[round(t)]
+            assert at(h) == (drag.kappa_pass(h, NO_SLIP), drag.kappa_prop(h, 1.0, NO_SLIP))
+            step = 1e-7 * h * into  # a difference inside the stop's own segment
+            difference = (at(h + step)[0] - at(h)[0]) / step
+            assert at(h, slope=True)[1] == pytest.approx(difference, rel=1e-5)
+        # kappa_prop's difference is taken at h0 only: above SERIES_GAP_FLOOR
+        # the reads give the series, whose scatter a difference there shows.
+        step = -1e-7 * sc.h0
+        difference = (at(sc.h0 + step)[1] - at(sc.h0)[1]) / step
+        assert at(sc.h0, slope=True)[3] == pytest.approx(difference, rel=1e-5)
 
     def test_estimate_is_the_degree_six_difference(self):
         # A panel's estimate is |p7 - p6| at its midpoint in ln kappa, where
@@ -892,7 +935,7 @@ class TestInertialTable:
 
         at = kappa_reader(active(NO_SLIP, mass=0.1))
         for h in [0.4, 0.499, 3e-6, 2.1e-6]:
-            t, _, (_, f_pass, f_prop, _, estimates) = at._locate(h)
+            t, _, (_, f_pass, f_prop, _, estimates, _) = at._locate(h)
             mid = Fraction(2 * int(min(max(t, 0.0), 6.5)) + 1, 2)
             keep = [j for j in range(8) if j != (7 if mid < 3.5 else 0)]
             for f, estimate in zip([f_pass, f_prop], estimates):
