@@ -19,11 +19,13 @@ Exit codes: 0 success, 1 validation failure, 2 config or usage error,
 3 numerical failure. All floating point output is written with 17
 significant digits, and identical inputs produce byte-identical files:
 reports carry no timestamps, and sweep runs its grid points one after
-another and writes the rows in grid order. While a sweep runs, a
-propulsion series that one point misses at a gap is evaluated there for
-the tip offsets of all its active points at once, so points that differ
-only in lambda share each coefficient pass; values are unchanged. drag
-reads its whole table in one drag.kappa_arrays call.
+another and writes the rows in grid order. A sweep row's coefficients at
+h0 are its run's first recorded point. While a sweep runs, a propulsion
+series that one point misses at a gap is evaluated there for the tip
+offsets of all its active points at once, so points that differ only in
+lambda share each coefficient pass; values are unchanged. drag reads its
+whole table in one drag.kappa_arrays call and tags each gap with
+drag.coefficients' provenance.
 """
 
 import argparse
@@ -63,9 +65,9 @@ def _write_csv(path, header, rows):
 
 
 def _write_report(path, sections):
-    """sections: list of (title, [(key, value), ...])."""
+    """sections: list of (title, [(key, value), ...]), then [package]."""
     lines = []
-    for title, pairs in sections:
+    for title, pairs in sections + [("package", [("version", __version__)])]:
         lines.append(f"[{title}]")
         for key, value in pairs:
             lines.append(f"{key} = {value}")
@@ -113,33 +115,22 @@ def cmd_drag(args):
 
     grid = np.geomspace(args.h_min, args.h_max, args.points)
     kp, kpr = drag.kappa_arrays(grid, bc, trunc, lam)
-    # The provenance rule of drag.coefficients.
-    edge = drag._series_edge(bc)
-    exact, model = drag.Provenance.EXACT_SERIES.value, drag.Provenance.ASYMPTOTIC_MODEL.value
     rows = [
-        [_fmt(h), _fmt(a), _fmt(b), exact if h >= edge else model]
+        [_fmt(h), _fmt(a), _fmt(b), drag._provenance(h, bc).value]
         for h, a, b in zip(grid.tolist(), kp.tolist(), kpr.tolist())
     ]
     table = os.path.join(out, "drag_table.csv")
     _write_csv(table, ["h", "kappa_pass", "kappa_prop", "provenance"], rows)
-    _write_report(
-        os.path.join(out, "drag_report.txt"),
-        [
-            (
-                "drag",
-                [
-                    ("bc", bc.kind),
-                    ("beta", _fmt(bc.beta)),
-                    ("lambda", _fmt(lam)),
-                    ("h_min", _fmt(args.h_min)),
-                    ("h_max", _fmt(args.h_max)),
-                    ("points", str(args.points)),
-                    ("tail_tol", _fmt(trunc.tail_tol)),
-                ],
-            ),
-            ("package", [("version", __version__)]),
-        ],
-    )
+    settings = [
+        ("bc", bc.kind),
+        ("beta", _fmt(bc.beta)),
+        ("lambda", _fmt(lam)),
+        ("h_min", _fmt(args.h_min)),
+        ("h_max", _fmt(args.h_max)),
+        ("points", str(args.points)),
+        ("tail_tol", _fmt(trunc.tail_tol)),
+    ]
+    _write_report(os.path.join(out, "drag_report.txt"), [("drag", settings)])
     print(f"wrote {table} ({args.points} gaps, bc = {bc.kind})")
     return 0
 
@@ -162,20 +153,21 @@ def _config_pairs(cfg):
     return pairs + [("config_hash", cfg.config_hash())]
 
 
+def _t_coll(traj):
+    """t_coll as the report and the summary line print it."""
+    return "none" if traj.t_coll is None else _fmt(traj.t_coll)
+
+
 def _run_report_sections(cfg, traj):
     result = [
         ("termination", traj.termination.value),
-        ("t_coll", _fmt(traj.t_coll) if traj.t_coll is not None else "none"),
+        ("t_coll", _t_coll(traj)),
         ("t_end", _fmt(traj.t_end)),
         ("min_h", _fmt(traj.min_h)),
         ("h_floor", _fmt(traj.h_floor)),
         ("points", str(len(traj.data[0]))),
     ]
-    return [
-        ("config", _config_pairs(cfg)),
-        ("result", result),
-        ("package", [("version", __version__)]),
-    ]
+    return [("config", _config_pairs(cfg)), ("result", result)]
 
 
 def cmd_simulate(args):
@@ -192,9 +184,8 @@ def cmd_simulate(args):
     table = os.path.join(out, "trajectory.csv")
     _write_csv(table, list(columns), zip(*(map(_fmt, c) for c in columns.values())))
     _write_report(os.path.join(out, "run_report.txt"), _run_report_sections(cfg, traj))
-    t_coll = _fmt(traj.t_coll) if traj.t_coll is not None else "none"
     print(
-        f"termination = {traj.termination.value}, t_coll = {t_coll}, "
+        f"termination = {traj.termination.value}, t_coll = {_t_coll(traj)}, "
         f"min_h = {_fmt(traj.min_h)}, points = {len(traj.data[0])}"
     )
     return 0
@@ -210,48 +201,28 @@ def cmd_sweep(args):
 
     axes = list(cfg.sweep)
     grid = list(itertools.product(*[cfg.sweep[axis] for axis in axes]))
-    scenarios = []
-    for combo in grid:
-        try:
-            scenarios.append(sweep_scenario(cfg.scenario, dict(zip(axes, combo))))
-        except Exception as exc:  # the point's failure, recorded in its row
-            scenarios.append(exc)
+    # parse_config has checked every axis value, each on its own, which is
+    # all a scenario checks, so every grid point builds.
+    scenarios = [sweep_scenario(cfg.scenario, dict(zip(axes, combo))) for combo in grid]
     # A propulsion series that one active point misses at a gap is evaluated
     # there for the tip offsets of all of them at once.
-    lams = [
-        s.lam
-        for s in scenarios
-        if isinstance(s, dynamics.SwimmerScenario) and s.mode is dynamics.Mode.ACTIVE
-    ]
+    lams = [s.lam for s in scenarios if s.mode is dynamics.Mode.ACTIVE]
     rows = []
     failures = []
     with drag._sharing(lams):
         for idx, (combo, scenario) in enumerate(zip(grid, scenarios)):
             head = [str(idx)] + [_fmt(v) for v in combo]
             try:
-                if isinstance(scenario, Exception):
-                    raise scenario
-                # a passive pair has no propulsion factor, as in its trajectory
-                lam = dynamics._prop_lam(scenario)
-                (kp,), (kpr,) = drag.kappa_arrays([scenario.h0], scenario.bc, cfg.truncation, lam)
                 traj = _simulate(cfg, scenario)
             except Exception as exc:  # recorded per point, reported at exit
                 reason = f"{type(exc).__name__}: {exc}"
                 failures.append((idx, reason))
                 rows.append(head + ["", "", "", "", "", "error", reason])
             else:
-                rows.append(
-                    head
-                    + [
-                        _fmt(kp),
-                        _fmt(kpr),
-                        traj.termination.value,
-                        _fmt(traj.t_coll),
-                        _fmt(traj.min_h),
-                        "ok",
-                        "",
-                    ]
-                )
+                start = dynamics.TrajectoryPoint(*(column[0] for column in traj.data))
+                kappas = [_fmt(start.kappa_pass), _fmt(start.kappa_prop)]
+                result = [traj.termination.value, _fmt(traj.t_coll), _fmt(traj.min_h)]
+                rows.append(head + kappas + result + ["ok", ""])
 
     header = (
         ["index"]
@@ -266,14 +237,8 @@ def cmd_sweep(args):
         ("failed", str(len(failures))),
         ("axes", ", ".join(axes)),
     ]
-    _write_report(
-        os.path.join(out, "sweep_report.txt"),
-        [
-            ("config", _config_pairs(cfg)),
-            ("result", outcome),
-            ("package", [("version", __version__)]),
-        ],
-    )
+    sections = [("config", _config_pairs(cfg)), ("result", outcome)]
+    _write_report(os.path.join(out, "sweep_report.txt"), sections)
     print(f"wrote {table} ({len(rows)} points, {len(failures)} failed)")
     if failures and not args.allow_partial:
         first, reason = failures[0]

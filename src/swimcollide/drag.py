@@ -29,10 +29,11 @@ with the tip offsets of its grid, a kappa_prop miss also fills each of those
 offsets that the memo lacks at that gap, in the same call. kappa_arrays is
 the one reader of the memo: it alone turns series values into kappa_pass and
 kappa_prop, and kappa_pass, kappa_prop and coefficients are its values at
-one gap. Massless runs, rhs, the quadrature, the decay-rate bound, the drag
-command and the sweep columns all read the series through it, and inertial
-runs through dynamics._KappaTable, which interpolates its values at the
-edges of a massless run.
+one gap. Massless runs, rhs, the quadrature, the decay-rate bound and the
+drag command all read the series through it, and inertial runs through
+dynamics._KappaTable, which interpolates its values at the edges of a
+massless run. _provenance is the one provenance rule, of coefficients and
+of the drag command's table.
 """
 
 import threading
@@ -351,18 +352,16 @@ def net_propulsion(h, lam, f_p, bc, truncation=None):
     return f_p * (1.0 - kappa_prop(h, lam, bc, truncation))
 
 
-def coefficients(h, lam, bc, truncation=None):
-    """Both coefficients at one gap with a combined provenance tag.
+def _provenance(h, bc):
+    """The Provenance of the coefficients at gap h under bc: EXACT_SERIES
+    when both come from a converged series evaluation at h itself, which is
+    iff h is at or above the series edge."""
+    exact = h >= _series_edge(bc)
+    return Provenance.EXACT_SERIES if exact else Provenance.ASYMPTOTIC_MODEL
 
-    The tag is EXACT_SERIES only when both came from a converged series
-    evaluation at the actual gap, which is at or above the series edge.
-    """
+
+def coefficients(h, lam, bc, truncation=None):
+    """Both coefficients at one gap with a combined provenance tag."""
     (kp,), (kpr,) = kappa_arrays([h], bc, truncation, lam)
     h = float(h)
-    exact = h >= _series_edge(bc)
-    return DragCoefficients(
-        h=h,
-        kappa_pass=kp.item(),
-        kappa_prop=kpr.item(),
-        provenance=Provenance.EXACT_SERIES if exact else Provenance.ASYMPTOTIC_MODEL,
-    )
+    return DragCoefficients(h, kp.item(), kpr.item(), _provenance(h, bc))

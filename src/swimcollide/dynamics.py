@@ -746,7 +746,7 @@ def collision_time_quadrature(scenario, h_floor=None, truncation=None):
     fall = np.minimum(1.0, top / np.maximum(below, np.finfo(float).tiny))
     missed = top * fall**4.75 * abs(legval(x, [0.0] * 16 + [1.0]) @ w)
     total = float((dt @ w).sum())
-    rounding = np.finfo(float).eps * total * math.sqrt(dt.size)
+    rounding = _radau.EPS * total * math.sqrt(dt.size)  # a float, as abserr is
     return QuadratureReport(total, max(float(missed.sum()), rounding), floor)
 
 

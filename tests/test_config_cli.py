@@ -4,6 +4,7 @@ of the module entry point in a subprocess."""
 import contextlib
 import csv
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -11,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import swimcollide
 from swimcollide import checks, drag, dynamics, geometry, series
 from swimcollide.checks import CHECKS
 from swimcollide.cli import _run_report_sections, main
-from swimcollide.config import SWEEP_AXES, parse_config, parse_config_text
+from swimcollide.config import SWEEP_AXES, parse_config, parse_config_text, sweep_scenario
 from swimcollide.drag import BoundaryCondition, coefficients
 from swimcollide.dynamics import Mode
 from swimcollide.errors import ConfigError
@@ -578,6 +580,61 @@ class TestSweepCommand:
         assert [float(r[col - 1]) for r in rows[1:]] == [
             drag.kappa_pass(h0, bc) for h0 in (0.3, 0.5)
         ]
+
+    @pytest.mark.parametrize("mode", ["active", "passive_forced"])
+    def test_rows_read_their_runs_first_point(self, tmp_path, mode):
+        # A row's coefficients at h0 are its run's first recorded point, for
+        # massless and inertial points, from above and below beta: a passive
+        # row writes no propulsion factor, and each is the drag at h0.
+        text = (
+            f"[scenario]\nmode = {mode}\nbc = navier\nbeta = 0.1\nf_ext = 1\n"
+            "[integrator]\nt_max = 2.0\n[sweep]\nh0 = 0.05, 0.5\nmass = 0.0, 0.1\n"
+        )
+        rows = self.sweep_rows(tmp_path, text, mode)
+        cfg = parse_config_text(text)
+        col = rows[0].index("kappa_pass_h0")
+        assert len(rows) == 5 and rows[0][1:col] == ["h0", "mass"]
+        for row in rows[1:]:
+            scenario = sweep_scenario(cfg.scenario, {"h0": float(row[1]), "mass": float(row[2])})
+            traj = dynamics.simulate(scenario, cfg.t_max, truncation=cfg.truncation)
+            got = [float(v) for v in row[col : col + 2]]
+            assert row[-2] == "ok" and got == [traj.data[3][0], traj.data[4][0]]
+            lam = scenario.lam if scenario.mode is Mode.ACTIVE else None
+            kp, kpr = drag.kappa_arrays([scenario.h0], scenario.bc, cfg.truncation, lam)
+            assert got == pytest.approx([kp[0], kpr[0]], rel=1e-15, abs=0.0)
+            assert (row[col + 1] == "0") is (lam is None)
+
+    @staticmethod
+    def axis_values(axis):
+        """One to two valid values of a sweep axis: h0, lambda and f_ext,
+        which a passive pair needs, are > 0, the others >= 0."""
+        values = st.floats(0.0, 1e6, exclude_min=axis in ("h0", "lambda", "f_ext"))
+        return st.lists(values, min_size=1, max_size=2)
+
+    @given(
+        st.sampled_from(["active", "passive_forced"]),
+        st.sets(st.sampled_from(SWEEP_AXES), min_size=1).flatmap(
+            lambda names: st.fixed_dictionaries(
+                {axis: TestSweepCommand.axis_values(axis) for axis in sorted(names)}
+            )
+        ),
+    )
+    def test_every_grid_point_builds(self, mode, axes):
+        # parse_config checks each axis value on its own, which is all a
+        # scenario checks, so every combination of valid values builds: the
+        # sweep needs no failure path for a point that cannot.
+        lines = [f"{axis} = " + ", ".join(map(repr, values)) for axis, values in axes.items()]
+        cfg = parse_config_text(
+            f"[scenario]\nmode = {mode}\nbc = navier\nbeta = 0.1\nf_ext = 1\n"
+            "[sweep]\n" + "\n".join(lines) + "\n"
+        )
+        for combo in itertools.product(*cfg.sweep.values()):
+            point = dict(zip(cfg.sweep, combo))
+            scenario = sweep_scenario(cfg.scenario, point)
+            assert scenario.mode is Mode(mode)
+            for axis, value in point.items():
+                field = {"lambda": "lam"}.get(axis, axis)
+                assert getattr(scenario.bc if axis == "beta" else scenario, field) == value
 
     def test_workers_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

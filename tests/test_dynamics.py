@@ -609,6 +609,13 @@ class TestSimulateGuards:
         assert traj.termination is TerminationKind.SPEED_REVERSED
         assert traj.t_end == 0.0 and len(traj.points) == 1
 
+    def test_inertial_pair_at_rest_stays_at_rest(self):
+        # Its inertial twin starting at rest is never pushed outward: it sits
+        # at h0 until its horizon, on the Radau start from rest.
+        traj = simulate(active(NAVIER, f_p=0.0, mass=0.1), t_max=10.0)
+        assert traj.termination is TerminationKind.HORIZON_REACHED
+        assert traj.t_end == 10.0 and set(traj.data[1]) == {0.5} and set(traj.data[2]) == {0.0}
+
     def test_drive_lost_on_the_way_in(self, monkeypatch):
         # A propulsion factor that passes one below h = 0.2 turns the drive
         # off after the start; the approach then has no collision course.
@@ -702,6 +709,7 @@ class TestQuadrature:
         assert rep.abserr < 1e-14 * rep.time_to_floor
         noisy = collision_time_quadrature(active(NO_SLIP, lam=0.01))
         assert 1e-12 * noisy.time_to_floor < noisy.abserr < 1e-6 * noisy.time_to_floor
+        assert type(rep.abserr) is type(noisy.abserr) is float
 
     @pytest.mark.parametrize("width", [0.5, 0.7, 1.0, 2.0])
     def test_abserr_covers_the_error_of_a_clean_integrand(self, width, monkeypatch):
@@ -726,6 +734,7 @@ class TestQuadrature:
         assert isinstance(rep, QuadratureReport)
         assert rep.time_to_floor == pytest.approx(traj.t_coll, rel=1e-8)
         assert rep.abserr < 1e-6 * rep.time_to_floor
+        assert type(rep.abserr) is float  # here the rounding floor is abserr
         assert traj.termination is TerminationKind.COLLISION
         rate = decay_rate_bound(sc, rep.h_floor)
         assert rep.time_to_floor >= np.log(sc.h0 / rep.h_floor) / rate
@@ -1053,6 +1062,31 @@ class TestClosedFormNewton:
         middle = steps[len(steps) // 2]
         at = 0.5 * (middle.t_old + middle.t)
         np.testing.assert_allclose(middle(at), ref.sol(at), rtol=1e-6)
+
+    def test_steps_match_stock_radau_from_rest(self):
+        # A stiff damped spring at rest under a drive t^6, which leaves the
+        # start rate and its first difference below 1e-15 in scale: scipy's
+        # initial step then takes 1e-6, not the 1e-4 of its 100 h0 cap, and
+        # the port takes scipy's steps and calls from there.
+        mu = 1000.0
+        rate = lambda t, y: (y[1], -mu * y[1] - y[0] + t**6)
+        jac = lambda t, y: ((0.0, 1.0), (-1.0, -mu))
+        calls = []
+        counted = lambda t, y: calls.append(t) or rate(t, y)
+        steps = list(_radau.steps(counted, jac, 0.0, (0.0, 0.0), 3.0, 1e-8, 1e-10))
+        ref = solve_ivp(
+            lambda t, y: np.array(rate(t, y)),
+            (0.0, 3.0),
+            [0.0, 0.0],
+            method="Radau",
+            rtol=1e-8,
+            atol=1e-10,
+            jac=lambda t, y: np.array(jac(t, y)),
+        )
+        assert (len(steps), len(calls)) == (len(ref.t) - 1, ref.nfev)
+        assert steps[0].t == ref.t[1] == 1e-6
+        np.testing.assert_allclose([s.t for s in steps], ref.t[1:], rtol=1e-6)
+        np.testing.assert_allclose(steps[-1].y, ref.y[:, -1], rtol=1e-12)
 
     @pytest.mark.parametrize(
         "matrix",

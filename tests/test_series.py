@@ -322,7 +322,9 @@ class TestDragKernel:
     count, each sum equal bit for bit to its own adaptive loop, and
     passive_drag and propulsion_drag are its one-sum views."""
 
-    @pytest.mark.parametrize("tail_tol", [1e-8, 1e-10, 1e-13])
+    # 1e-2 takes a second pass at h = 3.7e-5 and 1e-3 for the lams with
+    # 100 or 5, see test_a_second_pass.
+    @pytest.mark.parametrize("tail_tol", [1e-2, 1e-8, 1e-10, 1e-13])
     @pytest.mark.parametrize("h", [2e-6, 3.7e-5, 1e-3, 0.05, 0.5, 7.0, 100.0])
     @pytest.mark.parametrize("lams", [(1e-3, 1.0, 100.0), (0.01,), (5.0, 0.3)])
     def test_equals_the_separate_sums(self, lams, h, tail_tol):
@@ -349,6 +351,24 @@ class TestDragKernel:
         with pytest.raises(TruncationError) as exc:
             propulsion_drag(SERIES_GAP_FLOOR, 1e-3, SeriesTruncation(tail_tol))
         assert same_result(exc.value, want_props[0])
+
+    def test_a_second_pass(self, monkeypatch):
+        # A sum whose tail is not met at its start count gets another pass
+        # from _settled at a larger mode count, and the values are still
+        # those of the separate sums.
+        calls = []
+        original = series._mode_factor
+
+        def counting(frame, n_count, *factor):
+            calls.append(n_count)
+            return original(frame, n_count, *factor)
+
+        monkeypatch.setattr(series, "_mode_factor", counting)
+        lams, truncation = (5.0, 0.3), SeriesTruncation(tail_tol=1e-2)
+        got_pass, got_props = series._drag_sums(1e-3, True, lams, truncation)
+        assert len(calls) == 2 and calls[0] < calls[1]
+        want_pass, want_props = separate_sums(1e-3, lams, 1e-2)
+        assert same_result(got_pass, want_pass) and all(map(same_result, got_props, want_props))
 
     def test_one_pass_for_all_sums(self, monkeypatch):
         # The mode factor is formed once, at the largest start count, and
