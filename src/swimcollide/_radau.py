@@ -116,7 +116,10 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = fun(t0 + h0, tuple(v + h0 * f for v, f in zip(y0, f0)))
-    d2 = _rms((a - b) / s for a, b, s in zip(f1, f0, scale)) / h0
+    # An h0 that underflows to 0 gives d2 = inf, as numpy's division does in
+    # scipy; steps() then starts at its minimum step, where a StiffnessError
+    # ends the run.
+    d2 = _rms((a - b) / s for a, b, s in zip(f1, f0, scale)) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

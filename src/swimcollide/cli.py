@@ -57,8 +57,13 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _output(path):
+    """path opened to write text, UTF-8 with "\n" line ends: every output file."""
+    return open(path, "w", newline="\n", encoding="utf-8")
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -72,7 +77,7 @@ def _write_report(path, sections):
         for key, value in pairs:
             lines.append(f"{key} = {value}")
         lines.append("")
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+    with _output(path) as fh:
         fh.write("\n".join(lines))
 
 
@@ -270,9 +275,7 @@ def cmd_validate(args):
     lines.append(summary)
     print(summary)
     if out:
-        with open(
-            os.path.join(out, "validate_report.txt"), "w", newline="\n", encoding="utf-8"
-        ) as fh:
+        with _output(os.path.join(out, "validate_report.txt")) as fh:
             fh.write("\n".join(lines) + "\n")
     return 1 if failures else 0
 

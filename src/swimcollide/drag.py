@@ -21,19 +21,22 @@ A gap's coefficients are tagged EXACT_SERIES iff both come from a converged
 series at that gap, which is iff h >= max(beta, SERIES_GAP_FLOOR).
 
 Every series value is memoized on (gap, offset, truncation), at most 262144
-per coefficient; the memo is a pure lookup and never changes results. A miss
-at a gap fills every value missing there from one call of the series kernel
-(series._drag_sums): kappa_pass where the wall model reads the series at
-that gap, and kappa_prop. Inside _sharing, which the sweep command enters
-with the tip offsets of its grid, a kappa_prop miss also fills each of those
-offsets that the memo lacks at that gap, in the same call. kappa_arrays is
-the one reader of the memo: it alone turns series values into kappa_pass and
-kappa_prop, and kappa_pass, kappa_prop and coefficients are its values at
-one gap. Massless runs, rhs, the quadrature, the decay-rate bound and the
-drag command all read the series through it, and inertial runs through
+per coefficient; the memo is a pure lookup and never changes results.
+_series_values is its one read path: a _Memo.lookup of each coefficient
+finds the missing gaps, and each gap where either misses takes one call of
+the series kernel (series._drag_sums) for the values missing there:
+kappa_pass where the wall model reads the series at that gap, and
+kappa_prop. Inside _sharing, which the sweep command enters with the tip
+offsets of its grid, a kappa_prop miss also fills each of those offsets that
+the memo lacks at that gap, in the same call. kappa_arrays is the one reader
+of the memo: it alone turns series values into kappa_pass and kappa_prop,
+and kappa_pass, kappa_prop and coefficients are its values at one gap.
+Massless runs, rhs, the quadrature, the decay-rate bound and the drag
+command all read the series through it, and inertial runs through
 dynamics._KappaTable, which interpolates its values at the edges of a
-massless run. _provenance is the one provenance rule, of coefficients and
-of the drag command's table.
+massless run and keeps no copy of them: an edge read again is a memo hit.
+_provenance is the one provenance rule, of coefficients and of the drag
+command's table.
 """
 
 import threading
@@ -144,12 +147,20 @@ class _Memo:
                 table = self.families.setdefault(key, {})
         return table
 
-    def count(self, lookups, missing):
-        """Count lookups, of which the first lookup of each missing gap is a
-        miss, as a later one is a hit once the caller stores the value."""
+    def lookup(self, key, gaps):
+        """The family table of key, its values at gaps, None where missing,
+        and the missing gaps in order, each once, as the keys of a dict for
+        their values. The first lookup of each missing gap is a miss, and
+        every other lookup a hit, as it is once the caller stores the value."""
+        table = self.family(key)
+        values = [table.get(h) for h in gaps]
+        missing = {}
+        if None in values:
+            missing = dict.fromkeys(h for h, value in zip(gaps, values) if value is None)
         with self.lock:
-            self.misses += missing
-            self.hits += lookups - missing
+            self.misses += len(missing)
+            self.hits += len(gaps) - len(missing)
+        return table, values, missing
 
     def store(self, table, h, value):
         """value, kept in a family's table at gap h."""
@@ -181,67 +192,36 @@ def _sharing(lams):
         _SHARED_LAMS.reset(token)
 
 
-def _fill(h, truncation, passes=None, lam=None, props=None):
-    """One kernel call at gap h: kappa_pass into the family table passes
-    unless it is None, kappa_prop(lam) into props unless it is None, and
-    under _sharing, with kappa_prop, every shared tip offset whose table
-    lacks h. Returns the two values, None where not asked for. A sum that
-    reaches the mode cap raises its TruncationError when it is one asked
-    for; a shared one is not stored."""
-    lams, tables = (), []
-    if props is not None:
-        lams = (lam,)
-        for other in _SHARED_LAMS.get():
-            table = _series_prop.family((other, truncation))
-            if other != lam and h not in table:
-                lams += (other,)
-                tables.append(table)
-    kpass, kprops = _drag_sums(h, passes is not None, lams, truncation)
-    if passes is not None:
-        kpass = _series_pass.store(passes, h, _value(kpass))
-    if props is None:
-        return kpass, None
-    for table, value in zip(tables, kprops[1:]):
-        if not isinstance(value, TruncationError):
-            _series_prop.store(table, h, value)
-    return kpass, _series_prop.store(props, h, _value(kprops[0]))
-
-
-def _missing(memo, table, gaps):
-    """The values of a family table at gaps, None where missing, and the
-    missing gaps in order, each once, counted as memo lookups."""
-    values = [table.get(h) for h in gaps]
-    missing = {}
-    if None in values:
-        missing = dict.fromkeys(h for h, value in zip(gaps, values) if value is None)
-    memo.count(len(gaps), len(missing))
-    return values, missing
-
-
 def _series_values(pass_gaps, prop_gaps, lam, truncation):
     """kappa_pass at each of pass_gaps and kappa_prop(lam) at each of
-    prop_gaps, as two lists, from the memos, with one _fill per gap where
-    either misses."""
-    passes = props = None
-    kp, kpr, pass_missing, prop_missing = [], [], {}, {}
-    if pass_gaps:
-        passes = _series_pass.family(truncation)
-        kp, pass_missing = _missing(_series_pass, passes, pass_gaps)
-    if prop_gaps:
-        props = _series_prop.family((lam, truncation))
-        kpr, prop_missing = _missing(_series_prop, props, prop_gaps)
+    prop_gaps, as two lists, from the memos. Each gap where either misses
+    takes one kernel call, first the gaps where kappa_pass misses: it asks
+    for kappa_pass if that misses there, and for kappa_prop(lam) if that
+    misses there, with it, under _sharing, every shared tip offset whose
+    table lacks the gap. A sum that reaches the mode cap raises its
+    TruncationError when it is one asked for; a shared one is not stored."""
+    passes, kp, pass_missing = _series_pass.lookup(truncation, pass_gaps)
+    kpr, prop_missing, shared = [], {}, []
+    if prop_gaps:  # a passive pair reads no propulsion factor
+        props, kpr, prop_missing = _series_prop.lookup((lam, truncation), prop_gaps)
+        if prop_missing:
+            shared = [(other, _series_prop.family((other, truncation)))
+                      for other in _SHARED_LAMS.get() if other != lam]
     if not (pass_missing or prop_missing):
         return kp, kpr
     # Each missing gap's entry becomes its value.
     for h in {**pass_missing, **prop_missing}:
         want_pass, want_prop = h in pass_missing, h in prop_missing
-        kpass, kprop = _fill(
-            h, truncation, passes if want_pass else None, lam, props if want_prop else None
-        )
+        others = [(other, table) for other, table in shared if h not in table] if want_prop else []
+        lams = (lam, *(other for other, _ in others)) if want_prop else ()
+        kpass, kprops = _drag_sums(h, want_pass, lams, truncation)
         if want_pass:
-            pass_missing[h] = kpass
+            pass_missing[h] = _series_pass.store(passes, h, _value(kpass))
+        for (_, table), value in zip(others, kprops[1:]):
+            if not isinstance(value, TruncationError):
+                _series_prop.store(table, h, value)
         if want_prop:
-            prop_missing[h] = kprop
+            prop_missing[h] = _series_prop.store(props, h, _value(kprops[0]))
     return (
         [pass_missing[h] if value is None else value for h, value in zip(pass_gaps, kp)],
         [prop_missing[h] if value is None else value for h, value in zip(prop_gaps, kpr)],

@@ -494,19 +494,21 @@ class _KappaTable:
     """kappa_pass and kappa_prop of one inertial run, with closed-form slopes:
     ln kappa in ln h through each panel's massless stencil of the edges
     _panel_edges(stops), going on above h0 and below the floor at the nearest
-    segment's spacing on centred stencils, filled through kappa_arrays as the
-    run reaches them, _BLOCK_EDGES panels of a segment (one outside [floor,
-    h0]) at a time. A read on an edge gives the values kept there. A panel
-    whose estimate, degree 7 against degree 6 at its midpoint, exceeds
-    tail_tol or is NaN gives the series at h with the interpolant's slope.
-    The estimate misses the series' own scatter, which the interpolant
-    carries times its Lebesgue constant, 1.49 centred and 6.93 at a stencil's
-    end; kappa_prop, which scatters most at the bottom of its range, gives
-    the series on the panels below the centre of a stencil ending at
-    SERIES_GAP_FLOOR. Below the series edge kappa_pass is drag._below_edge
-    in floats, below SERIES_GAP_FLOOR kappa_prop is frozen (0 for lam =
-    None), a NaN or infinite gap gives NaN, and below _GAP_CLAMP the clamp's
-    values hold."""
+    segment's spacing on centred stencils, filled as the run reaches them,
+    _BLOCK_EDGES panels of a segment (one outside [floor, h0]) at a time,
+    from one kappa_arrays call over the block's edges. The drag memo is the
+    one store of edge values, so an edge read before is a hit there. Each
+    panel's record keeps the values at its stencil's edges, and a read on an
+    edge gives those. A panel whose estimate, degree 7 against degree 6 at
+    its midpoint, exceeds tail_tol or is NaN gives the series at h with the
+    interpolant's slope. The estimate misses the series' own scatter, which
+    the interpolant carries times its Lebesgue constant, 1.49 centred and
+    6.93 at a stencil's end; kappa_prop, which scatters most at the bottom of
+    its range, gives the series on the panels below the centre of a stencil
+    ending at SERIES_GAP_FLOOR. Below the series edge kappa_pass is
+    drag._below_edge in floats, below SERIES_GAP_FLOOR kappa_prop is frozen
+    (0 for lam = None), a NaN or infinite gap gives NaN, and below
+    _GAP_CLAMP the clamp's values hold."""
 
     def __init__(self, bc, truncation, lam, stops):
         self.truncation = _truncation(truncation)
@@ -518,7 +520,7 @@ class _KappaTable:
         # (lo, hi, panels, edge index of hi, spacing in ln h) of each segment
         self.segments = [(lo, hi, b - a, a, math.log(hi / lo) / (b - a))
                          for hi, lo, a, b in zip(stops, stops[1:], base, base[1:])]
-        self.kappas, self.panels = {}, {}  # (kappa_pass, kappa_prop) by edge, records by panel
+        self.panels = {}  # records by panel
 
     def __call__(self, h, slope=False):
         """(kappa_pass, kappa_prop) at gap h, or with slope (kappa_pass,
@@ -590,13 +592,12 @@ class _KappaTable:
             ks = np.array([k])
             origins = ks - _STENCIL_PANELS // 2
         taps = (base + origins[:, None] + np.arange(_STENCIL_PANELS + 1)).tolist()
-        missing = sorted(set().union(*taps).difference(self.kappas))
+        edges = sorted(set().union(*taps))
         with np.errstate(divide="ignore", invalid="ignore"):  # a kappa <= 0 is uncertified
-            if missing:
-                hs = np.array([self._edge(i) for i in missing])
-                kp, kpr = drag.kappa_arrays(hs, self.bc, self.truncation, self.lam)
-                self.kappas.update(zip(missing, zip(kp.tolist(), kpr.tolist())))
-            kappas = [[self.kappas[i] for i in row] for row in taps]
+            hs = np.array([self._edge(i) for i in edges])
+            kp, kpr = drag.kappa_arrays(hs, self.bc, self.truncation, self.lam)
+            values = dict(zip(edges, zip(kp.tolist(), kpr.tolist())))
+            kappas = [[values[i] for i in row] for row in taps]
             f = np.log(kappas).transpose(0, 2, 1)
             estimates = np.abs(f @ _BARY_WEIGHTS) * _ESTIMATE_SCALES[ks - origins, None]
         certified = estimates <= self.truncation.tail_tol

@@ -445,6 +445,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "StiffnessError: evaluation budget 25" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario", ["mass = 1e-300\n", "mass = 0.1\ns0 = 1e300\n"], ids=["tiny_mass", "huge_speed"]
+    )
+    def test_extreme_inertial_start_is_a_numerical_failure(self, tmp_path, capsys, scenario):
+        # Radau's first step underflows to 0 here; the run fails at t = 0 as
+        # a StiffnessError, not with a traceback.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_RUN.replace("t_max = 200.0", "t_max = 10.0") + "[scenario]\n" + scenario)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "numerical failure: StiffnessError: " in capsys.readouterr().err
+
     def test_report_lists_the_settings_used(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BASE_RUN)

@@ -602,6 +602,15 @@ class TestSimulateGuards:
         assert 0.0 < exc.value.t < 1e-2
         assert 0.49 < h < 0.5 and hdot < 0.0
 
+    @pytest.mark.parametrize("kw", [{"mass": 1e-300}, {"mass": 0.1, "s0": 1e300}])
+    def test_first_step_underflow_is_stiffness(self, kw):
+        # Radau's initial step 0.01 d0/d1 underflows to 0; as in scipy, d2
+        # is then inf, and the run fails at its start, on the minimum step.
+        sc = active(NAVIER, **kw)
+        with pytest.raises(StiffnessError) as exc:
+            simulate(sc, t_max=10.0)
+        assert exc.value.t == 0.0 and exc.value.state == (sc.h0, -sc.s0)
+
     def test_massless_speed_reversal(self):
         # Without a net inward drive the massless gap does not close: the run
         # ends at its start.
@@ -861,7 +870,7 @@ class TestInertialTable:
             warm = simulate(sc, t_max=20.0, truncation=truncation)
             assert cold.points == warm.points and len(cold.points) > 10
 
-    def test_reads_outside_the_run(self):
+    def test_reads_outside_the_run(self, monkeypatch):
         # A Radau stage can read below a floor that sits above
         # SERIES_GAP_FLOOR, or above h0, and a step can reach h <= 0 or
         # hand over NaN: each read is served, and none of them raises.
@@ -873,9 +882,10 @@ class TestInertialTable:
             assert kpr == pytest.approx(drag.kappa_prop(h, 1.0, NAVIER), rel=1e-10, abs=0.0)
             assert np.isfinite([dkp, dkpr]).all()
         # A gap far out fills one panel's stencil, 8 edges, and no more.
-        filled = len(at.kappas)
+        calls, real = [], drag._drag_sums
+        monkeypatch.setattr(drag, "_drag_sums", lambda h, *a: calls.append(h) or real(h, *a))
         at(1e6)
-        assert len(at.kappas) == filled + 8
+        assert len(calls) == 8
         assert at(0.0) == at(-1.0) == at(_GAP_CLAMP)
         assert all(map(np.isnan, at(np.nan, slope=True)))
         assert all(map(np.isnan, at(np.inf)))

@@ -1,6 +1,7 @@
 """Bipolar frame, coordinate maps, the propulsion tip, and the polynomial
 building blocks."""
 
+import itertools
 import math
 import re
 
@@ -167,9 +168,10 @@ class TestTipGeometry:
 
 class TestLegendre:
     def test_against_scipy(self):
-        for x in np.linspace(-1.0, 1.0, 17):
-            vals = legendre_values(10, x)
-            ref = eval_legendre(np.arange(11), x)
+        # n_max = 0 is P_0 alone, before the recurrence starts.
+        for n_max, x in itertools.product([0, 10], np.linspace(-1.0, 1.0, 17)):
+            vals = legendre_values(n_max, x)
+            ref = eval_legendre(np.arange(n_max + 1), x)
             np.testing.assert_allclose(vals, ref, rtol=0, atol=5e-14)
 
     def test_spot_value(self):
