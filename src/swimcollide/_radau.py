@@ -9,7 +9,10 @@ rules for the step size, for rejected steps and for reusing the Jacobian
 and the Newton matrices, so rtol and atol mean what they mean for
 solve_ivp(method="Radau"). What it drops is the n-dimensional machinery: the
 state is a pair of floats, and each Newton iteration solves its real and its
-complex 2 x 2 system with the explicit inverse.
+complex 2 x 2 system with the explicit inverse. The loop works on named
+floats (za0, za1 the pair of stage a, and so on): each matrix product is
+written out term by term and summed from the left, as numpy's dot forms it,
+and the complex system stays in complex arithmetic, as in scipy.
 """
 
 import cmath
@@ -64,7 +67,9 @@ class Step(NamedTuple):
         x = (time - self.t_old) / (self.t - self.t_old)
         x2 = x * x
         x3 = x2 * x
-        return tuple(a * x + b * x2 + c * x3 + v for (a, b, c), v in zip(self.q, self.y_old))
+        (a0, b0, c0), (a1, b1, c1) = self.q
+        v0, v1 = self.y_old
+        return a0 * x + b0 * x2 + c0 * x3 + v0, a1 * x + b1 * x2 + c1 * x3 + v1
 
 
 def inverse(matrix, t, y):
@@ -80,12 +85,6 @@ def inverse(matrix, t, y):
             state=y,
         )
     return (d / det, -b / det), (-c / det, a / det)
-
-
-def solve(inv, v):
-    """inv times the pair v."""
-    (a, b), (c, d) = inv
-    return a * v[0] + b * v[1], c * v[0] + d * v[1]
 
 
 def _rms(values):
@@ -127,37 +126,41 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-def _combine(row, pairs):
-    """sum_i row[i] pairs[i] for three pairs: one row of a 3 x 3 matrix times
-    the stage pairs, as numpy's dot forms it."""
-    (a0, a1), (b0, b1), (c0, c1) = pairs
-    return row[0] * a0 + row[1] * b0 + row[2] * c0, row[0] * a1 + row[1] * b1 + row[2] * c1
-
-
 def _collocation(fun, t, y, h, z, scale, tol, lu_real, lu_complex):
     """scipy's solve_collocation_system: the simplified Newton iteration for
-    the stage increments z, from the start z. Returns (converged, n_iter, z,
-    rate)."""
+    the stage increments z = (za0, za1, zb0, zb1, zc0, zc1), the pairs of
+    stages a, b and c, from the start z. Each product of a 3 x 3 matrix with
+    the stages is row[0] a + row[1] b + row[2] c, summed from the left.
+    Returns (converged, n_iter, z, rate)."""
+    (ti00, ti01, ti02), (ti10, ti11, ti12), (ti20, ti21, ti22) = TI
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = T
+    tic0, tic1, tic2 = TI_COMPLEX
+    (r00, r01), (r10, r11) = lu_real
+    (c00, c01), (c10, c11) = lu_complex
+    isfinite = math.isfinite
     m_real, m_complex = MU_REAL / h, MU_COMPLEX / h
-    times = [t + h * c for c in C]
-    w = [_combine(row, z) for row in TI]
+    ta, tb, tc = t + h * C[0], t + h * C[1], t + h * C[2]
     (y0, y1), (s0, s1) = y, scale
+    za0, za1, zb0, zb1, zc0, zc1 = z
+    # w = TI z, and the real and complex parts of the Newton increment in it
+    wa0, wa1 = ti00 * za0 + ti01 * zb0 + ti02 * zc0, ti00 * za1 + ti01 * zb1 + ti02 * zc1
+    wb0, wb1 = ti10 * za0 + ti11 * zb0 + ti12 * zc0, ti10 * za1 + ti11 * zb1 + ti12 * zc1
+    wc0, wc1 = ti20 * za0 + ti21 * zb0 + ti22 * zc0, ti20 * za1 + ti21 * zb1 + ti22 * zc1
     dw_norm_old = rate = None
     converged = False
     for k in range(NEWTON_MAXITER):
-        f = [fun(tc, (y0 + zi[0], y1 + zi[1])) for tc, zi in zip(times, z)]
-        if not all(map(math.isfinite, f[0] + f[1] + f[2])):
+        fa0, fa1 = fun(ta, (y0 + za0, y1 + za1))
+        fb0, fb1 = fun(tb, (y0 + zb0, y1 + zb1))
+        fc0, fc1 = fun(tc, (y0 + zc0, y1 + zc1))
+        if not (isfinite(fa0) and isfinite(fa1) and isfinite(fb0) and isfinite(fb1)
+                and isfinite(fc0) and isfinite(fc1)):
             break
-        f_real, f_complex = _combine(TI[0], f), _combine(TI_COMPLEX, f)
-        dr0, dr1 = solve(lu_real, (f_real[0] - m_real * w[0][0], f_real[1] - m_real * w[0][1]))
-        dc0, dc1 = solve(
-            lu_complex,
-            (
-                f_complex[0] - m_complex * complex(w[1][0], w[2][0]),
-                f_complex[1] - m_complex * complex(w[1][1], w[2][1]),
-            ),
-        )
-        dw = ((dr0, dr1), (dc0.real, dc1.real), (dc0.imag, dc1.imag))
+        v0 = ti00 * fa0 + ti01 * fb0 + ti02 * fc0 - m_real * wa0
+        v1 = ti00 * fa1 + ti01 * fb1 + ti02 * fc1 - m_real * wa1
+        dr0, dr1 = r00 * v0 + r01 * v1, r10 * v0 + r11 * v1
+        u0 = tic0 * fa0 + tic1 * fb0 + tic2 * fc0 - m_complex * complex(wb0, wc0)
+        u1 = tic0 * fa1 + tic1 * fb1 + tic2 * fc1 - m_complex * complex(wb1, wc1)
+        dc0, dc1 = c00 * u0 + c01 * u1, c10 * u0 + c11 * u1
         dw_norm = math.hypot(
             dr0 / s0, dr1 / s1, dc0.real / s0, dc1.real / s1, dc0.imag / s0, dc1.imag / s1
         ) / 6**0.5
@@ -167,13 +170,17 @@ def _collocation(fun, t, y, h, z, scale, tol, lu_real, lu_complex):
             rate >= 1 or rate ** (NEWTON_MAXITER - k) / (1 - rate) * dw_norm > tol
         ):
             break
-        w = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(w, dw)]
-        z = [_combine(row, w) for row in T]
+        wa0, wa1 = wa0 + dr0, wa1 + dr1
+        wb0, wb1 = wb0 + dc0.real, wb1 + dc1.real
+        wc0, wc1 = wc0 + dc0.imag, wc1 + dc1.imag
+        za0, za1 = t00 * wa0 + t01 * wb0 + t02 * wc0, t00 * wa1 + t01 * wb1 + t02 * wc1
+        zb0, zb1 = t10 * wa0 + t11 * wb0 + t12 * wc0, t10 * wa1 + t11 * wb1 + t12 * wc1
+        zc0, zc1 = t20 * wa0 + t21 * wb0 + t22 * wc0, t20 * wa1 + t21 * wb1 + t22 * wc1
         if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < tol:
             converged = True
             break
         dw_norm_old = dw_norm
-    return converged, k + 1, z, rate
+    return converged, k + 1, (za0, za1, zb0, zb1, zc0, zc1), rate
 
 
 def steps(fun, jac, t, y, t_bound, rtol, atol):
@@ -186,6 +193,8 @@ def steps(fun, jac, t, y, t_bound, rtol, atol):
     spacing of floats at t is a StiffnessError carrying the last accepted t
     and y, and so is a singular Newton matrix.
     """
+    e0, e1, e2 = E
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = P
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     h_abs_old = error_norm_old = None
@@ -199,6 +208,7 @@ def steps(fun, jac, t, y, t_bound, rtol, atol):
         if h_abs < min_step:
             h_abs, h_abs_old, error_norm_old = min_step, None, None
         rejected = False
+        (y0, y1), (f0, f1) = y, f
         while True:
             if h_abs < min_step:
                 raise StiffnessError(
@@ -211,10 +221,13 @@ def steps(fun, jac, t, y, t_bound, rtol, atol):
             h = t_new - t
             h_abs = abs(h)
             if last is None:
-                z0 = [(0.0, 0.0)] * 3
+                z0 = (0.0,) * 6
             else:
-                z0 = [tuple(a - b for a, b in zip(last(t + h * c), y)) for c in C]
-            scale = [atol + abs(v) * rtol for v in y]
+                pa0, pa1 = last(t + h * C[0])
+                pb0, pb1 = last(t + h * C[1])
+                pc0, pc1 = last(t + h * C[2])
+                z0 = (pa0 - y0, pa1 - y1, pb0 - y0, pb1 - y1, pc0 - y0, pc1 - y1)
+            scale = (atol + abs(y0) * rtol, atol + abs(y1) * rtol)
             converged = False
             while not converged:
                 if lu_real is None or lu_complex is None:
@@ -233,16 +246,20 @@ def steps(fun, jac, t, y, t_bound, rtol, atol):
                 h_abs *= 0.5
                 lu_real = lu_complex = None
                 continue
-            y_new = (y[0] + z[2][0], y[1] + z[2][1])
-            ze = [v / h for v in _combine(E, z)]
-            error = solve(lu_real, (f[0] + ze[0], f[1] + ze[1]))
-            scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
-            error_norm = _rms(e / s for e, s in zip(error, scale))
+            za0, za1, zb0, zb1, zc0, zc1 = z
+            (r00, r01), (r10, r11) = lu_real
+            yn0, yn1 = y0 + zc0, y1 + zc1
+            ze0, ze1 = (e0 * za0 + e1 * zb0 + e2 * zc0) / h, (e0 * za1 + e1 * zb1 + e2 * zc1) / h
+            v0, v1 = f0 + ze0, f1 + ze1
+            error0, error1 = r00 * v0 + r01 * v1, r10 * v0 + r11 * v1
+            s0, s1 = atol + max(abs(y0), abs(yn0)) * rtol, atol + max(abs(y1), abs(yn1)) * rtol
+            error_norm = math.hypot(error0 / s0, error1 / s1) / 2**0.5
             safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
             if rejected and error_norm > 1:
-                f_err = fun(t, (y[0] + error[0], y[1] + error[1]))
-                error = solve(lu_real, (f_err[0] + ze[0], f_err[1] + ze[1]))
-                error_norm = _rms(e / s for e, s in zip(error, scale))
+                f_err0, f_err1 = fun(t, (y0 + error0, y1 + error1))
+                v0, v1 = f_err0 + ze0, f_err1 + ze1
+                error0, error1 = r00 * v0 + r01 * v1, r10 * v0 + r11 * v1
+                error_norm = math.hypot(error0 / s0, error1 / s1) / 2**0.5
             if not error_norm > 1:  # as scipy, which accepts a NaN norm
                 break
             factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
@@ -257,12 +274,19 @@ def steps(fun, jac, t, y, t_bound, rtol, atol):
             factor = 1
         else:
             lu_real = lu_complex = None
+        y_new = (yn0, yn1)
         f_new = fun(t_new, y_new)
         if recompute_jac:
             J = jac(t_new, y_new)
         current_jac = recompute_jac
         h_abs_old, error_norm_old, h_abs = proposed, error_norm, h_abs * factor
-        q = tuple(zip(*(_combine(column, z) for column in zip(*P))))
+        # the collocation polynomial of each component: z times P
+        q = (
+            (p00 * za0 + p10 * zb0 + p20 * zc0, p01 * za0 + p11 * zb0 + p21 * zc0,
+             p02 * za0 + p12 * zb0 + p22 * zc0),
+            (p00 * za1 + p10 * zb1 + p20 * zc1, p01 * za1 + p11 * zb1 + p21 * zc1,
+             p02 * za1 + p12 * zb1 + p22 * zc1),
+        )
         last = Step(t, t_new, y, y_new, q)
         t, y, f = t_new, y_new, f_new
         yield last

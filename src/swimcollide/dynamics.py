@@ -194,9 +194,14 @@ def _prop_lam(scenario):
     return scenario.lam if scenario.mode is Mode.ACTIVE else None
 
 
-def _force(scenario, kpr):
-    """Net inward forcing F at propulsion factor(s) kpr: f_p (1 - kpr) or f_ext."""
-    return scenario.f_p * (1.0 - kpr) if scenario.mode is Mode.ACTIVE else scenario.f_ext
+def _force(scenario):
+    """The net inward forcing F of the scenario, as a function of the
+    propulsion factor(s) kpr: f_p (1 - kpr) or f_ext."""
+    if scenario.mode is Mode.ACTIVE:
+        f_p = scenario.f_p
+        return lambda kpr: f_p * (1.0 - kpr)
+    f_ext = scenario.f_ext
+    return lambda kpr: f_ext
 
 
 def _force_and_coefficients(scenario, hs, truncation):
@@ -204,7 +209,7 @@ def _force_and_coefficients(scenario, hs, truncation):
     array in its shape, from one drag.kappa_arrays call: the one place this
     module reads the series."""
     kp, kpr = drag.kappa_arrays(hs, scenario.bc, truncation, lam=_prop_lam(scenario))
-    return np.broadcast_to(_force(scenario, kpr), kp.shape), kp, kpr
+    return np.broadcast_to(_force(scenario)(kpr), kp.shape), kp, kpr
 
 
 def _jacobian(scenario, table, y):
@@ -219,16 +224,18 @@ def rhs(scenario, y, truncation=None):
 
     State is (h,) for massless scenarios and (h, hdot) otherwise.
     """
-    force, kp, _ = _force_and_coefficients(scenario, [max(y[0], _GAP_CLAMP)], truncation)
+    force, kp, kpr = _force_and_coefficients(scenario, [max(y[0], _GAP_CLAMP)], truncation)
     if scenario.mass == 0.0:
         return -force / kp
-    return np.array(_inertial_rate(scenario, y, force.item(), kp.item()))
+    return np.array(_inertial_rate(scenario)(y, kp.item(), kpr.item()))
 
 
-def _inertial_rate(scenario, y, force, kp):
+def _inertial_rate(scenario):
     """The equation of motion m h'' = -kappa_pass h' - F as a first-order
-    system in (h, h'), a pair of floats."""
-    return y[1], (-kp * y[1] - force) / scenario.mass
+    system in (h, h'): the function of the pair y and kappa_pass, kappa_prop
+    at y[0] that gives the rate as a pair of floats, bound once per run."""
+    m, force = scenario.mass, _force(scenario)
+    return lambda y, kp, kpr: (y[1], (-kp * y[1] - force(kpr)) / m)
 
 
 _LN_GAP_CAP = 0.05  # widest panel in ln h, and the inertial point spacing below h = 0.1
@@ -632,18 +639,22 @@ def _simulate_inertial(scenario, t_max, floor, rtol, atol, truncation):
     """
     stops = _segment_stops(scenario, floor)
     table = _KappaTable(scenario.bc, truncation, _prop_lam(scenario), stops)
-    point_at = lambda t, y: (t, *y, *table(y[0]))
-    evals = 0
+    rate = _inertial_rate(scenario)
+    evals, read = 0, (None, None, None)  # the gap and kappas of fun's latest read
 
     def fun(t, y):
-        nonlocal evals
+        nonlocal evals, read
         evals += 1
         if evals > _RHS_BUDGET:
             raise StiffnessError(
                 f"evaluation budget {_RHS_BUDGET} exhausted at t = {t}", t=t, state=y
             )
         kp, kpr = table(y[0])
-        return _inertial_rate(scenario, y, _force(scenario, kpr), kp)
+        read = y[0], kp, kpr
+        return rate(y, kp, kpr)
+
+    def point_at(t, y):  # a step's end point reuses the read of its f_new
+        return (t, *y, *(read[1:] if y[0] == read[0] else table(y[0])))
 
     # solve_ivp's two terminal events, each signed to fire on a step that
     # takes it from <= 0 to >= 0: the gap falls through the floor, or the

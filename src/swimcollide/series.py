@@ -566,6 +566,19 @@ def axis_velocity(solution, z0):
     return _axis_sum(frame, zeta0, solution.requested.tail_tol, solution.n_modes)
 
 
+def _tip_above_focus(frame, lam):
+    """The tip height 2 + h + lam, checked to lie above the focus c. Above
+    about h = 9e15 (at lam = 1) the float sum rounds onto c or below it, which
+    is a DomainError naming h and lam rather than the tip."""
+    z0 = tip_height(frame.h, lam)
+    if not z0 > frame.c:
+        raise DomainError(
+            f"half-gap {frame.h} is too wide for the propulsion sum at tip offset {lam}: "
+            "the tip rounds onto the focus of the bipolar frame"
+        )
+    return z0
+
+
 def _drag_sums(h, force, lams, truncation=None):
     """The drag sums at one gap from one coefficient pass per mode count:
     (kappa_pass, [kappa_prop at each tip offset of the tuple lams]), with
@@ -584,7 +597,7 @@ def _drag_sums(h, force, lams, truncation=None):
     h = _require_gap(h)
     frame = frame_from_gap(h)
     two_alpha = 2.0 * frame.alpha
-    zetas = [axis_zeta(frame, tip_height(h, lam)) for lam in lams]
+    zetas = [axis_zeta(frame, _tip_above_focus(frame, lam)) for lam in lams]
     # The mode count of each sum, 0 once it is settled.
     n_axis = [_start_count(_START_K_AXIS, two_alpha - zeta0, truncation) for zeta0 in zetas]
     n_force = _start_count(_START_K_FORCE, two_alpha, truncation) if force else 0

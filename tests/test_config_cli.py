@@ -222,6 +222,14 @@ class TestConfigParsing:
 
 
 class TestDragCommand:
+    def test_huge_gap_is_a_numerical_failure(self, tmp_path, capsys):
+        argv = ["drag", "--h-min", "1e15", "--h-max", "1e17", "--points", "3"]
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: DomainError: half-gap 1e+17 is too wide for the propulsion "
+            "sum at tip offset 1.0: the tip rounds onto the focus of the bipolar frame\n"
+        )
+
     def test_table_round_trips_exactly(self, tmp_path):
         rc = main(
             [

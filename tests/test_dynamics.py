@@ -2,9 +2,12 @@
 
 import dataclasses
 import functools
+import json
 import math
+import platform
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -821,6 +824,29 @@ class TestInertialTable:
             [(rhs(sc, y + d) - rhs(sc, y - d)) / (2.0 * s) for s, d in zip(steps, np.diag(steps))]
         )
 
+    @pytest.mark.parametrize(
+        "sc, t_max, termination",
+        [
+            (active(NAVIER, mass=0.1), 200.0, TerminationKind.COLLISION),
+            (forced(NAVIER, mass=0.1), 200.0, TerminationKind.COLLISION),
+            (active(NO_SLIP, mass=0.1), 200.0, TerminationKind.HORIZON_REACHED),
+            (forced(NO_SLIP, mass=0.1, h0=0.3), 1e6, TerminationKind.FLOOR_REACHED),
+        ],
+        ids=["active", "passive", "active_no_slip", "passive_no_slip"],
+    )
+    def test_recorded_kappas_are_fresh_reads(self, sc, t_max, termination):
+        # Every recorded point carries, bit for bit, what a fresh reader
+        # gives at its gap: a step's end point, which reuses the read of the
+        # step's last rate, a point densified inside a step, and the event
+        # point on the step's collocation polynomial.
+        traj = simulate(sc, t_max=t_max)
+        assert traj.termination is termination
+        t, h, _, kp, kpr = traj.data
+        at = kappa_reader(sc)
+        assert list(zip(kp, kpr)) == [at(g) for g in h]
+        assert sum(g < dynamics._LN_GAP_ONSET for g in h) > 100  # densified points
+        assert (kpr[-1] > 0.0) is (sc.mode is Mode.ACTIVE)
+
     def test_flat_below_the_gap_clamp(self):
         # A Radau step can reach h <= 0; the coefficients there are those at
         # the clamp, with zero slopes.
@@ -982,7 +1008,9 @@ class TestClosedFormNewton:
                     if mu != _radau.MU_REAL:
                         b = b + 1j * rng.standard_normal(2)
                     want = np.linalg.solve(matrix, b)
-                    got = np.array(_radau.solve(inverse, b.tolist()))
+                    (i00, i01), (i10, i11) = inverse  # applied as a step applies it
+                    v0, v1 = b.tolist()
+                    got = np.array([i00 * v0 + i01 * v1, i10 * v0 + i11 * v1])
                     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     # (scenario, bound on the relative difference of t_end from stock Radau):
@@ -1017,11 +1045,8 @@ class TestClosedFormNewton:
         traj = simulate(sc, t_max=200.0)
 
         # The same reader rhs, Jacobian and events, on stock Radau.
-        at = kappa_reader(sc)
-
-        def rate(t, y):
-            kp, kpr = at(y[0])
-            return np.array(dynamics._inertial_rate(sc, y, dynamics._force(sc, kpr), kp))
+        at, inertial_rate = kappa_reader(sc), dynamics._inertial_rate(sc)
+        rate = lambda t, y: np.array(inertial_rate(y, *at(y[0])))
 
         contact = lambda t, y: y[0] - traj.h_floor
         reversal = lambda t, y: y[1] - 1e-12
@@ -1069,6 +1094,7 @@ class TestClosedFormNewton:
         assert steps[-1].t == 3.0
         np.testing.assert_allclose([s.t for s in steps], ref.t[1:], rtol=1e-6)
         np.testing.assert_allclose(steps[-1].y, ref.y[:, -1], rtol=1e-12)
+        self.assert_recorded(steps, VAN_DER_POL_TIMES, VAN_DER_POL_END)
         middle = steps[len(steps) // 2]
         at = 0.5 * (middle.t_old + middle.t)
         np.testing.assert_allclose(middle(at), ref.sol(at), rtol=1e-6)
@@ -1097,6 +1123,18 @@ class TestClosedFormNewton:
         assert steps[0].t == ref.t[1] == 1e-6
         np.testing.assert_allclose([s.t for s in steps], ref.t[1:], rtol=1e-6)
         np.testing.assert_allclose(steps[-1].y, ref.y[:, -1], rtol=1e-12)
+        self.assert_recorded(steps, FROM_REST_TIMES, FROM_REST_END)
+
+    @staticmethod
+    def assert_recorded(steps, times, end):
+        # The port's own arithmetic, apart from the drag: on the Python and
+        # machine of the output corpus, every step time and the end state
+        # are the recorded bits (elsewhere libm's pow may round otherwise).
+        # These runs take the rejected-step and stale-Jacobian branches that
+        # the corpus runs may not reach.
+        if (platform.python_version(), platform.machine()) == RECORDED_PYTHON:
+            assert [s.t.hex() for s in steps] == times
+            assert [v.hex() for v in steps[-1].y] == end
 
     @pytest.mark.parametrize(
         "matrix",
@@ -1109,3 +1147,74 @@ class TestClosedFormNewton:
         with pytest.raises(StiffnessError, match="^Newton matrix of the implicit step") as exc:
             _radau.inverse(matrix, 0.0, (1.0, 0.0))
         assert exc.value.t == 0.0 and exc.value.state == (1.0, 0.0)
+
+
+# Step times and end states of the two stock-Radau problems above, as
+# float.hex, written by the port on the Python and machine that
+# tests/output_corpus.json records.
+_PLATFORM = json.loads((Path(__file__).parent / "output_corpus.json").read_text())["platform"]
+RECORDED_PYTHON = (_PLATFORM["python"], _PLATFORM["machine"])
+VAN_DER_POL_TIMES = """
+0x1.a35fffd19fe6bp-16 0x1.a35fffd19fe6bp-15 0x1.3a87ffdd37ed0p-14 0x1.a35fffd19fe6ap-14
+0x1.061bffe303f02p-13 0x1.3a87ffdd37ecfp-13 0x1.6ef3ffd76be9cp-13 0x1.a35fffd19fe69p-13
+0x1.d7cbffcbd3e36p-13 0x1.061bffe303f02p-12 0x1.2051ffe01dee9p-12 0x1.3a87ffdd37ed0p-12
+0x1.54bdffda51eb7p-12 0x1.6ef3ffd76be9ep-12 0x1.8e898df20eb20p-12 0x1.ae1f1c0cb17a2p-12
+0x1.cdb4aa2754424p-12 0x1.ed4a3841f70a6p-12 0x1.066fe32e4ce94p-11 0x1.163aaa3b9e4d5p-11
+0x1.26057148efb16p-11 0x1.35d0385641157p-11 0x1.48c727a702343p-11 0x1.5bbe16f7c352fp-11
+0x1.6eb506488471bp-11 0x1.81abf59945907p-11 0x1.94a2e4ea06af3p-11 0x1.a799d43ac7cdfp-11
+0x1.ba90c38b88ecbp-11 0x1.d183b21550d8fp-11 0x1.e876a09f18c53p-11 0x1.ff698f28e0b17p-11
+0x1.0b2e3ed9544eep-10 0x1.16a7b61e38450p-10 0x1.22212d631c3b2p-10 0x1.3019b6b1d3c88p-10
+0x1.3e1240008b55ep-10 0x1.4c0ac94f42e34p-10 0x1.5a03529dfa70ap-10 0x1.67fbdbecb1fe0p-10
+0x1.790877f75371ep-10 0x1.8a151401f4e5cp-10 0x1.9b21b00c9659ap-10 0x1.ac2e4c1737cd8p-10
+0x1.c0e10b45f3216p-10 0x1.d593ca74ae754p-10 0x1.ea4689a369c92p-10 0x1.fef948d2251d0p-10
+0x1.0c94ff1016e11p-9 0x1.19ad59b71b33ap-9 0x1.26c5b45e1f863p-9 0x1.37209d38d54e7p-9
+0x1.477b86138b16bp-9 0x1.5b2462c146316p-9 0x1.6ecd3f6f014c1p-9 0x1.8756bcbf222f9p-9
+0x1.9fe03a0f43131p-9 0x1.c03233bfcf590p-9 0x1.e0842d705b9efp-9 0x1.076f9a0395bd5p-8
+0x1.251671176d7fap-8 0x1.4de5653940cfap-8 0x1.8c764c47fd83bp-8 0x1.00736702f74b4p-7
+0x1.a09c7c4d72e33p-7 0x1.33cd2068d1c05p-5 0x1.03452fb1e05edp-2 0x1.3467148433bc6p+1
+0x1.8000000000000p+1
+""".split()
+VAN_DER_POL_END = ["0x1.ff7cd54bd8503p+0", "-0x1.5e1bfc94528fdp-11"]
+FROM_REST_TIMES = """
+0x1.0c6f7a0b5ed8dp-20 0x1.711947cfa26a2p-17 0x1.d19157abb8800p-14 0x1.233df2a9d627cp-10
+0x1.6c15d2d01c0cap-7 0x1.c71c53f39d1b1p-4 0x1.2eebdd3c59131p-3 0x1.7a49907ee398ap-3
+0x1.c5a743c16e1e3p-3 0x1.181fd78024925p-2 0x1.4d6c0d1f92158p-2 0x1.72843030156a1p-2
+0x1.979c534098beap-2 0x1.bcb476511c133p-2 0x1.e1cc99619f67cp-2 0x1.03725e39115e2p-1
+0x1.12146d3192270p-1 0x1.20b67c2a12efep-1 0x1.2f588b2293b8cp-1 0x1.3dfa9a1b1481ap-1
+0x1.4c9ca913954a8p-1 0x1.5b3eb80c16136p-1 0x1.69e0c70496dc4p-1 0x1.75b492bba3f40p-1
+0x1.81885e72b10bcp-1 0x1.8d5c2a29be238p-1 0x1.992ff5e0cb3b4p-1 0x1.a503c197d8530p-1
+0x1.b0d78d4ee56acp-1 0x1.bcab5905f2828p-1 0x1.c87f24bcff9a4p-1 0x1.d452f0740cb20p-1
+0x1.e026bc2b19c9cp-1 0x1.ebfa87e226e18p-1 0x1.f59b8edc2a884p-1 0x1.ff3c95d62e2f0p-1
+0x1.046ece6818eaep+0 0x1.093f51e51abe4p+0 0x1.0e0fd5621c91ap+0 0x1.12e058df1e650p+0
+0x1.17b0dc5c20386p+0 0x1.1c815fd9220bcp+0 0x1.2151e35623df2p+0 0x1.262266d325b28p+0
+0x1.2af2ea502785ep+0 0x1.2fc36dcd29594p+0 0x1.3493f14a2b2cap+0 0x1.396474c72d000p+0
+0x1.3e34f8442ed36p+0 0x1.43057bc130a6cp+0 0x1.47d5ff3e327a2p+0 0x1.4ca682bb344d8p+0
+0x1.50a26d01d76c4p+0 0x1.549e57487a8b0p+0 0x1.589a418f1da9cp+0 0x1.5c962bd5c0c88p+0
+0x1.6092161c63e74p+0 0x1.648e006307060p+0 0x1.6889eaa9aa24cp+0 0x1.6c85d4f04d438p+0
+0x1.7081bf36f0624p+0 0x1.747da97d93810p+0 0x1.787993c4369fcp+0 0x1.7c757e0ad9be8p+0
+0x1.807168517cdd4p+0 0x1.846d52981ffc0p+0 0x1.88693cdec31acp+0 0x1.8c65272566398p+0
+0x1.9061116c09584p+0 0x1.945cfbb2ac770p+0 0x1.9858e5f94f95cp+0 0x1.9c54d03ff2b48p+0
+0x1.a050ba8695d34p+0 0x1.a44ca4cd38f20p+0 0x1.a8488f13dc10cp+0 0x1.ac44795a7f2f8p+0
+0x1.b04063a1224e4p+0 0x1.b43c4de7c56d0p+0 0x1.b838382e688bcp+0 0x1.bc3422750baa8p+0
+0x1.c0300cbbaec94p+0 0x1.c42bf70251e80p+0 0x1.c827e148f506cp+0 0x1.cc23cb8f98258p+0
+0x1.d01fb5d63b444p+0 0x1.d41ba01cde630p+0 0x1.d8178a638181cp+0 0x1.dc1374aa24a08p+0
+0x1.e00f5ef0c7bf4p+0 0x1.e40b49376ade0p+0 0x1.e807337e0dfccp+0 0x1.ec031dc4b11b8p+0
+0x1.efff080b543a4p+0 0x1.f3faf251f7590p+0 0x1.f7f6dc989a77cp+0 0x1.fbf2c6df3d968p+0
+0x1.ffeeb125e0b54p+0 0x1.01f54db641ea0p+1 0x1.03f342d993796p+1 0x1.05f137fce508cp+1
+0x1.07ef2d2036982p+1 0x1.09ed224388278p+1 0x1.0beb1766d9b6ep+1 0x1.0de90c8a2b464p+1
+0x1.0fe701ad7cd5ap+1 0x1.11e4f6d0ce650p+1 0x1.13e2ebf41ff46p+1 0x1.15e0e1177183cp+1
+0x1.17ded63ac3132p+1 0x1.19dccb5e14a28p+1 0x1.1bdac0816631ep+1 0x1.1dd8b5a4b7c14p+1
+0x1.1fd6aac80950ap+1 0x1.21d49feb5ae00p+1 0x1.23d2950eac6f6p+1 0x1.25d08a31fdfecp+1
+0x1.27ce7f554f8e2p+1 0x1.29cc7478a11d8p+1 0x1.2bca699bf2acep+1 0x1.2dc85ebf443c4p+1
+0x1.2fc653e295cbap+1 0x1.31c44905e75b0p+1 0x1.33c23e2938ea6p+1 0x1.35c0334c8a79cp+1
+0x1.37be286fdc092p+1 0x1.39bc1d932d988p+1 0x1.3bba12b67f27ep+1 0x1.3db807d9d0b74p+1
+0x1.3fb5fcfd2246ap+1 0x1.41b3f22073d60p+1 0x1.43b1e743c5656p+1 0x1.45afdc6716f4cp+1
+0x1.47add18a68842p+1 0x1.49abc6adba138p+1 0x1.4ba9bbd10ba2ep+1 0x1.4da7b0f45d324p+1
+0x1.4fa5a617aec1ap+1 0x1.51a39b3b00510p+1 0x1.53a1905e51e06p+1 0x1.559f8581a36fcp+1
+0x1.579d7aa4f4ff2p+1 0x1.599b6fc8468e8p+1 0x1.5b9964eb981dep+1 0x1.5d975a0ee9ad4p+1
+0x1.5f954f323b3cap+1 0x1.619344558ccc0p+1 0x1.63913978de5b6p+1 0x1.658f2e9c2feacp+1
+0x1.678d23bf817a2p+1 0x1.698b18e2d3098p+1 0x1.6b890e062498ep+1 0x1.6dee7b1ca1a66p+1
+0x1.7053e8331eb3ep+1 0x1.72b955499bc16p+1 0x1.751ec26018ceep+1 0x1.77842f7695dc6p+1
+0x1.79e99c8d12e9ep+1 0x1.7c4f09a38ff76p+1 0x1.7eb476ba0d04ep+1 0x1.8000000000000p+1
+""".split()
+FROM_REST_END = ["0x1.3f1003b0e6afcp-2", "0x1.7457f54e9afc4p-1"]

@@ -8,6 +8,7 @@ near-field drag. They pin the implementation against silent regressions.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -766,4 +767,18 @@ class TestPropulsionDrag:
     def test_rejects_nonpositive_tail(self):
         with pytest.raises(DomainError):
             propulsion_drag(0.5, 0.0)
+
+    @pytest.mark.parametrize("h, lam", [(1e17, 1.0), (2e16, 1.0), (1e16, 0.01), (1e300, 5.0)])
+    def test_huge_gap_names_h_and_lam(self, h, lam):
+        # The tip height 2 + h + lam rounds onto the focus c in floats; the
+        # error names the gap and the offset, not a z0 the caller never gave.
+        message = re.escape(f"half-gap {h} is too wide for the propulsion sum at tip offset {lam}:")
+        with pytest.raises(DomainError, match=f"^{message}"):
+            propulsion_drag(h, lam)
+
+    @pytest.mark.parametrize("h", [1e15, 9e15, 1e16])
+    def test_huge_gaps_below_the_focus_limit(self, h):
+        # Where the tip still lies above the focus, lam = 1 gives the axis
+        # velocity of an isolated sphere at r = 2: 3 / (2 r) - 1 / (2 r^3).
+        assert propulsion_drag(h, 1.0) == pytest.approx(0.6875, rel=1e-13, abs=0.0)
 
